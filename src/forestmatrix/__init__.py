@@ -44,7 +44,6 @@ from .linalg import (
     SingularMatrixError,
     SquareMatrix,
     as_rational,
-    surviving_index,
 )
 from .oracle import (
     DEFAULT_GUARD,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import oracle
 from .graphs import (
@@ -27,7 +26,6 @@ from .linalg import (
     SingularMatrixError,
     SquareMatrix,
     as_rational,
-    surviving_index,
 )
 from .oracle import DEFAULT_GUARD, Guard
 
@@ -134,37 +132,13 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
     return graph_matrix(graph).char_poly()
 
 
-def _cofactor_poly_of(matrix: SquareMatrix, i: int, j: int) -> Polynomial:
-    """Cofactor of (i, j) in lambda*I + matrix as a degree n-1 coefficient list.
-
-    Coefficient k sums, over every size-k subset phi of the other indices,
-    the cofactor taken inside the submatrix with phi deleted at the entry
-    that was (i, j); for i == j that inner cofactor is the principal minor
-    with phi and i deleted. surviving_index owns the index remap.
-    """
-    n = matrix.n
-    for v in (i, j):
-        if not (0 <= v < n):
-            raise IndexError(f"index {v} out of range for n={n}")
-    others = [v for v in range(n) if v != i and v != j]
-    coeffs = [Fraction(0)] * n
-    for k in range(len(others) + 1):
-        for phi in combinations(others, k):
-            if i == j:
-                coeffs[k] += matrix.delete_rows_cols(phi + (i,)).det()
-            else:
-                sub = matrix.delete_rows_cols(phi)
-                coeffs[k] += sub.cofactor(surviving_index(i, phi), surviving_index(j, phi))
-    return Polynomial(tuple(coeffs))
-
-
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     """The cofactor of (i, j) in lambda*I + L as a polynomial in lambda.
 
     Evaluating at 1 gives forest_cofactor; coefficient k is the weight of the
     forests with k+1 trees that join j into i's tree (i among the roots).
     """
-    return _cofactor_poly_of(graph_matrix(graph), i, j)
+    return graph_matrix(graph).cofactor_poly(i, j)
 
 
 def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:

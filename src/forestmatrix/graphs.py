@@ -48,7 +48,8 @@ class Arc(NamedTuple):
 
 
 def _checked(kind: str, a: int, b: int, w, n: int):
-    if not (isinstance(a, int) and isinstance(b, int)):
+    # bool is an int subclass, but True/False as a vertex id is always a mistake
+    if isinstance(a, bool) or isinstance(b, bool) or not (isinstance(a, int) and isinstance(b, int)):
         raise GraphValidationError(f"{kind} endpoints must be integers, got ({a!r}, {b!r})")
     if not (0 <= a < n and 0 <= b < n):
         raise GraphValidationError(f"{kind} ({a}, {b}) out of range for n={n}")

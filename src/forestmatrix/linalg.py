@@ -1,10 +1,11 @@
 """Exact dense linear algebra over rational scalars.
 
-Every scalar is a `fractions.Fraction`, so all results are exact and always
-in canonical form (positive denominator, fully reduced). Matrices are small
-and dense by design; the determinant uses fraction-free elimination so that
-intermediate values stay integral instead of blowing up as unreduced
-fractions.
+Every scalar is a `fractions.Fraction`, so results are exact and canonical.
+All determinant-derived quantities share one integer kernel: the matrix is
+scaled to integers once (each row by the lcm of its denominators) and reduced
+by fraction-free Bareiss elimination (Bareiss 1968), forward for determinants
+and cofactors, and as Gauss-Jordan on [A | I] for the inverse. Polynomials in
+x are interpolated exactly from the kernel's values at x = 0, 1, 2, ...
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Iterable
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "SquareMatrix",
     "Polynomial",
     "as_rational",
-    "surviving_index",
 ]
 
 # All exact scalars in this package are plain fractions.
@@ -47,19 +47,81 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-def surviving_index(index: int, removed: Iterable[int]) -> int:
-    """Position of `index` in a matrix after the rows/columns in `removed` are deleted.
+def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those row multipliers."""
+    rows, mults = [], []
+    for row in entries:
+        mult = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
+        mults.append(mult)
+    return rows, mults
 
-    Single authority for the index remap used when a cofactor has to be taken
-    "at the entry that was (i, j)" inside a submatrix.
+
+def _bareiss(rows: list[list[int]], jordan: bool = False) -> int:
+    """Determinant of the leading square block of integer `rows`, eliminated in place.
+
+    Step k sets entry (i, j) to (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // p, p
+    the previous pivot; the division is exact by Sylvester's identity. Rows
+    below the pivot are cleared, and in `jordan` mode rows above it too, which
+    leaves det * B**-1 * T in place of the trailing columns T (B the block).
+    A zero pivot row is swapped with a lower row, negated to keep the sign.
+    Entries up to the pivot column go stale. Returns 0 when B is singular.
     """
-    kept = index
-    for r in set(removed):
-        if r == index:
-            raise ValueError(f"index {index} was itself deleted")
-        if r < index:
-            kept -= 1
-    return kept
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
+        rk = rows[k]
+        pivot = rk[k]
+        tail = rk[k + 1:]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                ri = rows[i]
+                f = ri[k]
+                ri[k + 1:] = [(a * pivot - f * b) // prev for a, b in zip(ri[k + 1:], tail)]
+        prev = pivot
+    return prev
+
+
+def _signed_minor(rows: list[list[int]], i: int, j: int) -> int:
+    """(-1)**(i+j) * det(rows without row i and column j), by _bareiss."""
+    minor = [row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i]
+    return -_bareiss(minor) if (i + j) % 2 else _bareiss(minor)
+
+
+def _shifted(rows: list[list[int]], mults: list[int], x: int) -> list[list[int]]:
+    """Scaled rows of M + x*I, given the scaled rows of M and their multipliers."""
+    shifted = [row[:] for row in rows]
+    for r, mult in enumerate(mults):
+        shifted[r][r] += x * mult
+    return shifted
+
+
+def _interpolated(values: list[int], scale: int) -> Polynomial:
+    """The polynomial p with p(x) = values[x] / scale for x = 0, 1, ..., len(values) - 1.
+
+    The values must come from a polynomial with integer coefficients (a
+    determinant of integer rows shifted by integer multiples of x), so each
+    Newton coefficient, the k-th forward difference at 0 over k!, is an
+    integer and the division is exact.
+    """
+    newton = []
+    diffs = values
+    for k in range(len(values)):
+        newton.append(diffs[0] // factorial(k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = [newton.pop()]
+    for k in reversed(range(len(newton))):  # coeffs * (x - k) + newton[k]
+        coeffs = (
+            [newton[k] - k * coeffs[0]]
+            + [a - k * b for a, b in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    return Polynomial(tuple(Fraction(c, scale) for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -140,103 +202,49 @@ class SquareMatrix:
     # -- determinant and friends -------------------------------------------
 
     def det(self) -> Fraction:
-        """Exact determinant; the empty matrix has determinant 1.
-
-        Each row is scaled integer by its denominator lcm (the accumulated
-        factor is divided back out at the end), then reduced by fraction-free
-        Bareiss elimination: every interior division is exact, which keeps
-        intermediate entries at the size of actual minors.
-        """
-        n = self.n
-        if n == 0:
-            return Fraction(1)
-        scale = 1
-        rows: list[list[int]] = []
-        for row in self.entries:
-            mult = lcm(*(x.denominator for x in row))
-            scale *= mult
-            rows.append([int(x * mult) for x in row])
-
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if rows[k][k] == 0:
-                pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-                if pivot is None:
-                    return Fraction(0)
-                rows[k], rows[pivot] = rows[pivot], rows[k]
-                sign = -sign
-            pkk = rows[k][k]
-            rk = rows[k]
-            for i in range(k + 1, n):
-                ri = rows[i]
-                rik = ri[k]
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * pkk - rik * rk[j]) // prev
-                ri[k] = 0
-            prev = pkk
-        return Fraction(sign * rows[n - 1][n - 1], scale)
+        """Exact determinant; the empty matrix has determinant 1."""
+        rows, mults = _integer_rows(self.entries)
+        return Fraction(_bareiss(rows), prod(mults))
 
     def cofactor(self, i: int, j: int) -> Fraction:
         """Signed minor (-1)**(i+j) * det(self without row i and column j).
 
         A 1-by-1 matrix has cofactor 1 (the minor is the empty matrix).
         """
-        n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"cofactor index ({i}, {j}) out of range for n={n}")
-        minor = SquareMatrix(
-            tuple(
-                tuple(x for c, x in enumerate(row) if c != j)
-                for r, row in enumerate(self.entries)
-                if r != i
-            )
-        )
-        sign = -1 if (i + j) % 2 else 1
-        return sign * minor.det()
+        self._check_index(i, j)
+        rows, mults = _integer_rows(self.entries)
+        return Fraction(_signed_minor(rows, i, j), prod(mults) // mults[i])
 
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
 
-        Built from the n**2 cofactors for small or singular matrices (the
-        cofactor route works even when det == 0); larger nonsingular matrices
-        go through inverse() * det, which is one elimination instead of n**2.
+        Built from the n**2 cofactors, so it is defined for singular matrices too.
         """
         n = self.n
         if n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
-        if n > 12:
-            d = self.det()
-            if d != 0:
-                return self.inverse().scaled(d)
         return SquareMatrix(
             tuple(tuple(self.cofactor(j, i) for j in range(n)) for i in range(n))
         )
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse via Gauss-Jordan elimination.
+        """Exact inverse by fraction-free Gauss-Jordan elimination of [A | I].
 
+        A is the row-scaled integer matrix. Elimination leaves det(A) * A**-1
+        in the right block, which is divided by det(A) once per entry and
+        multiplied by the column's row scale (self**-1 = A**-1 * diag(scales)).
         Raises SingularMatrixError when det == 0.
         """
         n = self.n
-        work = [list(row) for row in self.entries]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-            p = work[col][col]
-            work[col] = [x / p for x in work[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                    inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-        return SquareMatrix(tuple(tuple(row) for row in inv))
+        rows, mults = _integer_rows(self.entries)
+        for r, row in enumerate(rows):
+            row.extend(int(r == c) for c in range(n))
+        d = _bareiss(rows, jordan=True)
+        if d == 0:
+            raise SingularMatrixError("matrix is singular")
+        return SquareMatrix(
+            tuple(tuple(Fraction(x * m, d) for x, m in zip(row[n:], mults)) for row in rows)
+        )
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""
@@ -252,21 +260,29 @@ class SquareMatrix:
     def char_poly(self) -> Polynomial:
         """Coefficients of det(x*I + self), constant term first; leading coefficient 1.
 
-        Computed by the Faddeev-LeVerrier recurrence (trace of matrix powers
-        with exact division by the step index), which is independent of the
-        subset-minor route exposed as principal_minor_sum.
+        Interpolated exactly through the n + 1 determinants at x = 0, 1, ..., n,
+        each taken on the scaled integer rows with x times the row scale added
+        to the diagonal. principal_minor_sum is the independent subset-minor
+        route to the same coefficients.
         """
-        n = self.n
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        a = -self
-        m = SquareMatrix.identity(n)
-        for k in range(1, n + 1):
-            m = a @ m
-            c = -m.trace() / k
-            coeffs[n - k] = c
-            m = m + SquareMatrix.identity(n).scaled(c)
-        return Polynomial(tuple(coeffs))
+        rows, mults = _integer_rows(self.entries)
+        values = [_bareiss(_shifted(rows, mults, x)) for x in range(self.n + 1)]
+        return _interpolated(values, prod(mults))
+
+    def cofactor_poly(self, i: int, j: int) -> Polynomial:
+        """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term first.
+
+        Interpolated exactly through the cofactors at lambda = 0, 1, ..., n-1,
+        computed like char_poly's nodes. For i != j the top coefficient is 0.
+        """
+        self._check_index(i, j)
+        rows, mults = _integer_rows(self.entries)
+        values = [_signed_minor(_shifted(rows, mults, x), i, j) for x in range(self.n)]
+        return _interpolated(values, prod(mults) // mults[i])
+
+    def _check_index(self, i: int, j: int) -> None:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"cofactor index ({i}, {j}) out of range for n={self.n}")
 
     def principal_minor_sum(self, k: int) -> Fraction:
         """Sum of det(self with every size-k index subset deleted).

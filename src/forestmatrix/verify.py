@@ -32,7 +32,9 @@ from .oracle import DEFAULT_GUARD, Guard, GuardExceededError
 
 __all__ = ["CheckResult", "run_all_checks"]
 
-EVAL_POINTS = (0, 1, 2, -1)
+# Never interpolation nodes (those are 0, 1, ..., n), so evaluating the
+# interpolated polynomials here tests them instead of passing by construction.
+EVAL_POINTS = (-1, -2, Fraction(1, 2), Fraction(-3, 2))
 
 
 @dataclass(frozen=True)
@@ -243,11 +245,12 @@ def _check_charpoly(graph, lap, det_w, forests) -> CheckResult:
     ok = list(poly.coeffs) == by_root_count
     ok = ok and all(poly.coeffs[k] == lap.principal_minor_sum(k) for k in range(n + 1))
     ok = ok and poly.evaluate(1) == det_w
+    ok = ok and all(poly.evaluate(x) == forest_matrix(lap, x).det() for x in EVAL_POINTS)
     return CheckResult(
         "charpoly-forest-coefficients",
         ok,
         detail="coefficient k equals the total weight of k-tree forests "
-        "and the degree-k principal minor sum",
+        f"and the degree-k principal minor sum; evaluations at {len(EVAL_POINTS)} points",
     )
 
 

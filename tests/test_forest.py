@@ -204,6 +204,23 @@ class TestCharpolyForestCoeffs:
                         total += by_set.get(frozenset(phi), F(0))
                     assert poly.coeffs[k] == total
 
+    def test_signed_weights_vanishing_at_nodes(self):
+        # lower-triangular Kirchhoff matrix with diagonal 0, -1, -2: det(x*I + L)
+        # = x(x - 1)(x - 2) is zero at three of the four nodes x = 0..3
+        dg = Multidigraph(3, ((0, 1, -1), (0, 2, F(1, 2)), (1, 2, F(-5, 2))))
+        poly = charpoly_forest_coeffs(dg)
+        assert poly.coeffs == (0, 2, -3, 1)
+        forests = enum_forests(dg)
+        by_set = root_set_weights(dg, forests)
+        for k in range(4):
+            assert poly.coeffs[k] == sum(
+                (by_set.get(frozenset(phi), F(0)) for phi in combinations(range(3), k)), F(0)
+            )
+        for i in range(3):
+            for j in range(3):
+                expected = oracle_cofactor_coeffs(dg, forests, i, j)
+                assert list(cofactor_poly(dg, i, j).coeffs) == expected
+
 
 class TestCofactorPoly:
     def test_single_edge_diagonal(self, single_edge):
@@ -225,7 +242,8 @@ class TestCofactorPoly:
             for i in range(dg.n):
                 for j in range(dg.n):
                     poly = cofactor_poly(dg, i, j)
-                    for lam in (0, 1, 2, -1):
+                    # 0, 1 and 2 are interpolation nodes; the rest never are
+                    for lam in (0, 1, 2, -1, -2, F(1, 2), F(-3, 2)):
                         assert poly.evaluate(lam) == forest_matrix(lap, lam).cofactor(i, j)
 
     def test_coefficients_match_formula_oracle(self):

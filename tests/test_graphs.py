@@ -36,6 +36,12 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             Multidigraph(2, ((-1, 0, 1),))
 
+    def test_bool_vertex_ids_rejected(self):
+        with pytest.raises(GraphValidationError):
+            Multigraph(2, ((False, True, 1),))
+        with pytest.raises(GraphValidationError):
+            Multidigraph(2, ((0, True, 1),))
+
     def test_negative_vertex_count(self):
         with pytest.raises(GraphValidationError):
             Multigraph(-1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestmatrix import Polynomial, SingularMatrixError, SquareMatrix, surviving_index
+from forestmatrix import Polynomial, SingularMatrixError, SquareMatrix
 from helpers import WEIGHT_POOL, leibniz_det
 
 F = Fraction
@@ -91,7 +91,7 @@ class TestAdjugate:
         m = SquareMatrix(((1, 2), (2, 4)))
         assert m @ m.adjugate() == SquareMatrix.zeros(2)
 
-    def test_large_matrix_inverse_route(self):
+    def test_product_identity_13x13(self):
         rng = random.Random(3)
         m = SquareMatrix.identity(13).scaled(5) + random_matrix(rng, 13, pool=(F(0), F(1)))
         assert m @ m.adjugate() == SquareMatrix.identity(13).scaled(m.det())
@@ -111,6 +111,13 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             SquareMatrix(((1, 2), (2, 4))).inverse()
+
+    def test_zero_leading_pivot_with_rational_rows(self):
+        # rows scale by 6, 10 and 7: the inverse must undo each row's multiplier
+        m = SquareMatrix(((0, F(1, 2), F(1, 3)), (F(2, 5), F(-1, 2), 1), (F(3, 7), 0, 2)))
+        inv = m.inverse()
+        assert m @ inv == SquareMatrix.identity(3) == inv @ m
+        assert inv == m.adjugate().scaled(1 / m.det())
 
     def test_round_trip_random(self):
         rng = random.Random(23)
@@ -146,6 +153,9 @@ class TestCharPoly:
     def test_k3_laplacian(self):
         assert K3_LAP.char_poly().coeffs == (0, 9, 6, 1)
 
+    def test_empty_matrix_is_one(self):
+        assert SquareMatrix(()).char_poly().coeffs == (1,)
+
     def test_constant_term_is_det(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -163,6 +173,31 @@ class TestCharPoly:
     def test_results_canonical(self):
         for c in K3_LAP.char_poly().coeffs:
             assert type(c) is Fraction and c.denominator > 0
+
+
+class TestCofactorPoly:
+    def test_one_by_one_is_one(self):
+        assert SquareMatrix(((F(5, 3),),)).cofactor_poly(0, 0).coeffs == (1,)
+
+    def test_k3_laplacian(self):
+        assert K3_LAP.cofactor_poly(0, 0).coeffs == (3, 4, 1)
+        assert K3_LAP.cofactor_poly(0, 1).coeffs == (3, 1, 0)
+
+    def test_evaluations_off_the_nodes(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            m = random_matrix(rng, rng.randint(1, 5))
+            for i in range(m.n):
+                for j in range(m.n):
+                    poly = m.cofactor_poly(i, j)
+                    for x in (-1, F(1, 2), F(-7, 3), m.n + 1):
+                        shifted = SquareMatrix.identity(m.n).scaled(x) + m
+                        assert poly.evaluate(x) == shifted.cofactor(i, j)
+
+    @pytest.mark.parametrize("i,j", [(-1, 0), (0, 2)])
+    def test_out_of_range(self, i, j):
+        with pytest.raises(IndexError):
+            M2.cofactor_poly(i, j)
 
 
 class TestPrincipalMinorSum:
@@ -212,14 +247,3 @@ class TestPolynomial:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(())
-
-
-class TestSurvivingIndex:
-    def test_counts_removed_below(self):
-        assert surviving_index(4, (0, 2)) == 2
-        assert surviving_index(1, (2, 3)) == 1
-        assert surviving_index(0, ()) == 0
-
-    def test_deleted_index_rejected(self):
-        with pytest.raises(ValueError):
-            surviving_index(2, (2,))
