@@ -63,6 +63,7 @@ from .oracle import (
     filter_rooted,
     filter_roots,
     set_weight,
+    tree_roots,
     weight_of,
 )
 from .verify import CheckResult, run_all_checks

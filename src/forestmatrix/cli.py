@@ -3,7 +3,7 @@
 Reads a graph file, runs one operation, prints a deterministic JSON (default)
 or TSV document. Exact mode serializes every value as an integer or "p/q"
 string; float mode emits binary64 numbers and exists for large instances
-only, it never backs `verify`.
+only, it never backs `verify`. numpy is imported by float-mode commands only.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
 forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check.
@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import floatops
 from .forest import (
     SingularForestMatrixError,
     accessibility,
@@ -53,6 +52,10 @@ EXIT_VALIDATION = 2
 EXIT_SINGULAR = 3
 EXIT_GUARD = 4
 EXIT_CHECK_FAILED = 5
+
+# Largest --max-enum: forest scans visit 2**instances subsets, so this caps
+# one scan at 2**24 (about 1.7e7) subsets.
+MAX_ENUM = 24
 
 _FLOAT_COMMANDS = {"laplacian", "forest-matrix", "det", "cofactor", "accessibility", "charpoly"}
 
@@ -113,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="1-based target vertex")
         if enum:
             p.add_argument("--max-enum", type=int, metavar="N",
-                           help="raise the enumeration guard to N vertices and N instances")
+                           help="raise the enumeration guard to N vertices and N instances "
+                           f"(at most {MAX_ENUM})")
         p.set_defaults(command=name)
         return p
 
@@ -184,6 +188,8 @@ def _guard(args) -> Guard:
         return DEFAULT_GUARD
     if limit < 1:
         raise GraphValidationError(f"--max-enum must be positive, got {limit}")
+    if limit > MAX_ENUM:
+        raise GuardExceededError(f"--max-enum {limit} is above the ceiling of {MAX_ENUM}")
     return Guard(max_vertices=limit, max_instances=limit)
 
 
@@ -201,6 +207,7 @@ def _matrix_out(matrix: SquareMatrix) -> list[list[str]]:
 def _cmd_laplacian(args):
     graph = _load(args)
     if args.mode == "float":
+        from . import floatops
         rows = floatops.graph_matrix_array(graph).tolist()
     else:
         rows = _matrix_out(graph_matrix(graph))
@@ -211,6 +218,7 @@ def _cmd_forest_matrix(args):
     graph = _load(args)
     lam = _lam(args)
     if args.mode == "float":
+        from . import floatops
         arr = floatops.forest_matrix_array(graph, float(lam))
         payload = {
             "lambda": float(lam),
@@ -231,6 +239,7 @@ def _cmd_det(args):
     graph = _load(args)
     lam = _lam(args)
     if args.mode == "float":
+        from . import floatops
         value = floatops.det_value(graph, float(lam))
     else:
         value = str(forest_matrix_report(graph, lam).det)
@@ -243,6 +252,7 @@ def _cmd_cofactor(args):
     i = _vertex(args.from_vertex, graph, "--from")
     j = _vertex(args.to_vertex, graph, "--to")
     if args.mode == "float":
+        from . import floatops
         value = floatops.cofactor_value(graph, i, j, float(lam))
     else:
         report = forest_matrix_report(graph, lam)
@@ -254,6 +264,7 @@ def _cmd_accessibility(args):
     graph = _load(args)
     lam = _lam(args)
     if args.mode == "float":
+        from . import floatops
         try:
             rows = floatops.accessibility_array(graph, float(lam)).tolist()
         except Exception as exc:  # LinAlgError: W numerically singular
@@ -266,6 +277,7 @@ def _cmd_accessibility(args):
 def _cmd_charpoly(args):
     graph = _load(args)
     if args.mode == "float":
+        from . import floatops
         coeffs = [float(c) for c in floatops.charpoly_coeffs(graph)]
     else:
         coeffs = [str(c) for c in charpoly_forest_coeffs(graph).coeffs]

@@ -65,8 +65,12 @@ def graph_matrix(graph: AnyGraph) -> SquareMatrix:
 
 
 def forest_matrix(matrix: SquareMatrix, lam=1) -> SquareMatrix:
-    """lambda*I + matrix."""
-    return SquareMatrix.identity(matrix.n).scaled(as_rational(lam)) + matrix
+    """lambda*I + matrix, with lambda added to the diagonal in one pass."""
+    lam = as_rational(lam)
+    rows = [list(row) for row in matrix.entries]
+    for r, row in enumerate(rows):
+        row[r] += lam
+    return SquareMatrix(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,18 @@
 
 This module is the ground truth the matrix-side operations are tested
 against, so it is deliberately naive: every edge/arc-instance subset up to
-the size guard is generated and filtered by the defining invariants. No
-backtracking, no cleverness. Enumeration runs over instances, not merged
-simple graphs, which keeps parallel-instance identities testable instead of
-assumed.
+the size guard is generated and filtered by the defining invariants (forest
+scans visit all 2**m subsets, tree scans only the C(m, n-1) subsets of the
+size a spanning tree has). No backtracking, no cleverness. Enumeration runs
+over instances, not merged simple graphs, which keeps parallel-instance
+identities testable instead of assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence, Union
 
 from .graphs import Multidigraph, Multigraph
@@ -34,6 +35,7 @@ __all__ = [
     "filter_rooted",
     "filter_diverging",
     "filter_roots",
+    "tree_roots",
     "diverging_roots",
     "diverging_component_root",
 ]
@@ -202,11 +204,12 @@ def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) 
 def enum_spanning_trees(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[frozenset[int], ...]:
     """All spanning trees as edge-instance subsets (acyclic with n-1 instances)."""
     _check_guard(graph, guard)
-    want = graph.n - 1
+    if graph.n == 0:
+        return ()
     out = [
         frozenset(idxs)
-        for idxs in _subsets(len(graph.edges))
-        if len(idxs) == want and _is_forest_subset(graph, idxs) is not None
+        for idxs in combinations(range(len(graph.edges)), graph.n - 1)
+        if _is_forest_subset(graph, idxs) is not None
     ]
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
@@ -218,10 +221,9 @@ def enum_diverging_trees(
     if not (0 <= root < digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
-    want = digraph.n - 1
     out = []
-    for idxs in _subsets(len(digraph.arcs)):
-        if len(idxs) != want or not _is_diverging_subset(digraph, idxs):
+    for idxs in combinations(range(len(digraph.arcs)), digraph.n - 1):
+        if not _is_diverging_subset(digraph, idxs):
             continue
         f = DivergingForest(frozenset(idxs))
         if diverging_roots(digraph, f) == frozenset({root}):
@@ -235,13 +237,32 @@ def diverging_roots(digraph: Multidigraph, forest: DivergingForest) -> frozenset
     return frozenset(v for v in range(digraph.n) if v not in heads)
 
 
+def tree_roots(
+    host: Union[Multigraph, Multidigraph], forest: Union[RootedForest, DivergingForest]
+) -> tuple[int, ...]:
+    """Entry v is the root of the tree containing vertex v.
+
+    A diverging forest's root is found by following the unique in-arcs
+    upward; a rooted forest's is the chosen root in v's component.
+    """
+    if isinstance(host, Multidigraph):
+        parent = {host.arcs[i].head: host.arcs[i].tail for i in forest.arcs}
+        out = []
+        for v in range(host.n):
+            while v in parent:
+                v = parent[v]
+            out.append(v)
+        return tuple(out)
+    dsu = _DSU(host.n)
+    for e in forest.edges:
+        dsu.union(host.edges[e].u, host.edges[e].v)
+    root_of = {dsu.find(r): r for r in forest.roots}
+    return tuple(root_of[dsu.find(v)] for v in range(host.n))
+
+
 def diverging_component_root(digraph: Multidigraph, forest: DivergingForest, vertex: int) -> int:
-    """Root of the tree containing `vertex`: follow the unique in-arcs upward."""
-    parent = {digraph.arcs[i].head: digraph.arcs[i].tail for i in forest.arcs}
-    v = vertex
-    while v in parent:
-        v = parent[v]
-    return v
+    """Root of the tree containing `vertex`."""
+    return tree_roots(digraph, forest)[vertex]
 
 
 def filter_diverging(
@@ -251,7 +272,7 @@ def filter_diverging(
     for v in (i, j):
         if not (0 <= v < digraph.n):
             raise IndexError(f"vertex {v} out of range for n={digraph.n}")
-    return tuple(f for f in forests if diverging_component_root(digraph, f, j) == i)
+    return tuple(f for f in forests if tree_roots(digraph, f)[j] == i)
 
 
 def filter_rooted(
@@ -261,16 +282,7 @@ def filter_rooted(
     for v in (i, j):
         if not (0 <= v < graph.n):
             raise IndexError(f"vertex {v} out of range for n={graph.n}")
-    out = []
-    for f in forests:
-        dsu = _DSU(graph.n)
-        for e in f.edges:
-            dsu.union(graph.edges[e].u, graph.edges[e].v)
-        rep = dsu.find(j)
-        root = next(r for r in f.roots if dsu.find(r) == rep)
-        if root == i:
-            out.append(f)
-    return tuple(out)
+    return tuple(f for f in forests if tree_roots(graph, f)[j] == i)
 
 
 def filter_roots(

@@ -1,11 +1,16 @@
 """Graph-file parsing, CLI behavior, exit codes and output determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import forestmatrix
 from forestmatrix import (
     GraphParseError,
     GraphValidationError,
@@ -265,6 +270,19 @@ class TestExitCodes:
         assert run_cli(capsys, "verify", str(p))[0] == 4
         assert run_cli(capsys, "verify", str(p), "--max-enum", "9")[0] == 0
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_max_enum_above_ceiling_is_4(self, capsys, monkeypatch, k3_file, command):
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(forestmatrix.cli, "enum_rooted_forests", no_enumeration)
+        monkeypatch.setattr(forestmatrix.cli, "run_all_checks", no_enumeration)
+        assert main([command, k3_file, "--max-enum", "40"]) == 4
+        assert "ceiling of 24" in capsys.readouterr().err
+
+    def test_max_enum_at_ceiling_is_accepted(self, capsys, k3_file):
+        assert run_cli(capsys, "verify", k3_file, "--max-enum", "24")[0] == 0
+
     def test_verify_refuses_undirected_above_twin_budget(self, capsys, tmp_path):
         # nine edges double to eighteen arcs, over the default instance guard
         lines = ["graph undirected 5"] + ["1 2 1"] * 9
@@ -357,3 +375,12 @@ class TestFloatMode:
         _, payload = run_json(capsys, "cofactor", path, "--from", "1", "--to", "2",
                               "--mode", "float")
         assert abs(payload["cofactor"] - 4.0) < 1e-9  # cofactor of W = I + L
+
+
+def test_exact_cli_import_leaves_numpy_unloaded():
+    src = str(Path(forestmatrix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, forestmatrix.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

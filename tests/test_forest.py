@@ -63,6 +63,13 @@ class TestForestMatrix:
         lap = SquareMatrix(((0, 0), (-1, 1)))
         assert forest_matrix(lap) == SquareMatrix(((1, 0), (-1, 2)))
 
+    @pytest.mark.parametrize("lam", [0, 1, F(-1, 2), 3])
+    def test_one_pass_shift_equals_identity_sum(self, lam):
+        rng = random.Random(5)
+        for g in (random_multigraph(rng), random_multidigraph(rng), Multigraph(0)):
+            lap = graph_matrix(g)
+            assert forest_matrix(lap, lam) == SquareMatrix.identity(g.n).scaled(lam) + lap
+
     def test_report_carries_det(self, single_edge):
         report = forest_matrix_report(single_edge, F(1, 2))
         assert report.lam == F(1, 2)

@@ -12,6 +12,7 @@ from forestmatrix import (
     Multidigraph,
     Multigraph,
     contract,
+    diverging_roots,
     enum_diverging_forests,
     enum_diverging_trees,
     enum_paths,
@@ -23,6 +24,7 @@ from forestmatrix import (
     merge_parallel,
     set_weight,
     to_bidirected,
+    tree_roots,
     weight_of,
 )
 from helpers import (
@@ -30,6 +32,7 @@ from helpers import (
     check_rooted_forest,
     random_multidigraph,
     random_multigraph,
+    root_of_map,
 )
 
 F = Fraction
@@ -114,6 +117,71 @@ class TestEnumTrees:
     def test_single_vertex_graph(self):
         assert len(enum_spanning_trees(Multigraph(1))) == 1
         assert len(enum_diverging_trees(Multidigraph(1), 0)) == 1
+
+    def test_edgeless_graphs(self):
+        assert enum_spanning_trees(Multigraph(0)) == ()
+        assert enum_spanning_trees(Multigraph(3)) == ()
+        assert enum_diverging_trees(Multidigraph(3), 1) == ()
+
+
+def _tree_scan_cases(seed: int, count: int):
+    """Small random graphs with parallel instances, zero weights and m < n - 1."""
+    rng = random.Random(seed)
+    pool = (F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2))
+    cases = []
+    for index in range(count):
+        if index % 2:
+            g = random_multidigraph(rng, 2, 5, 9, pool)
+            if g.arcs:
+                g = Multidigraph(g.n, g.arcs + (g.arcs[0],))
+        else:
+            g = random_multigraph(rng, 2, 5, 7, pool)
+            if g.edges:
+                g = Multigraph(g.n, g.edges + (g.edges[0],))
+        cases.append(g)
+    return cases
+
+
+class TestTreeScansMatchOneTreeForests:
+    CASES = _tree_scan_cases(31, 80)
+
+    def test_cases_cover_the_edge_cases(self):
+        assert any(len(g.instances) < g.n - 1 for g in self.CASES)
+        assert any(any(x.w == 0 for x in g.instances) for g in self.CASES)
+        assert any(len(set(g.instances)) < len(g.instances) for g in self.CASES)
+
+    def test_spanning_trees(self):
+        for g in (g for g in self.CASES if isinstance(g, Multigraph)):
+            one_tree = {f.edges for f in enum_rooted_forests(g) if len(f.roots) == 1}
+            trees = enum_spanning_trees(g)
+            assert len(set(trees)) == len(trees)
+            assert set(trees) == one_tree
+
+    def test_diverging_trees(self):
+        for g in (g for g in self.CASES if isinstance(g, Multidigraph)):
+            forests = enum_diverging_forests(g)
+            for root in range(g.n):
+                one_tree = {f for f in forests if diverging_roots(g, f) == frozenset({root})}
+                trees = enum_diverging_trees(g, root)
+                assert len(set(trees)) == len(trees)
+                assert set(trees) == one_tree
+
+
+class TestTreeRoots:
+    def test_diverging_path(self):
+        dg = Multidigraph(4, ((0, 1, 1), (1, 2, 1), (3, 2, 1)))
+        (forest,) = [f for f in enum_diverging_forests(dg) if f.arcs == frozenset({0, 1})]
+        assert tree_roots(dg, forest) == (0, 0, 0, 3)
+
+    def test_rooted_forest_uses_the_chosen_root(self, unit_k3):
+        forests = [f for f in enum_rooted_forests(unit_k3) if f.edges == frozenset({0})]
+        assert {tree_roots(unit_k3, f) for f in forests} == {(0, 0, 2), (1, 1, 2)}
+
+    def test_matches_independent_walk(self):
+        for g in TestTreeScansMatchOneTreeForests.CASES:
+            forests = enum_diverging_forests(g) if isinstance(g, Multidigraph) else enum_rooted_forests(g)
+            for f in forests:
+                assert list(tree_roots(g, f)) == root_of_map(g, f)
 
 
 class TestFilters:

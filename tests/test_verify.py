@@ -1,0 +1,160 @@
+"""The verify checklist: each check must fail when its library side or its
+oracle side is perturbed, and the oracle table must match independent totals."""
+
+import random
+import re
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from forestmatrix import (
+    Multidigraph,
+    Multigraph,
+    Polynomial,
+    enum_diverging_forests,
+    enum_rooted_forests,
+    merge_parallel,
+    oracle,
+    run_all_checks,
+    verify,
+)
+from helpers import (
+    pair_weight_table,
+    random_multidigraph,
+    random_multigraph,
+)
+
+F = Fraction
+
+# Checks whose oracle side is read from the table built over the forests.
+TABLE_CHECKS = {
+    "forest-cofactors",
+    "accessibility-matrix",
+    "parallel-merge-invariance",
+    "rooted-minors",
+    "charpoly-forest-coefficients",
+    "cofactor-polynomials",
+    "signed-cofactor-polynomials",
+}
+
+GRAPHS = {
+    "undirected": Multigraph(4, ((0, 1, 1), (1, 2, F(1, 2)), (2, 3, 2), (0, 1, 3), (0, 2, 1))),
+    "directed": Multidigraph(4, ((0, 1, 1), (1, 2, 2), (2, 3, F(1, 2)), (3, 0, 1), (0, 1, 2))),
+}
+
+
+def failing(graph) -> set[str]:
+    return {c.name for c in run_all_checks(graph) if not c.passed}
+
+
+def detail(graph, name: str) -> str:
+    (check,) = [c for c in run_all_checks(graph) if c.name == name]
+    return check.detail
+
+
+def perturb_pair(fn, pair=(1, 2)):
+    """fn, except that coefficient 0 of the polynomial for one (i, j) pair is off by one."""
+
+    def perturbed(graph, i, j):
+        poly = fn(graph, i, j)
+        if (i, j) != pair:
+            return poly
+        return Polynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+
+    return perturbed
+
+
+@pytest.fixture(params=sorted(GRAPHS))
+def graph(request):
+    g = GRAPHS[request.param]
+    assert failing(g) == set()
+    return g
+
+
+class TestMutations:
+    def test_cofactor_poly(self, graph, monkeypatch):
+        monkeypatch.setattr(verify, "cofactor_poly", perturb_pair(verify.cofactor_poly))
+        assert failing(graph) == {"cofactor-polynomials"}
+
+    def test_signed_cofactor_poly(self, graph, monkeypatch):
+        monkeypatch.setattr(
+            verify, "signed_cofactor_poly", perturb_pair(verify.signed_cofactor_poly)
+        )
+        assert failing(graph) == {"signed-cofactor-polynomials"}
+
+    def test_charpoly_forest_coeffs(self, graph, monkeypatch):
+        original = verify.charpoly_forest_coeffs
+
+        def perturbed(g):
+            c = original(g).coeffs
+            return Polynomial(c[:1] + (c[1] + 1,) + c[2:])
+
+        monkeypatch.setattr(verify, "charpoly_forest_coeffs", perturbed)
+        assert failing(graph) == {"charpoly-forest-coefficients"}
+
+    def test_one_forest_weight(self, graph, monkeypatch):
+        # the forest made of instance 0 alone weighs one more than it should,
+        # but only in the graph under test (not in the merged or contracted graphs)
+        original = oracle.weight_of
+
+        def perturbed(instances, host):
+            instances = frozenset(instances)
+            w = original(instances, host)
+            return w + 1 if host is graph and instances == frozenset({0}) else w
+
+        monkeypatch.setattr(oracle, "weight_of", perturbed)
+        # forest-determinant sums the same forests directly, not through the table
+        assert failing(graph) == TABLE_CHECKS | {"forest-determinant"}
+
+
+class TestOneEnumeration:
+    def test_forests_enumerated_for_the_graph_and_the_merged_graph_only(self, graph, monkeypatch):
+        hosts = []
+        for name in ("enum_rooted_forests", "enum_diverging_forests"):
+            original = getattr(oracle, name)
+
+            def counted(g, guard, _original=original):
+                hosts.append(g)
+                return _original(g, guard)
+
+            monkeypatch.setattr(oracle, name, counted)
+        run_all_checks(graph)
+        assert hosts == [graph, merge_parallel(graph)]
+
+    def test_table_matches_independent_pair_totals(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_multigraph(rng, 2, 5, 6) if rng.random() < 0.5 else random_multidigraph(rng, 2, 5, 8)
+            forests = verify._enum_forests(g, oracle.DEFAULT_GUARD)
+            table = verify._tabulate(g, forests)
+            expected = pair_weight_table(g, forests)
+            for i in range(g.n):
+                for j in range(g.n):
+                    assert table.pair[(i, j)] == expected[i][j]
+                    assert sum(table.coeffs[(i, j)]) == expected[i][j]
+            assert sum(table.by_count) == sum(table.by_roots.values())
+            assert table.count == len(forests)
+
+
+class TestWorkCounts:
+    def test_contraction_minors_counts_tree_sized_subsets(self, graph):
+        n = graph.n
+        if isinstance(graph, Multidigraph):
+            arcs = [(a.tail, a.head) for a in graph.arcs]
+        else:
+            arcs = [(e.u, e.v) for e in graph.edges] * 2
+        expected = 0
+        for size in range(1, n + 1):
+            for phi in combinations(range(n), size):
+                kept = sum(1 for t, h in arcs if not (t in phi and h in phi))
+                expected += comb(kept, n - size)
+        text = detail(graph, "contraction-minors")
+        assert f"({expected} tree-sized subsets scanned)" in text
+
+    def test_merge_invariance_counts_merged_forests(self, graph):
+        merged = merge_parallel(graph)
+        enum = enum_diverging_forests if isinstance(graph, Multidigraph) else enum_rooted_forests
+        text = detail(graph, "parallel-merge-invariance")
+        assert re.search(rf"\b{len(enum(merged))} forests enumerated for the merged graph", text)
