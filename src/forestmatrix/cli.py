@@ -6,13 +6,15 @@ string; float mode emits binary64 numbers and exists for large instances
 only, it never backs `verify`. numpy is imported by float-mode commands only.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
-forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check.
+forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check,
+6 a float-mode result is infinite or NaN (nothing is written to stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +54,7 @@ EXIT_VALIDATION = 2
 EXIT_SINGULAR = 3
 EXIT_GUARD = 4
 EXIT_CHECK_FAILED = 5
+EXIT_NONFINITE = 6
 
 # Largest --max-enum: forest scans visit 2**instances subsets, so this caps
 # one scan at 2**24 (about 1.7e7) subsets.
@@ -83,8 +86,15 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    if args.mode == "float" and not all(map(_finite, payload.values())):
+        print(
+            f"error: the float result of '{args.command}' overflowed to infinity or NaN; "
+            "use --mode exact for the exact value",
+            file=sys.stderr,
+        )
+        return EXIT_NONFINITE
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for line in _tsv_lines(payload):
             print(line)
@@ -95,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forestmatrix",
         description="Exact spanning-forest algebra for weighted multigraphs and multidigraphs.",
-        epilog="exit codes: 0 ok, 1 parse, 2 validation, 3 singular, 4 guard, 5 failed check",
+        epilog="exit codes: 0 ok, 1 parse, 2 validation, 3 singular, 4 guard, 5 failed check, "
+        "6 non-finite float result",
     )
     sub = parser.add_subparsers(required=True, metavar="command")
 
@@ -199,6 +210,17 @@ def _head(args, graph: AnyGraph) -> dict:
 
 def _matrix_out(matrix: SquareMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in matrix.entries]
+
+
+def _finite(value) -> bool:
+    """False if a float payload value, or a list or matrix of them, holds inf or NaN."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return all(map(_finite, value))
+        return all(map(math.isfinite, value))
+    return True
 
 
 # -- command handlers --------------------------------------------------------

@@ -231,9 +231,7 @@ def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTr
     m = graph_matrix(graph)
     if m.n == 0:
         raise ValueError("matrix-tree check needs at least one vertex")
-    grid = SquareMatrix(
-        tuple(tuple(m.cofactor(i, j) for j in range(m.n)) for i in range(m.n))
-    )
+    grid = m.adjugate().transpose()
     if isinstance(graph, Multidigraph):
         weights = tuple(
             oracle.set_weight(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
+from operator import itemgetter
 from typing import Iterable
 
 __all__ = [
@@ -58,16 +59,40 @@ def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
 
 
 def _bareiss(rows: list[list[int]], jordan: bool = False) -> int:
-    """Determinant of the leading square block of integer `rows`, eliminated in place.
+    """Determinant of the leading square block B of integer `rows`, eliminated in place.
 
-    Step k sets entry (i, j) to (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // p, p
-    the previous pivot; the division is exact by Sylvester's identity. Rows
-    below the pivot are cleared, and in `jordan` mode rows above it too, which
-    leaves det * B**-1 * T in place of the trailing columns T (B the block).
-    A zero pivot row is swapped with a lower row, negated to keep the sign.
-    Entries up to the pivot column go stale. Returns 0 when B is singular.
+    Fraction-free elimination: with p_k the pivot of step k (p_-1 = 1), step k
+    sets entry (i, j) to (a[i][j] * p_k - a[i][k] * a[k][j]) // p_(k-1); the
+    division is exact by Sylvester's identity. Rows below the pivot are
+    cleared, and in `jordan` mode rows above it too, which leaves
+    det * B**-1 * T in place of the trailing columns T. A zero pivot row is
+    swapped with a lower row, negated to keep the sign. Returns 0 when B is
+    singular.
+
+    Sparsity is exploited in two ways that change no result:
+
+    - Order. Rows and the columns of B are first permuted in place by one
+      permutation, fewest nonzeros first, which leaves det B unchanged; in
+      `jordan` mode the rows are put back in their original order at the end.
+    - Lazy rows. A row with a zero in the pivot column is not touched at that
+      step; level[i] holds the pivot of the step that last updated row i, so
+      its up-to-date value is stored * p_(k-1) // level[i]. Updating it later
+      divides by level[i] instead of p_(k-1). The pivot row is brought up to
+      date when its step comes, and then counts as updated at that step.
+      `jordan` mode brings every row's trailing block up to date at the end.
+
+    Entries up to the pivot column go stale, and in forward mode the rows
+    are left permuted.
     """
     n = len(rows)
+    order = sorted(range(n), key=[row.count(0) for row in rows].__getitem__, reverse=True)
+    permuted = order != list(range(n))
+    if permuted:
+        get = itemgetter(*order)
+        rows[:] = get(rows)
+        for row in rows:
+            row[:n] = get(row)
+    level = [1] * n
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
@@ -75,15 +100,28 @@ def _bareiss(rows: list[list[int]], jordan: bool = False) -> int:
             if swap is None:
                 return 0
             rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
+            level[k], level[swap] = level[swap], level[k]
         rk = rows[k]
+        if level[k] != prev:
+            t = level[k]
+            rk[k:] = [x * prev // t for x in rk[k:]]
         pivot = rk[k]
         tail = rk[k + 1:]
         for i in range(n) if jordan else range(k + 1, n):
-            if i != k:
-                ri = rows[i]
-                f = ri[k]
-                ri[k + 1:] = [(a * pivot - f * b) // prev for a, b in zip(ri[k + 1:], tail)]
+            ri = rows[i]
+            f = ri[k]
+            if f and i != k:
+                t = level[i]
+                ri[k + 1:] = [(a * pivot - f * b) // t for a, b in zip(ri[k + 1:], tail)]
+                level[i] = pivot
+        level[k] = pivot
         prev = pivot
+    if jordan:
+        for row, t in zip(rows, level):
+            if t != prev:
+                row[n:] = [x * prev // t for x in row[n:]]
+        if permuted:
+            rows[:] = [row for _, row in sorted(zip(order, rows))]
     return prev
 
 
@@ -218,13 +256,19 @@ class SquareMatrix:
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
 
-        Built from the n**2 cofactors, so it is defined for singular matrices too.
+        Built from the n**2 signed minors of one integer scaling, so it is
+        defined for singular matrices too.
         """
         n = self.n
         if n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
+        rows, mults = _integer_rows(self.entries)
+        scale = prod(mults)
         return SquareMatrix(
-            tuple(tuple(self.cofactor(j, i) for j in range(n)) for i in range(n))
+            tuple(
+                tuple(Fraction(_signed_minor(rows, j, i), scale // mults[j]) for j in range(n))
+                for i in range(n)
+            )
         )
 
     def inverse(self) -> "SquareMatrix":

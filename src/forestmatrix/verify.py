@@ -120,13 +120,14 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     lap = graph_matrix(graph)
     w = forest_matrix(lap)
     det_w = w.det()
+    adj = w.adjugate()
     forests = _enum_forests(graph, guard)
     table = _tabulate(graph, forests)
     return [
         _check_matrix_tree(graph, guard),
         _check_forest_det(graph, det_w, forests),
-        _check_forest_cofactors(graph, w, table),
-        _check_row_partition(graph, w, det_w),
+        _check_forest_cofactors(graph, adj, table),
+        _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table, guard),
         _check_contraction_minors(graph, lap, guard),
@@ -157,9 +158,9 @@ def _check_forest_det(graph, det_w, forests) -> CheckResult:
     )
 
 
-def _check_forest_cofactors(graph, w, table) -> CheckResult:
+def _check_forest_cofactors(graph, adj, table) -> CheckResult:
     n = graph.n
-    ok = all(w.cofactor(i, j) == table.pair[(i, j)] for i in range(n) for j in range(n))
+    ok = all(adj.entries[j][i] == table.pair[(i, j)] for i in range(n) for j in range(n))
     return CheckResult(
         "forest-cofactors",
         ok,
@@ -167,11 +168,8 @@ def _check_forest_cofactors(graph, w, table) -> CheckResult:
     )
 
 
-def _check_row_partition(graph, w, det_w) -> CheckResult:
-    n = graph.n
-    ok = all(
-        sum((w.cofactor(j, i) for j in range(n)), Fraction(0)) == det_w for i in range(n)
-    )
+def _check_row_partition(adj, det_w) -> CheckResult:
+    ok = all(s == det_w for s in adj.row_sums())
     return CheckResult(
         "cofactor-row-partition",
         ok,
@@ -270,14 +268,14 @@ def _check_charpoly(graph, lap, det_w, table) -> CheckResult:
 
 def _check_cofactor_polys(graph, lap, table) -> CheckResult:
     n = graph.n
-    ws = [forest_matrix(lap, lam) for lam in EVAL_POINTS]
+    adjs = [forest_matrix(lap, lam).adjugate() for lam in EVAL_POINTS]
     ok = True
     for i in range(n):
         for j in range(n):
             poly = cofactor_poly(graph, i, j)
             ok = ok and list(poly.coeffs) == table.coeffs[(i, j)]
-            for lam, w in zip(EVAL_POINTS, ws):
-                ok = ok and poly.evaluate(lam) == w.cofactor(i, j)
+            for lam, adj in zip(EVAL_POINTS, adjs):
+                ok = ok and poly.evaluate(lam) == adj.entries[j][i]
     return CheckResult(
         "cofactor-polynomials",
         ok,
@@ -293,10 +291,11 @@ def _check_path_expansion(graph, lap, guard) -> CheckResult:
     for size in range(0, n - 1):
         for phi in combinations(range(n), size):
             sub = lap.delete_rows_cols(phi)
+            adj = sub.adjugate()
             for i in range(sub.n):
                 for j in range(sub.n):
                     if i != j:
-                        ok = ok and path_expansion_cofactor(sub, i, j, guard) == sub.cofactor(i, j)
+                        ok = ok and path_expansion_cofactor(sub, i, j, guard) == adj.entries[j][i]
                         count += 1
     return CheckResult(
         "path-expansion-cofactors",
@@ -310,14 +309,14 @@ def _check_signed_polys(graph, lap, table) -> CheckResult:
     n = graph.n
     # n+1 evaluation points pin every coefficient of a degree n-1 polynomial
     points = list(range(n)) + [-1]
-    ws = [forest_matrix(-lap, lam) for lam in points]
+    adjs = [forest_matrix(-lap, lam).adjugate() for lam in points]
     ok = True
     for i in range(n):
         for j in range(n):
             poly = signed_cofactor_poly(graph, i, j)
             ok = ok and list(poly.coeffs) == table.signed[(i, j)]
-            for lam, w in zip(points, ws):
-                ok = ok and poly.evaluate(lam) == w.cofactor(i, j)
+            for lam, adj in zip(points, adjs):
+                ok = ok and poly.evaluate(lam) == adj.entries[j][i]
     return CheckResult(
         "signed-cofactor-polynomials",
         ok,

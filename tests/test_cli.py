@@ -376,6 +376,25 @@ class TestFloatMode:
                               "--mode", "float")
         assert abs(payload["cofactor"] - 4.0) < 1e-9  # cofactor of W = I + L
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("output", ["json", "tsv"])
+    @pytest.mark.parametrize("argv", [
+        ("det",),
+        ("cofactor", "--from", "1", "--to", "300"),
+        ("charpoly",),
+        ("forest-matrix",),
+    ])
+    def test_overflow_is_6_with_empty_stdout(self, capsys, tmp_path, argv, output):
+        # det W is about 5e611 and the end-to-end cofactor 100**299, far beyond binary64
+        path = tmp_path / "path.graph"
+        lines = [f"{v} {v + 1} 100" for v in range(1, 300)]
+        path.write_text("graph undirected 300\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        code = main([argv[0], str(path), *argv[1:], "--mode", "float", "--output", output])
+        captured = capsys.readouterr()
+        assert code == 6
+        assert captured.out == ""
+        assert "--mode exact" in captured.err
+
 
 def test_exact_cli_import_leaves_numpy_unloaded():
     src = str(Path(forestmatrix.__file__).resolve().parents[1])

@@ -5,8 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from forestmatrix import Polynomial, SingularMatrixError, SquareMatrix
-from helpers import WEIGHT_POOL, leibniz_det
+from forestmatrix import (
+    Polynomial,
+    SingularMatrixError,
+    SquareMatrix,
+    forest_det,
+    forest_matrix,
+    graph_matrix,
+)
+from helpers import (
+    POSITIVE_POOL,
+    WEIGHT_POOL,
+    leibniz_det,
+    random_multidigraph,
+    random_multigraph,
+)
 
 F = Fraction
 
@@ -128,6 +141,112 @@ class TestInverse:
                 continue
             assert m @ m.inverse() == SquareMatrix.identity(m.n)
             done += 1
+
+
+def sparse_matrix(rng, n, density, pool):
+    return SquareMatrix(
+        tuple(tuple(rng.choice(pool) if rng.random() < density else 0 for _ in range(n))
+              for _ in range(n))
+    )
+
+
+def leibniz_cofactor(m: SquareMatrix, i: int, j: int) -> Fraction:
+    minor = SquareMatrix(
+        tuple(tuple(x for c, x in enumerate(row) if c != j)
+              for r, row in enumerate(m.entries) if r != i)
+    )
+    return (-1) ** (i + j) * leibniz_det(minor)
+
+
+def forest_w(rng, n, directed):
+    make = random_multidigraph if directed else random_multigraph
+    return forest_matrix(graph_matrix(make(rng, n, n, 3 * n, POSITIVE_POOL)))
+
+
+class TestSparseKernel:
+    """The kernel skips rows with a zero pivot-column entry and reorders rows and
+    columns sparsest first; neither may change a value."""
+
+    # Every row has one zero, so the order is kept. Step 0 leaves a zero in
+    # position (1, 1), and the row swapped in has not been updated since the
+    # start, so it is brought up to date as it becomes the pivot row.
+    MID_ZERO_PIVOT = SquareMatrix(((2, 2, 0, 1), (2, 2, 1, 0), (0, 1, 3, 1), (1, 0, 2, 2)))
+    # A zero diagonal stays on the diagonal under any symmetric reordering,
+    # so the first pivot is zero whatever the order.
+    ZERO_DIAGONAL = SquareMatrix(((0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, F(1, 2)), (3, 0, 0, 0)))
+
+    def check_against_leibniz(self, m: SquareMatrix) -> None:
+        n = m.n
+        det = leibniz_det(m)
+        assert m.det() == det
+        pairs = [(i, j) for i in range(n) for j in range(n)] if n <= 4 else [
+            (0, n - 1), (n - 1, 0), (n // 2, n // 2), (1, n - 2)]
+        for i, j in pairs:
+            assert m.cofactor(i, j) == leibniz_cofactor(m, i, j)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            inv = m.inverse()
+            assert m @ inv == SquareMatrix.identity(m.n)
+            assert inv.entries[0][m.n - 1] == leibniz_cofactor(m, m.n - 1, 0) / det
+
+    @pytest.mark.parametrize("m", [MID_ZERO_PIVOT, ZERO_DIAGONAL], ids=["mid", "leading"])
+    def test_zero_pivots(self, m):
+        self.check_against_leibniz(m)
+
+    def test_singular_and_zero_rows(self):
+        dup = SquareMatrix(((1, 0, 2), (0, 3, 0), (1, 0, 2)))
+        zero_row = SquareMatrix(((1, 2, 0), (0, 0, 0), (0, 4, 5)))
+        zero_col = SquareMatrix(((0, 2, 1), (0, 1, 0), (0, 4, 5)))
+        for m in (dup, zero_row, zero_col, SquareMatrix.zeros(3)):
+            self.check_against_leibniz(m)
+
+    @pytest.mark.parametrize("pool", [(1, -1, 2, 3, -4), WEIGHT_POOL], ids=["integer", "rational"])
+    def test_random_sparse_matches_leibniz(self, pool):
+        rng = random.Random(41)
+        for n in range(1, 8):
+            for _ in range(6 if n < 7 else 2):
+                self.check_against_leibniz(sparse_matrix(rng, n, rng.uniform(0.15, 0.6), pool))
+
+    def test_adjugate_is_transposed_cofactors(self):
+        rng = random.Random(43)
+        for n in range(1, 8):
+            m = sparse_matrix(rng, n, 0.4, WEIGHT_POOL)
+            adj = m.adjugate()
+            assert all(adj[j, i] == m.cofactor(i, j) for i in range(n) for j in range(n))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_symmetric_permutation_of_sparse_w(self, directed):
+        rng = random.Random(47)
+        w = forest_w(rng, 40, directed)
+        perm = list(range(40))
+        rng.shuffle(perm)
+        p = SquareMatrix(tuple(tuple(w.entries[a][b] for b in perm) for a in perm))
+        assert p.det() == w.det() != 0
+        inv, pinv = w.inverse(), p.inverse()
+        assert all(pinv[a, b] == inv[perm[a], perm[b]] for a in range(40) for b in range(40))
+
+    def test_n96_forest_det_against_modular_elimination(self):
+        prime = 2**61 - 1
+        g = random_multidigraph(random.Random(53), 96, 96, 3 * 96, POSITIVE_POOL)
+        det = forest_det(g)
+        rows = [[x.numerator * pow(x.denominator, -1, prime) % prime for x in row]
+                for row in forest_matrix(graph_matrix(g)).entries]
+        expected = 1
+        for k in range(96):
+            pivot_row = next(r for r in range(k, 96) if rows[r][k])
+            if pivot_row != k:
+                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+                expected = -expected
+            pivot = rows[k][k]
+            expected = expected * pivot % prime
+            inv = pow(pivot, -1, prime)
+            for r in range(k + 1, 96):
+                f = rows[r][k] * inv % prime
+                if f:
+                    rows[r] = [(a - f * b) % prime for a, b in zip(rows[r], rows[k])]
+        assert det.numerator * pow(det.denominator, -1, prime) % prime == expected % prime
 
 
 class TestDeleteRowsCols:
