@@ -52,7 +52,6 @@ from .oracle import (
     GuardExceededError,
     Path,
     RootedForest,
-    diverging_component_root,
     diverging_roots,
     enum_diverging_forests,
     enum_diverging_trees,

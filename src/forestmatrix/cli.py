@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from .forest import (
     accessibility,
     charpoly_forest_coeffs,
     cofactor_poly,
+    forest_cofactor,
+    forest_det,
     forest_matrix_report,
     graph_matrix,
     signed_cofactor_poly,
@@ -56,8 +59,8 @@ EXIT_GUARD = 4
 EXIT_CHECK_FAILED = 5
 EXIT_NONFINITE = 6
 
-# Largest --max-enum: forest scans visit 2**instances subsets, so this caps
-# one scan at 2**24 (about 1.7e7) subsets.
+# Largest --max-enum: a forest scan visits at most 2**instances subsets, so
+# this caps one scan at 2**24 (about 1.7e7) subsets.
 MAX_ENUM = 24
 
 _FLOAT_COMMANDS = {"laplacian", "forest-matrix", "det", "cofactor", "accessibility", "charpoly"}
@@ -70,7 +73,10 @@ def entry() -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, payload = args.handler(args)
+        with warnings.catch_warnings():
+            if args.mode == "float":  # an overflow is reported below, with exit 6
+                warnings.simplefilter("ignore", RuntimeWarning)
+            code, payload = args.handler(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -264,7 +270,7 @@ def _cmd_det(args):
         from . import floatops
         value = floatops.det_value(graph, float(lam))
     else:
-        value = str(forest_matrix_report(graph, lam).det)
+        value = str(forest_det(graph, lam))
     return EXIT_OK, {**_head(args, graph), "detW": value}
 
 
@@ -277,8 +283,7 @@ def _cmd_cofactor(args):
         from . import floatops
         value = floatops.cofactor_value(graph, i, j, float(lam))
     else:
-        report = forest_matrix_report(graph, lam)
-        value = str(report.matrix.cofactor(i, j))
+        value = str(forest_cofactor(graph, i, j, lam))
     return EXIT_OK, {**_head(args, graph), "i": i + 1, "j": j + 1, "cofactor": value}
 
 

@@ -1,19 +1,20 @@
 """Brute-force enumeration of spanning trees, rooted forests and paths.
 
 This module is the ground truth the matrix-side operations are tested
-against, so it is deliberately naive: every edge/arc-instance subset up to
-the size guard is generated and filtered by the defining invariants (forest
-scans visit all 2**m subsets, tree scans only the C(m, n-1) subsets of the
-size a spanning tree has). No backtracking, no cleverness. Enumeration runs
-over instances, not merged simple graphs, which keeps parallel-instance
-identities testable instead of assumed.
+against, so it is deliberately naive: every edge/arc-instance subset a
+forest can use is generated and filtered by the defining invariants. Forest
+scans visit the sum over k < n of C(m, k) subsets of at most n - 1
+instances, tree scans only the C(m, n - 1) subsets of the size a spanning
+tree has. No backtracking, no cleverness. Enumeration runs over instances,
+not merged simple graphs, which keeps parallel-instance identities testable
+instead of assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence, Union
 
 from .graphs import Multidigraph, Multigraph
@@ -37,7 +38,6 @@ __all__ = [
     "filter_roots",
     "tree_roots",
     "diverging_roots",
-    "diverging_component_root",
 ]
 
 
@@ -136,17 +136,9 @@ def _check_guard(graph, guard: Guard) -> None:
         )
 
 
-def _subsets(m: int):
-    for mask in range(1 << m):
-        idxs = []
-        bit = mask
-        i = 0
-        while bit:
-            if bit & 1:
-                idxs.append(i)
-            bit >>= 1
-            i += 1
-        yield idxs
+def _forest_sized_subsets(m: int, n: int):
+    """Every subset of at most n - 1 instances (the empty one alone for n = 0)."""
+    return chain.from_iterable(combinations(range(m), k) for k in range(min(m, max(n - 1, 0)) + 1))
 
 
 def _is_forest_subset(graph: Multigraph, idxs: Sequence[int]) -> _DSU | None:
@@ -177,7 +169,7 @@ def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tupl
     every choice of one root per connected component."""
     _check_guard(graph, guard)
     out = []
-    for idxs in _subsets(len(graph.edges)):
+    for idxs in _forest_sized_subsets(len(graph.edges), graph.n):
         dsu = _is_forest_subset(graph, idxs)
         if dsu is None:
             continue
@@ -195,7 +187,7 @@ def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) 
     _check_guard(digraph, guard)
     out = [
         DivergingForest(frozenset(idxs))
-        for idxs in _subsets(len(digraph.arcs))
+        for idxs in _forest_sized_subsets(len(digraph.arcs), digraph.n)
         if _is_diverging_subset(digraph, idxs)
     ]
     return tuple(sorted(out, key=_diverging_key))
@@ -258,11 +250,6 @@ def tree_roots(
         dsu.union(host.edges[e].u, host.edges[e].v)
     root_of = {dsu.find(r): r for r in forest.roots}
     return tuple(root_of[dsu.find(v)] for v in range(host.n))
-
-
-def diverging_component_root(digraph: Multidigraph, forest: DivergingForest, vertex: int) -> int:
-    """Root of the tree containing `vertex`."""
-    return tree_roots(digraph, forest)[vertex]
 
 
 def filter_diverging(

@@ -76,7 +76,6 @@ class _ForestTable:
 
 def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
     n = graph.n
-    directed = isinstance(graph, Multidigraph)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     pair = dict.fromkeys(pairs, Fraction(0))
     coeffs = {p: [Fraction(0)] * n for p in pairs}
@@ -87,11 +86,12 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
         inst = _instances_of(f)
         w = oracle.weight_of(inst, graph)
         sw = -w if len(inst) % 2 else w
-        roots = oracle.diverging_roots(graph, f) if directed else f.roots
+        root_of = oracle.tree_roots(graph, f)
+        roots = frozenset(root_of)
         k = len(roots)
         by_roots[roots] = by_roots.get(roots, Fraction(0)) + w
         by_count[k] += w
-        for j, i in enumerate(oracle.tree_roots(graph, f)):
+        for j, i in enumerate(root_of):
             pair[(i, j)] += w
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
@@ -114,15 +114,21 @@ def _check_budget(graph: AnyGraph, guard: Guard) -> None:
 def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckResult]:
     """Run the whole checklist; raises GuardExceededError above the size guard.
 
-    The forests are enumerated once; the checks read their totals from one table.
+    The forests are enumerated once and each principal minor det(L minus phi) once.
     """
     _check_budget(graph, guard)
+    n = graph.n
     lap = graph_matrix(graph)
     w = forest_matrix(lap)
     det_w = w.det()
     adj = w.adjugate()
     forests = _enum_forests(graph, guard)
     table = _tabulate(graph, forests)
+    minors = {
+        phi: lap.delete_rows_cols(phi).det()
+        for size in range(n + 1)
+        for phi in combinations(range(n), size)
+    }
     return [
         _check_matrix_tree(graph, guard),
         _check_forest_det(graph, det_w, forests),
@@ -130,12 +136,22 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table, guard),
-        _check_contraction_minors(graph, lap, guard),
-        _check_rooted_minors(graph, lap, table),
-        _check_charpoly(graph, lap, det_w, table),
-        _check_cofactor_polys(graph, lap, table),
+        _check_contraction_minors(graph, minors, guard),
+        _check_rooted_minors(minors, table),
+        _check_charpoly(graph, lap, det_w, minors, table),
+        _check_polys(
+            "cofactor-polynomials", cofactor_poly, graph, lap, EVAL_POINTS, table.coeffs,
+            f"coefficients match bucketed enumeration and evaluations at "
+            f"{len(EVAL_POINTS)} points for all {n * n} pairs",
+        ),
         _check_path_expansion(graph, lap, guard),
-        _check_signed_polys(graph, lap, table),
+        # n+1 evaluation points pin every coefficient of a degree n-1 polynomial
+        _check_polys(
+            "signed-cofactor-polynomials", signed_cofactor_poly, graph, -lap,
+            [*range(n), -1], table.signed,
+            "arc-parity-signed coefficients match the cofactors of the "
+            "characteristic matrix of L",
+        ),
     ]
 
 
@@ -215,34 +231,31 @@ def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
     )
 
 
-def _check_contraction_minors(graph, lap, guard) -> CheckResult:
+def _check_contraction_minors(graph, minors, guard) -> CheckResult:
     digraph = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
-    ok = lap.det() == 0  # empty root set: no trees, and L is always singular
-    count = 0
+    ok = minors[()] == 0  # empty root set: no trees, and L is always singular
     scanned = 0
-    for size in range(1, graph.n + 1):
-        for phi in combinations(range(graph.n), size):
-            contracted, star = contract(digraph, phi)
-            trees = oracle.enum_diverging_trees(contracted, star, guard)
-            total = oracle.set_weight((t.arcs for t in trees), contracted)
-            ok = ok and lap.delete_rows_cols(phi).det() == total
-            count += 1
-            scanned += comb(len(contracted.arcs), contracted.n - 1)
+    for phi, minor in minors.items():
+        if not phi:
+            continue
+        contracted, star = contract(digraph, phi)
+        trees = oracle.enum_diverging_trees(contracted, star, guard)
+        total = oracle.set_weight((t.arcs for t in trees), contracted)
+        ok = ok and minor == total
+        scanned += comb(len(contracted.arcs), contracted.n - 1)
     return CheckResult(
         "contraction-minors",
         ok,
         detail=f"det of L minus a root set equals the contracted graph's "
-        f"diverging-tree weight for all {count} nonempty sets "
+        f"diverging-tree weight for all {len(minors) - 1} nonempty sets "
         f"({scanned} tree-sized subsets scanned)",
     )
 
 
-def _check_rooted_minors(graph, lap, table) -> CheckResult:
-    ok = True
-    for size in range(0, graph.n + 1):
-        for phi in combinations(range(graph.n), size):
-            total = table.by_roots.get(frozenset(phi), Fraction(0))
-            ok = ok and lap.delete_rows_cols(phi).det() == total
+def _check_rooted_minors(minors, table) -> CheckResult:
+    ok = all(
+        minor == table.by_roots.get(frozenset(phi), Fraction(0)) for phi, minor in minors.items()
+    )
     return CheckResult(
         "rooted-minors",
         ok,
@@ -251,11 +264,13 @@ def _check_rooted_minors(graph, lap, table) -> CheckResult:
     )
 
 
-def _check_charpoly(graph, lap, det_w, table) -> CheckResult:
+def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
     poly = charpoly_forest_coeffs(graph)
-    n = graph.n
+    minor_sums = [Fraction(0)] * (graph.n + 1)
+    for phi, minor in minors.items():
+        minor_sums[len(phi)] += minor
     ok = list(poly.coeffs) == table.by_count
-    ok = ok and all(poly.coeffs[k] == lap.principal_minor_sum(k) for k in range(n + 1))
+    ok = ok and list(poly.coeffs) == minor_sums
     ok = ok and poly.evaluate(1) == det_w
     ok = ok and all(poly.evaluate(x) == forest_matrix(lap, x).det() for x in EVAL_POINTS)
     return CheckResult(
@@ -266,22 +281,16 @@ def _check_charpoly(graph, lap, det_w, table) -> CheckResult:
     )
 
 
-def _check_cofactor_polys(graph, lap, table) -> CheckResult:
-    n = graph.n
-    adjs = [forest_matrix(lap, lam).adjugate() for lam in EVAL_POINTS]
+def _check_polys(name, poly_of, graph, matrix, points, column, detail) -> CheckResult:
+    adjs = [forest_matrix(matrix, lam).adjugate() for lam in points]
     ok = True
-    for i in range(n):
-        for j in range(n):
-            poly = cofactor_poly(graph, i, j)
-            ok = ok and list(poly.coeffs) == table.coeffs[(i, j)]
-            for lam, adj in zip(EVAL_POINTS, adjs):
+    for i in range(graph.n):
+        for j in range(graph.n):
+            poly = poly_of(graph, i, j)
+            ok = ok and list(poly.coeffs) == column[(i, j)]
+            for lam, adj in zip(points, adjs):
                 ok = ok and poly.evaluate(lam) == adj.entries[j][i]
-    return CheckResult(
-        "cofactor-polynomials",
-        ok,
-        detail=f"coefficients match bucketed enumeration and evaluations at "
-        f"{len(EVAL_POINTS)} points for all {n * n} pairs",
-    )
+    return CheckResult(name, ok, detail=detail)
 
 
 def _check_path_expansion(graph, lap, guard) -> CheckResult:
@@ -302,24 +311,4 @@ def _check_path_expansion(graph, lap, guard) -> CheckResult:
         ok,
         detail=f"path expansion reproduced {count} off-diagonal cofactors of "
         "L and its principal submatrices",
-    )
-
-
-def _check_signed_polys(graph, lap, table) -> CheckResult:
-    n = graph.n
-    # n+1 evaluation points pin every coefficient of a degree n-1 polynomial
-    points = list(range(n)) + [-1]
-    adjs = [forest_matrix(-lap, lam).adjugate() for lam in points]
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            poly = signed_cofactor_poly(graph, i, j)
-            ok = ok and list(poly.coeffs) == table.signed[(i, j)]
-            for lam, adj in zip(points, adjs):
-                ok = ok and poly.evaluate(lam) == adj.entries[j][i]
-    return CheckResult(
-        "signed-cofactor-polynomials",
-        ok,
-        detail="arc-parity-signed coefficients match the cofactors of the "
-        "characteristic matrix of L",
     )

@@ -376,7 +376,8 @@ class TestFloatMode:
                               "--mode", "float")
         assert abs(payload["cofactor"] - 4.0) < 1e-9  # cofactor of W = I + L
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # any warning fails the test: numpy's overflow warning must not reach stderr
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("output", ["json", "tsv"])
     @pytest.mark.parametrize("argv", [
         ("det",),

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from forestmatrix import (
+    DivergingForest,
     Guard,
     GuardExceededError,
     Multidigraph,
     Multigraph,
+    RootedForest,
     contract,
     diverging_roots,
     enum_diverging_forests,
@@ -22,6 +24,7 @@ from forestmatrix import (
     filter_rooted,
     filter_roots,
     merge_parallel,
+    oracle,
     set_weight,
     to_bidirected,
     tree_roots,
@@ -165,6 +168,51 @@ class TestTreeScansMatchOneTreeForests:
                 trees = enum_diverging_trees(g, root)
                 assert len(set(trees)) == len(trees)
                 assert set(trees) == one_tree
+
+
+def _bitmask_scan(g):
+    """Every forest found by scanning all 2**m instance subsets, sorted like the
+    enumerations (by size, then instances, then roots)."""
+    m = len(g.instances)
+    out = []
+    for mask in range(1 << m):
+        idxs = [i for i in range(m) if mask >> i & 1]
+        if isinstance(g, Multidigraph):
+            if oracle._is_diverging_subset(g, idxs):
+                out.append(((len(idxs), idxs), DivergingForest(frozenset(idxs))))
+            continue
+        dsu = oracle._is_forest_subset(g, idxs)
+        if dsu is None:
+            continue
+        comps = {}
+        for v in range(g.n):
+            comps.setdefault(dsu.find(v), []).append(v)
+        for choice in product(*comps.values()):
+            key = (len(idxs), idxs, sorted(choice))
+            out.append((key, RootedForest(frozenset(idxs), frozenset(choice))))
+    return tuple(f for _, f in sorted(out, key=lambda item: item[0]))
+
+
+class TestForestScanBound:
+    CASES = [g for g in TestTreeScansMatchOneTreeForests.CASES if len(g.instances) > g.n - 1]
+
+    def test_no_vertices_has_one_empty_forest(self):
+        assert enum_rooted_forests(Multigraph(0)) == (RootedForest(frozenset(), frozenset()),)
+        assert enum_diverging_forests(Multidigraph(0)) == (DivergingForest(frozenset()),)
+
+    def test_cases_cover_the_edge_cases(self):
+        assert len(self.CASES) >= 40
+        assert {type(g) for g in self.CASES} == {Multigraph, Multidigraph}
+        assert any(any(x.w == 0 for x in g.instances) for g in self.CASES)
+        assert any(len(set(g.instances)) < len(g.instances) for g in self.CASES)
+
+    def test_rooted_forests_match_a_full_bitmask_scan(self):
+        for g in (g for g in self.CASES if isinstance(g, Multigraph)):
+            assert enum_rooted_forests(g) == _bitmask_scan(g)
+
+    def test_diverging_forests_match_a_full_bitmask_scan(self):
+        for g in (g for g in self.CASES if isinstance(g, Multidigraph)):
+            assert enum_diverging_forests(g) == _bitmask_scan(g)
 
 
 class TestTreeRoots:
