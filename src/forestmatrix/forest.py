@@ -178,16 +178,30 @@ def path_expansion_cofactor(
         raise IndexError(f"index ({i}, {j}) out of range for n={n}")
     if i == j:
         raise ValueError("path expansion is only valid for i != j")
+    return _path_sum(_companion(matrix), i, j, lambda vs: matrix.delete_rows_cols(vs).det(), guard)
+
+
+def _companion(matrix: SquareMatrix) -> Multidigraph:
+    """The digraph with an arc c -> r of weight -matrix[r, c] per nonzero off-diagonal entry."""
+    n = matrix.n
     arcs = [
         (c, r, -matrix.entries[r][c])
         for r in range(n)
         for c in range(n)
         if r != c and matrix.entries[r][c] != 0
     ]
-    companion = Multidigraph(n, tuple(arcs))
+    return Multidigraph(n, tuple(arcs))
+
+
+def _path_sum(companion: Multidigraph, i: int, j: int, minor, guard: Guard) -> Fraction:
+    """Sum over simple paths i -> j of the path weight times minor(path vertices).
+
+    minor(vs) must return the determinant of the companion's matrix with the
+    rows and columns vs deleted.
+    """
     total = Fraction(0)
     for p in oracle.enum_paths(companion, i, j, guard):
-        total += oracle.weight_of(p.arcs, companion) * matrix.delete_rows_cols(p.vertices).det()
+        total += oracle.weight_of(p.arcs, companion) * minor(p.vertices)
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 from .linalg import SquareMatrix, as_rational
@@ -107,13 +108,19 @@ def laplacian(graph: Multigraph) -> SquareMatrix:
     """Weighted Laplacian: entry (i, j), j != i, is minus the total weight of
     the edges between i and j; the diagonal makes every row sum to zero."""
     n = graph.n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    dens = [1] * n
     for u, v, w in graph.edges:
-        m[u][v] -= w
-        m[v][u] -= w
-        m[u][u] += w
-        m[v][v] += w
-    return SquareMatrix(tuple(tuple(row) for row in m))
+        dens[u] = lcm(dens[u], w.denominator)
+        dens[v] = lcm(dens[v], w.denominator)
+    m = [[0] * n for _ in range(n)]
+    for u, v, w in graph.edges:
+        x = w.numerator * (dens[u] // w.denominator)
+        m[u][v] -= x
+        m[u][u] += x
+        x = w.numerator * (dens[v] // w.denominator)
+        m[v][u] -= x
+        m[v][v] += x
+    return _matrix_over(m, dens)
 
 
 def kirchhoff(digraph: Multidigraph) -> SquareMatrix:
@@ -121,11 +128,27 @@ def kirchhoff(digraph: Multidigraph) -> SquareMatrix:
     weight of the arcs j->i; diagonal (i, i) is the total weight converging
     to i. Rows sum to zero; columns need not."""
     n = digraph.n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    dens = [1] * n
+    for _, head, w in digraph.arcs:
+        dens[head] = lcm(dens[head], w.denominator)
+    m = [[0] * n for _ in range(n)]
     for tail, head, w in digraph.arcs:
-        m[head][tail] -= w
-        m[head][head] += w
-    return SquareMatrix(tuple(tuple(row) for row in m))
+        x = w.numerator * (dens[head] // w.denominator)
+        m[head][tail] -= x
+        m[head][head] += x
+    return _matrix_over(m, dens)
+
+
+def _matrix_over(rows: list[list[int]], dens: list[int]) -> SquareMatrix:
+    """The matrix whose row r is the integer row rows[r] divided by dens[r].
+
+    Summing each row as integers over the lcm of its weights' denominators
+    makes one Fraction per nonzero entry instead of one per weight added.
+    """
+    zero = Fraction(0)
+    return SquareMatrix(
+        tuple(tuple(Fraction(x, d) if x else zero for x in row) for row, d in zip(rows, dens))
+    )
 
 
 def merge_parallel(graph: AnyGraph) -> AnyGraph:

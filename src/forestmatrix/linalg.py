@@ -362,8 +362,13 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, x) -> Fraction:
+        """Horner's rule on integers: with x = p/q and every coefficient over the
+        common denominator d, q**degree * d * value is an integer."""
         point = as_rational(x)
-        acc = Fraction(0)
+        p, q = point.numerator, point.denominator
+        d = lcm(*(c.denominator for c in self.coeffs))
+        acc, qk = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+            acc = acc * p + c.numerator * (d // c.denominator) * qk
+            qk *= q
+        return Fraction(acc, d * qk // q)

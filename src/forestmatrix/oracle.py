@@ -5,7 +5,9 @@ against, so it is deliberately naive: every edge/arc-instance subset a
 forest can use is generated and filtered by the defining invariants. Forest
 scans visit the sum over k < n of C(m, k) subsets of at most n - 1
 instances, tree scans only the C(m, n - 1) subsets of the size a spanning
-tree has. No backtracking, no cleverness. Enumeration runs over instances,
+tree has. The diverging filter tests in-degree (no two arcs share a head)
+before acyclicity, so a subset with a repeated head is rejected without a
+union-find. No backtracking, no cleverness. Enumeration runs over instances,
 not merged simple graphs, which keeps parallel-instance identities testable
 instead of assumed.
 """
@@ -111,12 +113,14 @@ class _DSU:
 def weight_of(instances: Iterable[int], host: Union[Multigraph, Multidigraph]) -> Fraction:
     """Product of the selected instances' weights; the empty product is 1."""
     items = host.instances
-    total = Fraction(1)
+    num = den = 1
     for idx in instances:
         if not (0 <= idx < len(items)):
             raise IndexError(f"instance index {idx} out of range")
-        total *= items[idx].w
-    return total
+        w = items[idx].w
+        num *= w.numerator
+        den *= w.denominator
+    return Fraction(num, den)
 
 
 def set_weight(members: Iterable[Iterable[int]], host: Union[Multigraph, Multidigraph]) -> Fraction:
@@ -152,16 +156,11 @@ def _is_forest_subset(graph: Multigraph, idxs: Sequence[int]) -> _DSU | None:
 
 
 def _is_diverging_subset(digraph: Multidigraph, idxs: Sequence[int]) -> bool:
-    seen_heads = set()
+    arcs = digraph.arcs
+    if len({arcs[i].head for i in idxs}) < len(idxs):
+        return False  # a repeated head: some vertex has in-degree above 1
     dsu = _DSU(digraph.n)
-    for i in idxs:
-        a = digraph.arcs[i]
-        if a.head in seen_heads:
-            return False
-        seen_heads.add(a.head)
-        if not dsu.union(a.tail, a.head):
-            return False
-    return True
+    return all(dsu.union(arcs[i].tail, arcs[i].head) for i in idxs)
 
 
 def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[RootedForest, ...]:

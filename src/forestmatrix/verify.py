@@ -17,6 +17,8 @@ from math import comb
 
 from . import oracle
 from .forest import (
+    _companion,
+    _path_sum,
     accessibility,
     charpoly_forest_coeffs,
     cofactor_poly,
@@ -24,10 +26,17 @@ from .forest import (
     forest_matrix,
     graph_matrix,
     matrix_tree_check,
-    path_expansion_cofactor,
     signed_cofactor_poly,
 )
-from .graphs import AnyGraph, Multidigraph, Multigraph, contract, merge_parallel, to_bidirected
+from .graphs import (
+    AnyGraph,
+    GraphValidationError,
+    Multidigraph,
+    Multigraph,
+    contract,
+    merge_parallel,
+    to_bidirected,
+)
 from .linalg import SquareMatrix
 from .oracle import DEFAULT_GUARD, Guard, GuardExceededError
 
@@ -75,6 +84,13 @@ class _ForestTable:
 
 
 def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
+    # Forests with the same roots and instance-count parity add to the same
+    # entries, so their weights are summed first and spread once per group.
+    groups: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    for f in forests:
+        inst = _instances_of(f)
+        key = (oracle.tree_roots(graph, f), len(inst) % 2)
+        groups[key] = groups.get(key, 0) + oracle.weight_of(inst, graph)
     n = graph.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
     pair = dict.fromkeys(pairs, Fraction(0))
@@ -82,11 +98,8 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
     signed = {p: [Fraction(0)] * n for p in pairs}
     by_roots: dict[frozenset[int], Fraction] = {}
     by_count = [Fraction(0)] * (n + 1)
-    for f in forests:
-        inst = _instances_of(f)
-        w = oracle.weight_of(inst, graph)
-        sw = -w if len(inst) % 2 else w
-        root_of = oracle.tree_roots(graph, f)
+    for (root_of, odd), w in groups.items():
+        sw = -w if odd else w
         roots = frozenset(root_of)
         k = len(roots)
         by_roots[roots] = by_roots.get(roots, Fraction(0)) + w
@@ -100,7 +113,7 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
 
 def _check_budget(graph: AnyGraph, guard: Guard) -> None:
     if graph.n < 1:
-        raise GuardExceededError("verification needs at least one vertex")
+        raise GraphValidationError("verification needs at least one vertex")
     m = len(graph.instances)
     budget = m if isinstance(graph, Multidigraph) else 2 * m
     if graph.n > guard.max_vertices or budget > guard.max_instances:
@@ -112,7 +125,8 @@ def _check_budget(graph: AnyGraph, guard: Guard) -> None:
 
 
 def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckResult]:
-    """Run the whole checklist; raises GuardExceededError above the size guard.
+    """Run the whole checklist; raises GuardExceededError above the size guard
+    and GraphValidationError on a graph without vertices.
 
     The forests are enumerated once and each principal minor det(L minus phi) once.
     """
@@ -144,7 +158,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
-        _check_path_expansion(graph, lap, guard),
+        _check_path_expansion(graph, lap, minors, guard),
         # n+1 evaluation points pin every coefficient of a degree n-1 polynomial
         _check_polys(
             "signed-cofactor-polynomials", signed_cofactor_poly, graph, -lap,
@@ -293,7 +307,7 @@ def _check_polys(name, poly_of, graph, matrix, points, column, detail) -> CheckR
     return CheckResult(name, ok, detail=detail)
 
 
-def _check_path_expansion(graph, lap, guard) -> CheckResult:
+def _check_path_expansion(graph, lap, minors, guard) -> CheckResult:
     n = graph.n
     ok = True
     count = 0
@@ -301,10 +315,17 @@ def _check_path_expansion(graph, lap, guard) -> CheckResult:
         for phi in combinations(range(n), size):
             sub = lap.delete_rows_cols(phi)
             adj = sub.adjugate()
+            companion = _companion(sub)
+            kept = [v for v in range(n) if v not in phi]
+
+            # det(sub minus vs) is the table's det(L minus (phi + vs)), vs relabelled
+            def minor(vs, phi=phi, kept=kept):
+                return minors[tuple(sorted([*phi, *map(kept.__getitem__, vs)]))]
+
             for i in range(sub.n):
                 for j in range(sub.n):
                     if i != j:
-                        ok = ok and path_expansion_cofactor(sub, i, j, guard) == adj.entries[j][i]
+                        ok = ok and _path_sum(companion, i, j, minor, guard) == adj.entries[j][i]
                         count += 1
     return CheckResult(
         "path-expansion-cofactors",

@@ -52,6 +52,31 @@ def random_multidigraph(rng: Random, n_min=2, n_max=5, max_arcs=10, pool=WEIGHT_
     return Multidigraph(n, tuple(arcs))
 
 
+def fraction_graph_matrix(graph) -> SquareMatrix:
+    """Laplacian (undirected) or Kirchhoff (directed) matrix, one Fraction added per weight."""
+    n = graph.n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if isinstance(graph, Multidigraph):
+        for tail, head, w in graph.arcs:
+            m[head][tail] -= w
+            m[head][head] += w
+    else:
+        for u, v, w in graph.edges:
+            m[u][v] -= w
+            m[v][u] -= w
+            m[u][u] += w
+            m[v][v] += w
+    return SquareMatrix(tuple(map(tuple, m)))
+
+
+def fraction_horner(coeffs, x: Fraction) -> Fraction:
+    """Polynomial value (constant term first) by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def leibniz_det(matrix: SquareMatrix) -> Fraction:
     """Determinant by signed permutation expansion (usable up to n ~ 6)."""
     n = matrix.n

@@ -244,6 +244,12 @@ class TestExitCodes:
         p.write_text("graph undirected 2\n1 1 1\n", encoding="utf-8")
         assert run_cli(capsys, "det", str(p))[0] == 2
 
+    @pytest.mark.parametrize("kind", ["undirected", "directed"])
+    def test_verify_without_vertices_is_2(self, capsys, tmp_path, kind):
+        p = tmp_path / "empty.graph"
+        p.write_text(f"graph {kind} 0\n", encoding="utf-8")
+        assert run_cli(capsys, "verify", str(p)) == (2, "")
+
     def test_bad_lambda_is_2(self, capsys, edge_file):
         assert run_cli(capsys, "det", edge_file, "--lambda", "nope")[0] == 2
 

@@ -18,9 +18,39 @@ from forestmatrix import (
     reverse,
     to_bidirected,
 )
-from helpers import random_multidigraph, random_multigraph
+from helpers import fraction_graph_matrix, random_multidigraph, random_multigraph
 
 F = Fraction
+
+# Denominators up to 12, negative weights and zero.
+TWELFTHS_POOL = tuple(F(a, b) for a in range(-12, 13) for b in range(1, 13))
+
+
+def cancelling_graphs(directed: bool, seed: int):
+    """Graphs on 0 and 1 vertices, then seeded multigraphs, each second one with
+    an instance and a parallel one of the opposite weight (a pair summing to 0)."""
+    kind = Multidigraph if directed else Multigraph
+    yield kind(0)
+    yield kind(1)
+    rng = random.Random(seed)
+    make = random_multidigraph if directed else random_multigraph
+    for index in range(60):
+        g = make(rng, 2, 7, 12, TWELFTHS_POOL)
+        if index % 2:
+            u = rng.randrange(g.n)
+            v = (u + rng.randrange(1, g.n)) % g.n
+            w = rng.choice(TWELFTHS_POOL)
+            g = kind(g.n, g.instances + ((u, v, w), (u, v, -w)))
+        yield g
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["laplacian", "kirchhoff"])
+def test_integer_row_sums_match_fraction_accumulation(directed):
+    build = kirchhoff if directed else laplacian
+    for g in cancelling_graphs(directed, seed=6):
+        matrix = build(g)
+        assert matrix == fraction_graph_matrix(g)
+        assert all(type(x) is Fraction for row in matrix.entries for x in row)
 
 
 class TestConstruction:

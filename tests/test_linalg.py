@@ -16,6 +16,7 @@ from forestmatrix import (
 from helpers import (
     POSITIVE_POOL,
     WEIGHT_POOL,
+    fraction_horner,
     leibniz_det,
     random_multidigraph,
     random_multigraph,
@@ -362,6 +363,18 @@ class TestPolynomial:
         p = Polynomial((1, 0, 1))  # 1 + x**2
         assert p.evaluate(F(1, 2)) == F(5, 4)
         assert p.evaluate(-2) == 5
+
+    @pytest.mark.parametrize("x", [0, 1, 3, -2, F(1, 2), F(-3, 2), F(7, 12), "-5/9"])
+    def test_evaluate_matches_fraction_horner(self, x):
+        polys = [(F(5, 7),), (0,), (-3,), (1, 0, 1), (F(-1, 2), 3, F(2, 3), 0)]
+        rng = random.Random(9)
+        polys += [tuple(rng.choice(WEIGHT_POOL + (0,)) for _ in range(rng.randint(1, 8)))
+                  for _ in range(20)]
+        for coeffs in polys:
+            p = Polynomial(coeffs)
+            value = p.evaluate(x)
+            assert type(value) is Fraction
+            assert value == fraction_horner(p.coeffs, F(x))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

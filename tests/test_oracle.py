@@ -31,6 +31,7 @@ from forestmatrix import (
     weight_of,
 )
 from helpers import (
+    WEIGHT_POOL,
     check_diverging_forest,
     check_rooted_forest,
     random_multidigraph,
@@ -55,8 +56,26 @@ class TestWeights:
         assert set_weight((), g) == 0
 
     def test_invalid_index(self, single_arc):
-        with pytest.raises(IndexError):
-            weight_of((5,), single_arc)
+        for instances in ((5,), (-1,), (0, 1)):
+            with pytest.raises(IndexError):
+                weight_of(instances, single_arc)
+
+    def test_matches_fraction_product(self):
+        rng = random.Random(17)
+        pool = WEIGHT_POOL + (F(0), F(5, 12))
+        graphs = [Multigraph(3, ((0, 1, F(2, 3)), (1, 2, 0), (0, 2, F(-7, 12))))]
+        for _ in range(40):
+            make = random_multigraph if rng.random() < 0.5 else random_multidigraph
+            graphs.append(make(rng, 2, 5, 8, pool))
+        for g in graphs:
+            m = len(g.instances)
+            for size in range(m + 1):
+                for idxs in combinations(range(m), size):
+                    expected = F(1)
+                    for i in idxs:
+                        expected *= g.instances[i].w
+                    value = weight_of(idxs, g)
+                    assert type(value) is Fraction and value == expected
 
 
 class TestEnumDivergingForests:

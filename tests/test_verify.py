@@ -10,9 +10,11 @@ from math import comb
 import pytest
 
 from forestmatrix import (
+    GraphValidationError,
     Multidigraph,
     Multigraph,
     Polynomial,
+    SquareMatrix,
     enum_diverging_forests,
     enum_rooted_forests,
     merge_parallel,
@@ -108,6 +110,25 @@ class TestMutations:
         # forest-determinant sums the same forests directly, not through the table
         assert failing(graph) == TABLE_CHECKS | {"forest-determinant"}
 
+    def test_one_path_dropped(self, graph, monkeypatch):
+        # the shortest 0 -> 1 path goes missing from every companion digraph;
+        # on the whole of L its term (an arc weight times a positive minor) is nonzero
+        original = oracle.enum_paths
+
+        def perturbed(digraph, start, goal, guard):
+            paths = original(digraph, start, goal, guard)
+            return paths[1:] if (start, goal) == (0, 1) else paths
+
+        monkeypatch.setattr(oracle, "enum_paths", perturbed)
+        assert failing(graph) == {"path-expansion-cofactors"}
+
+
+class TestEmptyGraph:
+    @pytest.mark.parametrize("kind", [Multigraph, Multidigraph])
+    def test_no_vertices_is_a_validation_error(self, kind):
+        with pytest.raises(GraphValidationError, match="at least one vertex"):
+            run_all_checks(kind(0))
+
 
 class TestOneEnumeration:
     def test_forests_enumerated_for_the_graph_and_the_merged_graph_only(self, graph, monkeypatch):
@@ -152,6 +173,21 @@ class TestWorkCounts:
                 expected += comb(kept, n - size)
         text = detail(graph, "contraction-minors")
         assert f"({expected} tree-sized subsets scanned)" in text
+
+    def test_each_submatrix_built_once(self, graph, monkeypatch):
+        # 2**n for the principal-minor table, plus one per subset of at most
+        # n - 2 vertices for path expansion, whose minors come from the table
+        n = graph.n
+        built = []
+        original = SquareMatrix.delete_rows_cols
+
+        def counted(self, indices):
+            built.append(indices)
+            return original(self, indices)
+
+        monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted)
+        run_all_checks(graph)
+        assert len(built) == 2**n + sum(comb(n, k) for k in range(n - 1)) == 27
 
     def test_merge_invariance_counts_merged_forests(self, graph):
         merged = merge_parallel(graph)
