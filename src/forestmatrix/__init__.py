@@ -52,13 +52,11 @@ from .oracle import (
     GuardExceededError,
     Path,
     RootedForest,
-    diverging_roots,
     enum_diverging_forests,
     enum_diverging_trees,
     enum_paths,
     enum_rooted_forests,
     enum_spanning_trees,
-    filter_diverging,
     filter_rooted,
     filter_roots,
     set_weight,

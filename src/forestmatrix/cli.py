@@ -7,7 +7,8 @@ only, it never backs `verify`. numpy is imported by float-mode commands only.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
 forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check,
-6 a float-mode result is infinite or NaN (nothing is written to stdout).
+6 a float-mode input or result is beyond binary64, infinite or NaN (nothing
+is written to stdout).
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ from .oracle import (
     enum_diverging_trees,
     enum_rooted_forests,
     enum_spanning_trees,
-    filter_diverging,
     filter_rooted,
     filter_roots,
-    diverging_roots,
-    set_weight,
+    tree_roots,
     weight_of,
 )
 from .verify import run_all_checks
@@ -92,10 +91,14 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    if args.mode == "float" and not all(map(_finite, payload.values())):
+    except OverflowError:  # a float-mode input beyond binary64
+        if args.mode != "float":
+            raise
+        payload = None
+    if args.mode == "float" and (payload is None or not all(map(_finite, payload.values()))):
         print(
-            f"error: the float result of '{args.command}' overflowed to infinity or NaN; "
-            "use --mode exact for the exact value",
+            f"error: a float input or result of '{args.command}' is beyond binary64, "
+            "infinite or NaN; use --mode exact for the exact value",
             file=sys.stderr,
         )
         return EXIT_NONFINITE
@@ -291,10 +294,11 @@ def _cmd_accessibility(args):
     graph = _load(args)
     lam = _lam(args)
     if args.mode == "float":
+        import numpy
         from . import floatops
         try:
             rows = floatops.accessibility_array(graph, float(lam)).tolist()
-        except Exception as exc:  # LinAlgError: W numerically singular
+        except numpy.linalg.LinAlgError as exc:  # W numerically singular
             raise SingularForestMatrixError(str(exc)) from None
     else:
         rows = _matrix_out(accessibility(graph, lam).matrix)
@@ -349,25 +353,17 @@ def _cmd_enumerate(args):
     if kind == "diverging-forests" and not directed:
         raise GraphValidationError("diverging-forests enumeration needs a directed graph")
 
-    members: list[dict]
     if kind == "trees":
-        if args.roots is not None:
-            raise GraphValidationError("--roots only applies to forest kinds")
+        if args.roots is not None or args.to_vertex is not None:
+            flag = "--roots" if args.roots is not None else "--to"
+            raise GraphValidationError(f"{flag} only applies to forest kinds")
         if directed:
             root = _vertex(args.from_vertex, graph, "--from")
-            trees = enum_diverging_trees(graph, root, guard)
-            members = [
-                {"instances": sorted(t.arcs), "roots": [root + 1],
-                 "weight": str(weight_of(t.arcs, graph))}
-                for t in trees
-            ]
-            totals = [t.arcs for t in trees]
+            found = [(t.arcs, [root + 1]) for t in enum_diverging_trees(graph, root, guard)]
+        elif args.from_vertex is not None:
+            raise GraphValidationError("--from only applies to forest kinds and directed trees")
         else:
-            trees = enum_spanning_trees(graph, guard)
-            members = [
-                {"instances": sorted(t), "weight": str(weight_of(t, graph))} for t in trees
-            ]
-            totals = list(trees)
+            found = [(t, None) for t in enum_spanning_trees(graph, guard)]
     else:
         forests = enum_diverging_forests(graph, guard) if directed else enum_rooted_forests(graph, guard)
         if args.roots is not None:
@@ -375,28 +371,29 @@ def _cmd_enumerate(args):
         if args.from_vertex is not None or args.to_vertex is not None:
             i = _vertex(args.from_vertex, graph, "--from")
             j = _vertex(args.to_vertex, graph, "--to")
-            forests = (
-                filter_diverging(graph, forests, i, j)
-                if directed
-                else filter_rooted(graph, forests, i, j)
-            )
-        members = []
-        for f in forests:
-            inst = f.arcs if directed else f.edges
-            roots = diverging_roots(graph, f) if directed else f.roots
-            members.append(
-                {"instances": sorted(inst), "roots": sorted(v + 1 for v in roots),
-                 "weight": str(weight_of(inst, graph))}
-            )
-        totals = [f.arcs if directed else f.edges for f in forests]
+            forests = filter_rooted(graph, forests, i, j)
+        found = [
+            (f.arcs if directed else f.edges, sorted({v + 1 for v in tree_roots(graph, f)}))
+            for f in forests
+        ]
 
-    members.sort(key=lambda m: (len(m["instances"]), m["instances"], m.get("roots", [])))
+    # the enumerations and filters already list members by size, instances, roots
+    members = []
+    total = Fraction(0)
+    for instances, roots in found:
+        weight = weight_of(instances, graph)
+        total += weight
+        member = {"instances": sorted(instances)}
+        if roots is not None:
+            member["roots"] = roots
+        member["weight"] = str(weight)
+        members.append(member)
     return EXIT_OK, {
         **_head(args, graph),
         "kind": kind,
         "forests": members,
         "count": len(members),
-        "total": str(set_weight(totals, graph)),
+        "total": str(total),
     }
 
 

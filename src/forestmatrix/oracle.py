@@ -7,9 +7,13 @@ scans visit the sum over k < n of C(m, k) subsets of at most n - 1
 instances, tree scans only the C(m, n - 1) subsets of the size a spanning
 tree has. The diverging filter tests in-degree (no two arcs share a head)
 before acyclicity, so a subset with a repeated head is rejected without a
-union-find. No backtracking, no cleverness. Enumeration runs over instances,
-not merged simple graphs, which keeps parallel-instance identities testable
-instead of assumed.
+union-find; the diverging-tree scan draws its subsets from the arcs that do
+not enter the root, so a subset with an arc into the root is never built.
+Roots come from one walk, `tree_roots`, for both forest kinds: for a digraph
+"rooted at i" means "diverging from i", so one filter serves both. No
+backtracking, no cleverness. Enumeration runs over instances, not merged
+simple graphs, which keeps parallel-instance identities testable instead of
+assumed.
 """
 
 from __future__ import annotations
@@ -36,10 +40,8 @@ __all__ = [
     "enum_diverging_trees",
     "enum_paths",
     "filter_rooted",
-    "filter_diverging",
     "filter_roots",
     "tree_roots",
-    "diverging_roots",
 ]
 
 
@@ -208,24 +210,22 @@ def enum_spanning_trees(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tupl
 def enum_diverging_trees(
     digraph: Multidigraph, root: int, guard: Guard = DEFAULT_GUARD
 ) -> tuple[DivergingForest, ...]:
-    """All spanning trees diverging from `root` (single-component diverging forests)."""
+    """All spanning trees diverging from `root` (single-component diverging forests).
+
+    A diverging subset of n - 1 arcs is one spanning tree whose root is the
+    only vertex no arc enters, so the subsets are drawn from the arcs that do
+    not enter `root`.
+    """
     if not (0 <= root < digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
-    out = []
-    for idxs in combinations(range(len(digraph.arcs)), digraph.n - 1):
-        if not _is_diverging_subset(digraph, idxs):
-            continue
-        f = DivergingForest(frozenset(idxs))
-        if diverging_roots(digraph, f) == frozenset({root}):
-            out.append(f)
+    candidates = [idx for idx, a in enumerate(digraph.arcs) if a.head != root]
+    out = [
+        DivergingForest(frozenset(idxs))
+        for idxs in combinations(candidates, digraph.n - 1)
+        if _is_diverging_subset(digraph, idxs)
+    ]
     return tuple(sorted(out, key=_diverging_key))
-
-
-def diverging_roots(digraph: Multidigraph, forest: DivergingForest) -> frozenset[int]:
-    """The in-degree-zero vertices of the forest (its implicit root set)."""
-    heads = {digraph.arcs[i].head for i in forest.arcs}
-    return frozenset(v for v in range(digraph.n) if v not in heads)
 
 
 def tree_roots(
@@ -251,24 +251,18 @@ def tree_roots(
     return tuple(root_of[dsu.find(v)] for v in range(host.n))
 
 
-def filter_diverging(
-    digraph: Multidigraph, forests: Iterable[DivergingForest], i: int, j: int
-) -> tuple[DivergingForest, ...]:
-    """Members in which j's tree diverges from i (i == j selects forests where i is a root)."""
-    for v in (i, j):
-        if not (0 <= v < digraph.n):
-            raise IndexError(f"vertex {v} out of range for n={digraph.n}")
-    return tuple(f for f in forests if tree_roots(digraph, f)[j] == i)
-
-
 def filter_rooted(
-    graph: Multigraph, forests: Iterable[RootedForest], i: int, j: int
-) -> tuple[RootedForest, ...]:
-    """Members in which i and j share a tree rooted at i (i == j: i is a root)."""
+    host: Union[Multigraph, Multidigraph],
+    forests: Iterable[Union[RootedForest, DivergingForest]],
+    i: int,
+    j: int,
+) -> tuple:
+    """Members in which j's tree is rooted at i, for a digraph: diverges from i
+    (i == j selects the members in which i is a root)."""
     for v in (i, j):
-        if not (0 <= v < graph.n):
-            raise IndexError(f"vertex {v} out of range for n={graph.n}")
-    return tuple(f for f in forests if tree_roots(graph, f)[j] == i)
+        if not (0 <= v < host.n):
+            raise IndexError(f"vertex {v} out of range for n={host.n}")
+    return tuple(f for f in forests if tree_roots(host, f)[j] == i)
 
 
 def filter_roots(
@@ -280,9 +274,7 @@ def filter_roots(
     target = frozenset(roots)
     if not target:
         return ()
-    if isinstance(host, Multidigraph):
-        return tuple(f for f in forests if diverging_roots(host, f) == target)
-    return tuple(f for f in forests if f.roots == target)
+    return tuple(f for f in forests if frozenset(tree_roots(host, f)) == target)
 
 
 def enum_paths(

@@ -17,7 +17,6 @@ from forestmatrix import (
     Multigraph,
     RootedForest,
     SquareMatrix,
-    diverging_roots,
     weight_of,
 )
 
@@ -197,9 +196,7 @@ def pair_weight_table(graph, forests) -> list[list[Fraction]]:
 
 
 def root_set_of(graph, forest) -> frozenset[int]:
-    if isinstance(forest, DivergingForest):
-        return diverging_roots(graph, forest)
-    return forest.roots
+    return frozenset(root_of_map(graph, forest))
 
 
 def root_set_weights(graph, forests) -> dict[frozenset[int], Fraction]:

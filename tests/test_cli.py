@@ -212,6 +212,14 @@ class TestCommands:
         code, _ = run_cli(capsys, "enumerate", arc_file, "--kind", "rooted-forests")
         assert code == 2
 
+    def test_enumerate_directed_trees_reject_to(self, capsys, arc_file):
+        argv = ("enumerate", arc_file, "--kind", "trees", "--from", "1", "--to", "2")
+        assert run_cli(capsys, *argv) == (2, "")
+
+    @pytest.mark.parametrize("flags", [("--from", "1"), ("--to", "2"), ("--from", "1", "--to", "2")])
+    def test_enumerate_undirected_trees_reject_pair_flags(self, capsys, k3_file, flags):
+        assert run_cli(capsys, "enumerate", k3_file, "--kind", "trees", *flags) == (2, "")
+
     def test_verify_all_pass(self, capsys, k3_file):
         code, payload = run_json(capsys, "verify", k3_file)
         assert code == 0
@@ -312,6 +320,49 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
+def _enumerate_runs(rng):
+    """(graph, extra argv) pairs: seeded graphs of both kinds, without flags,
+    with --roots, with --from/--to and with --kind trees."""
+    for _ in range(6):
+        for graph in (random_multigraph(rng, n_max=4, max_edges=6),
+                      random_multidigraph(rng, n_max=4, max_arcs=7)):
+            n = graph.n
+            roots = ",".join(str(v + 1) for v in rng.sample(range(n), rng.randint(1, n)))
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            trees = ("--kind", "trees")
+            if isinstance(graph, Multidigraph):
+                trees += ("--from", str(i))
+            for extra in ((), ("--roots", roots), ("--from", str(i), "--to", str(j)), trees):
+                yield graph, extra
+
+
+class TestEnumerateOrderAndTotal:
+    def test_members_in_documented_order_with_summed_total(self, capsys, tmp_path):
+        rng = random.Random(320)
+        for graph, extra in _enumerate_runs(rng):
+            path = write_graph(tmp_path, graph)
+            code, payload = run_json(capsys, "enumerate", path, *extra)
+            assert code == 0, extra
+            members = payload["forests"]
+            keys = [(len(m["instances"]), m["instances"], m.get("roots", [])) for m in members]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(m["instances"] == sorted(m["instances"]) for m in members)
+            total = sum((Fraction(m["weight"]) for m in members), Fraction(0))
+            assert Fraction(payload["total"]) == total
+            assert payload["count"] == len(members)
+
+            code, out = run_cli(capsys, "enumerate", path, *extra, "--output", "tsv")
+            assert code == 0
+            *rows, last = out.strip("\n").split("\n")
+            assert last == f"total\t{payload['total']}"
+            expected = [
+                "\t".join((",".join(map(str, m["instances"])) or "-",
+                           ",".join(map(str, m.get("roots", []))) or "-", m["weight"]))
+                for m in members
+            ]
+            assert rows == expected
+
+
 class TestTsv:
     def test_matrix(self, capsys, arc_file):
         code, out = run_cli(capsys, "laplacian", arc_file, "--output", "tsv")
@@ -337,6 +388,13 @@ def write_graph(tmp_path, graph, name="g.graph"):
     p = tmp_path / name
     p.write_text(format_graph(graph), encoding="utf-8")
     return str(p)
+
+
+# every float-mode command, with the pair flags it needs
+FLOAT_PAIR_FLAGS = {
+    "laplacian": (), "forest-matrix": (), "det": (), "cofactor": ("--from", "1", "--to", "2"),
+    "accessibility": (), "charpoly": (),
+}
 
 
 class TestFloatMode:
@@ -401,6 +459,27 @@ class TestFloatMode:
         assert code == 6
         assert captured.out == ""
         assert "--mode exact" in captured.err
+
+    @pytest.mark.parametrize("command, beyond", [
+        *((command, "weight") for command in FLOAT_PAIR_FLAGS),
+        *((command, "lambda") for command in ("forest-matrix", "det", "cofactor", "accessibility")),
+    ])
+    def test_input_beyond_binary64_is_6(self, capsys, tmp_path, edge_file, command, beyond):
+        path = tmp_path / "huge.graph"
+        path.write_text("graph undirected 2\n1 2 1e400\n", encoding="utf-8")
+        argv = [command, str(path) if beyond == "weight" else edge_file,
+                *FLOAT_PAIR_FLAGS[command], "--mode", "float"]
+        if beyond == "lambda":
+            argv += ["--lambda", "1e400"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (6, "")
+        assert "--mode exact" in captured.err
+
+    def test_exact_lambda_beyond_binary64(self, capsys, edge_file):
+        # det [[l + 1, -1], [-1, l + 1]] = l**2 + 2l
+        code, payload = run_json(capsys, "det", edge_file, "--lambda", "1e400")
+        assert code == 0 and payload["detW"] == str(10**800 + 2 * 10**400)
 
 
 def test_exact_cli_import_leaves_numpy_unloaded():

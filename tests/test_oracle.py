@@ -14,13 +14,11 @@ from forestmatrix import (
     Multigraph,
     RootedForest,
     contract,
-    diverging_roots,
     enum_diverging_forests,
     enum_diverging_trees,
     enum_paths,
     enum_rooted_forests,
     enum_spanning_trees,
-    filter_diverging,
     filter_rooted,
     filter_roots,
     merge_parallel,
@@ -183,7 +181,7 @@ class TestTreeScansMatchOneTreeForests:
         for g in (g for g in self.CASES if isinstance(g, Multidigraph)):
             forests = enum_diverging_forests(g)
             for root in range(g.n):
-                one_tree = {f for f in forests if diverging_roots(g, f) == frozenset({root})}
+                one_tree = {f for f in forests if set(root_of_map(g, f)) == {root}}
                 trees = enum_diverging_trees(g, root)
                 assert len(set(trees)) == len(trees)
                 assert set(trees) == one_tree
@@ -254,17 +252,17 @@ class TestTreeRoots:
 class TestFilters:
     def test_diverging_pair(self, single_arc):
         forests = enum_diverging_forests(single_arc)
-        chosen = filter_diverging(single_arc, forests, 0, 1)
+        chosen = filter_rooted(single_arc, forests, 0, 1)
         assert [f.arcs for f in chosen] == [frozenset({0})]
 
     def test_diverging_diagonal_selects_roots(self, single_arc):
         forests = enum_diverging_forests(single_arc)
-        assert len(filter_diverging(single_arc, forests, 0, 0)) == 2
+        assert len(filter_rooted(single_arc, forests, 0, 0)) == 2
 
     def test_no_path_means_empty(self):
         dg = Multidigraph(2, ((0, 1, 1),))
         forests = enum_diverging_forests(dg)
-        assert filter_diverging(dg, forests, 1, 0) == ()
+        assert filter_rooted(dg, forests, 1, 0) == ()
 
     def test_rooted_pair(self, single_edge):
         forests = enum_rooted_forests(single_edge)
@@ -283,6 +281,7 @@ class TestFilters:
             total = set_weight((f.edges for f in forests), g)
             for i in range(g.n):
                 parts = [filter_rooted(g, forests, j, i) for j in range(g.n)]
+                assert all(root_of_map(g, f)[i] == j for j, p in enumerate(parts) for f in p)
                 assert sum(len(p) for p in parts) == len(forests)
                 assert sum(
                     (set_weight((f.edges for f in p), g) for p in parts), F(0)
@@ -294,7 +293,8 @@ class TestFilters:
             dg = random_multidigraph(rng, n_max=4, max_arcs=8)
             forests = enum_diverging_forests(dg)
             for i in range(dg.n):
-                parts = [filter_diverging(dg, forests, j, i) for j in range(dg.n)]
+                parts = [filter_rooted(dg, forests, j, i) for j in range(dg.n)]
+                assert all(root_of_map(dg, f)[i] == j for j, p in enumerate(parts) for f in p)
                 members = [f for p in parts for f in p]
                 key = lambda f: sorted(f.arcs)
                 assert sorted(members, key=key) == sorted(forests, key=key)
@@ -314,6 +314,16 @@ class TestFilters:
     def test_filter_roots_empty_target(self, unit_k3):
         forests = enum_rooted_forests(unit_k3)
         assert filter_roots(unit_k3, forests, ()) == ()
+
+    def test_filter_roots_matches_independent_root_sets(self):
+        rng = random.Random(33)
+        for _ in range(10):
+            for g in (random_multigraph(rng, n_max=4, max_edges=6),
+                      random_multidigraph(rng, n_max=4, max_arcs=7)):
+                forests = enum_diverging_forests(g) if isinstance(g, Multidigraph) else enum_rooted_forests(g)
+                target = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+                expected = tuple(f for f in forests if set(root_of_map(g, f)) == target)
+                assert filter_roots(g, forests, target) == expected
 
 
 class TestEnumPaths:
@@ -397,10 +407,10 @@ class TestMergeInvariance:
             for a in range(dg.n):
                 for b in range(dg.n):
                     lhs = set_weight(
-                        (f.arcs for f in filter_diverging(dg, f_all, a, b)), dg
+                        (f.arcs for f in filter_rooted(dg, f_all, a, b)), dg
                     )
                     rhs = set_weight(
-                        (f.arcs for f in filter_diverging(merged, f_merged, a, b)), merged
+                        (f.arcs for f in filter_rooted(merged, f_merged, a, b)), merged
                     )
                     assert lhs == rhs
 
@@ -438,7 +448,7 @@ class TestPathDecomposition:
                     target = frozenset(phi) | {i}
                     lhs = {
                         f.arcs
-                        for f in filter_diverging(dg, filter_roots(dg, forests, target), i, j)
+                        for f in filter_rooted(dg, filter_roots(dg, forests, target), i, j)
                     }
                     rebuilt = []
                     for p in enum_paths(dg, i, j):
