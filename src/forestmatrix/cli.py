@@ -136,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="1-based target vertex")
         if enum:
             p.add_argument("--max-enum", type=int, metavar="N",
-                           help="raise the enumeration guard to N vertices and N instances "
-                           f"(at most {MAX_ENUM})")
+                           help="raise the vertex and instance caps of the enumeration "
+                           f"guard (8 and 16) to N, at most {MAX_ENUM}; a cap above N is kept")
         p.set_defaults(command=name)
         return p
 
@@ -210,7 +210,7 @@ def _guard(args) -> Guard:
         raise GraphValidationError(f"--max-enum must be positive, got {limit}")
     if limit > MAX_ENUM:
         raise GuardExceededError(f"--max-enum {limit} is above the ceiling of {MAX_ENUM}")
-    return Guard(max_vertices=limit, max_instances=limit)
+    return Guard(max(limit, DEFAULT_GUARD.max_vertices), max(limit, DEFAULT_GUARD.max_instances))
 
 
 def _head(args, graph: AnyGraph) -> dict:
@@ -249,12 +249,13 @@ def _cmd_forest_matrix(args):
     graph = _load(args)
     lam = _lam(args)
     if args.mode == "float":
+        import numpy
         from . import floatops
         arr = floatops.forest_matrix_array(graph, float(lam))
         payload = {
             "lambda": float(lam),
             "matrix": arr.tolist(),
-            "detW": floatops.det_value(graph, float(lam)),
+            "detW": float(numpy.linalg.det(arr)),
         }
     else:
         report = forest_matrix_report(graph, lam)

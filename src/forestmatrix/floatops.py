@@ -2,14 +2,15 @@
 
 Accuracy is whatever LAPACK delivers; this backend never backs verification,
 it exists so that building W and solving against it stays fast at sizes where
-exact arithmetic is impractical.
+exact arithmetic is impractical. Its graph matrix is built from the same arc
+list as the exact one, one path for both graph kinds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import AnyGraph, Multigraph
+from .graphs import AnyGraph, _arcs
 
 __all__ = [
     "graph_matrix_array",
@@ -22,21 +23,15 @@ __all__ = [
 
 
 def graph_matrix_array(graph: AnyGraph) -> np.ndarray:
-    """Laplacian / Kirchhoff matrix as a float64 array."""
-    n = graph.n
-    m = np.zeros((n, n))
-    if isinstance(graph, Multigraph):
-        for u, v, w in graph.edges:
-            fw = float(w)
-            m[u, v] -= fw
-            m[v, u] -= fw
-            m[u, u] += fw
-            m[v, v] += fw
-    else:
-        for tail, head, w in graph.arcs:
-            fw = float(w)
-            m[head, tail] -= fw
-            m[head, head] += fw
+    """Laplacian / Kirchhoff matrix as a float64 array. np.add.at adds in arc
+    order, so each entry receives its weights in edge order."""
+    arcs = _arcs(graph)
+    tail = np.array([a[0] for a in arcs], dtype=np.intp)
+    head = np.array([a[1] for a in arcs], dtype=np.intp)
+    w = np.array([float(a[2]) for a in arcs])
+    m = np.zeros((graph.n, graph.n))
+    np.add.at(m, (head, tail), -w)
+    np.add.at(m, (head, head), w)
     return m
 
 

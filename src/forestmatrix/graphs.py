@@ -4,7 +4,9 @@ Vertices are 0-based internally (the file format and CLI are 1-based; the
 conversion happens only at that boundary). Parallel edge/arc instances are
 first-class: they are kept distinct everywhere and only collapsed by an
 explicit merge_parallel call. Weights are exact rationals and may be negative
-or zero; zero-weight instances are legal and retained.
+or zero; zero-weight instances are legal and retained. Every graph matrix is
+built from one arc list, so a Laplacian is the Kirchhoff matrix of the
+bidirected twin (to_bidirected), in exact and in float mode.
 """
 
 from __future__ import annotations
@@ -104,50 +106,44 @@ class Multidigraph:
 AnyGraph = Union[Multigraph, Multidigraph]
 
 
+def _arcs(graph: AnyGraph):
+    """Arcs (tail, head, w) of the bidirected twin: a digraph's own; for a graph,
+    each edge (u, v, w) as (u, v, w) and then (v, u, w), in edge order."""
+    if isinstance(graph, Multidigraph):
+        return graph.arcs
+    return [a for e in graph.edges for a in (e, (e[1], e[0], e[2]))]
+
+
 def laplacian(graph: Multigraph) -> SquareMatrix:
     """Weighted Laplacian: entry (i, j), j != i, is minus the total weight of
     the edges between i and j; the diagonal makes every row sum to zero."""
-    n = graph.n
-    dens = [1] * n
-    for u, v, w in graph.edges:
-        dens[u] = lcm(dens[u], w.denominator)
-        dens[v] = lcm(dens[v], w.denominator)
-    m = [[0] * n for _ in range(n)]
-    for u, v, w in graph.edges:
-        x = w.numerator * (dens[u] // w.denominator)
-        m[u][v] -= x
-        m[u][u] += x
-        x = w.numerator * (dens[v] // w.denominator)
-        m[v][u] -= x
-        m[v][v] += x
-    return _matrix_over(m, dens)
+    return _graph_matrix(graph)
 
 
 def kirchhoff(digraph: Multidigraph) -> SquareMatrix:
     """Directed Kirchhoff matrix: entry (i, j), j != i, is minus the total
     weight of the arcs j->i; diagonal (i, i) is the total weight converging
     to i. Rows sum to zero; columns need not."""
-    n = digraph.n
+    return _graph_matrix(digraph)
+
+
+def _graph_matrix(graph: AnyGraph) -> SquareMatrix:
+    # Summing each row as integers over the lcm of its weights' denominators
+    # makes one Fraction per nonzero entry instead of one per weight added.
+    n = graph.n
+    arcs = _arcs(graph)
     dens = [1] * n
-    for _, head, w in digraph.arcs:
+    for _, head, w in arcs:
         dens[head] = lcm(dens[head], w.denominator)
     m = [[0] * n for _ in range(n)]
-    for tail, head, w in digraph.arcs:
-        x = w.numerator * (dens[head] // w.denominator)
+    for tail, head, w in arcs:
+        num, den = w.as_integer_ratio()
+        x = num * (dens[head] // den)
         m[head][tail] -= x
         m[head][head] += x
-    return _matrix_over(m, dens)
-
-
-def _matrix_over(rows: list[list[int]], dens: list[int]) -> SquareMatrix:
-    """The matrix whose row r is the integer row rows[r] divided by dens[r].
-
-    Summing each row as integers over the lcm of its weights' denominators
-    makes one Fraction per nonzero entry instead of one per weight added.
-    """
     zero = Fraction(0)
     return SquareMatrix(
-        tuple(tuple(Fraction(x, d) if x else zero for x in row) for row, d in zip(rows, dens))
+        tuple(tuple(Fraction(x, d) if x else zero for x in row) for row, d in zip(m, dens))
     )
 
 
@@ -212,8 +208,4 @@ def to_bidirected(graph: Multigraph) -> Multidigraph:
     The result has the same Kirchhoff matrix as the graph's Laplacian, and its
     diverging forests correspond one-to-one to the graph's rooted forests.
     """
-    arcs = []
-    for u, v, w in graph.edges:
-        arcs.append(Arc(u, v, w))
-        arcs.append(Arc(v, u, w))
-    return Multidigraph(graph.n, tuple(arcs))
+    return Multidigraph(graph.n, tuple(_arcs(graph)))

@@ -251,6 +251,12 @@ def tree_roots(
     return tuple(root_of[dsu.find(v)] for v in range(host.n))
 
 
+def _check_vertices(host, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not (0 <= v < host.n):
+            raise IndexError(f"vertex {v} out of range for n={host.n}")
+
+
 def filter_rooted(
     host: Union[Multigraph, Multidigraph],
     forests: Iterable[Union[RootedForest, DivergingForest]],
@@ -259,9 +265,7 @@ def filter_rooted(
 ) -> tuple:
     """Members in which j's tree is rooted at i, for a digraph: diverges from i
     (i == j selects the members in which i is a root)."""
-    for v in (i, j):
-        if not (0 <= v < host.n):
-            raise IndexError(f"vertex {v} out of range for n={host.n}")
+    _check_vertices(host, (i, j))
     return tuple(f for f in forests if tree_roots(host, f)[j] == i)
 
 
@@ -272,6 +276,7 @@ def filter_roots(
 ) -> tuple:
     """Members whose root set is exactly `roots`; an empty target selects nothing."""
     target = frozenset(roots)
+    _check_vertices(host, target)
     if not target:
         return ()
     return tuple(f for f in forests if frozenset(tree_roots(host, f)) == target)

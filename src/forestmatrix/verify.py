@@ -111,26 +111,26 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
     return _ForestTable(len(forests), pair, coeffs, signed, by_roots, by_count)
 
 
-def _check_budget(graph: AnyGraph, guard: Guard) -> None:
-    if graph.n < 1:
+def _check_budget(twin: Multidigraph, guard: Guard) -> None:
+    if twin.n < 1:
         raise GraphValidationError("verification needs at least one vertex")
-    m = len(graph.instances)
-    budget = m if isinstance(graph, Multidigraph) else 2 * m
-    if graph.n > guard.max_vertices or budget > guard.max_instances:
+    budget = len(twin.arcs)
+    if twin.n > guard.max_vertices or budget > guard.max_instances:
         raise GuardExceededError(
-            f"{graph.n} vertices / {budget} enumerable instances exceed the guard "
+            f"{twin.n} vertices / {budget} enumerable instances exceed the guard "
             f"({guard.max_vertices} vertices / {guard.max_instances} instances); "
             "a partial run would be misleading, raise --max-enum to proceed"
         )
 
 
 def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckResult]:
-    """Run the whole checklist; raises GuardExceededError above the size guard
-    and GraphValidationError on a graph without vertices.
+    """Run the whole checklist; raises GuardExceededError when the bidirected
+    twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
     The forests are enumerated once and each principal minor det(L minus phi) once.
     """
-    _check_budget(graph, guard)
+    twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
+    _check_budget(twin, guard)
     n = graph.n
     lap = graph_matrix(graph)
     w = forest_matrix(lap)
@@ -150,7 +150,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table, guard),
-        _check_contraction_minors(graph, minors, guard),
+        _check_contraction_minors(twin, minors, guard),
         _check_rooted_minors(minors, table),
         _check_charpoly(graph, lap, det_w, minors, table),
         _check_polys(
@@ -245,14 +245,13 @@ def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
     )
 
 
-def _check_contraction_minors(graph, minors, guard) -> CheckResult:
-    digraph = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
+def _check_contraction_minors(twin, minors, guard) -> CheckResult:
     ok = minors[()] == 0  # empty root set: no trees, and L is always singular
     scanned = 0
     for phi, minor in minors.items():
         if not phi:
             continue
-        contracted, star = contract(digraph, phi)
+        contracted, star = contract(twin, phi)
         trees = oracle.enum_diverging_trees(contracted, star, guard)
         total = oracle.set_weight((t.arcs for t in trees), contracted)
         ok = ok and minor == total

@@ -297,6 +297,17 @@ class TestExitCodes:
     def test_max_enum_at_ceiling_is_accepted(self, capsys, k3_file):
         assert run_cli(capsys, "verify", k3_file, "--max-enum", "24")[0] == 0
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    @pytest.mark.parametrize("limit", ["1", "10"])
+    def test_max_enum_below_a_default_keeps_it(self, capsys, tmp_path, command, limit):
+        # K4 has 4 vertices and 6 edges, whose twin has 12 arcs
+        lines = ["graph undirected 4"] + [f"{u} {v} 1" for u in range(1, 5) for v in range(u + 1, 5)]
+        p = tmp_path / "k4.graph"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        plain = run_cli(capsys, command, str(p))
+        assert plain[0] == 0
+        assert run_cli(capsys, command, str(p), "--max-enum", limit) == plain
+
     def test_verify_refuses_undirected_above_twin_budget(self, capsys, tmp_path):
         # nine edges double to eighteen arcs, over the default instance guard
         lines = ["graph undirected 5"] + ["1 2 1"] * 9

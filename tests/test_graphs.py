@@ -12,6 +12,7 @@ from forestmatrix import (
     Multigraph,
     SquareMatrix,
     contract,
+    floatops,
     kirchhoff,
     laplacian,
     merge_parallel,
@@ -25,8 +26,11 @@ F = Fraction
 # Denominators up to 12, negative weights and zero.
 TWELFTHS_POOL = tuple(F(a, b) for a in range(-12, 13) for b in range(1, 13))
 
+# Sums of these are exact in binary64, so a float matrix can equal an exact one.
+DYADIC_POOL = tuple(F(x) for x in ("1", "-1", "2", "-2", "1/2", "-1/2", "3/4", "-3/4", "0"))
 
-def cancelling_graphs(directed: bool, seed: int):
+
+def cancelling_graphs(directed: bool, seed: int, pool=TWELFTHS_POOL):
     """Graphs on 0 and 1 vertices, then seeded multigraphs, each second one with
     an instance and a parallel one of the opposite weight (a pair summing to 0)."""
     kind = Multidigraph if directed else Multigraph
@@ -35,11 +39,11 @@ def cancelling_graphs(directed: bool, seed: int):
     rng = random.Random(seed)
     make = random_multidigraph if directed else random_multigraph
     for index in range(60):
-        g = make(rng, 2, 7, 12, TWELFTHS_POOL)
+        g = make(rng, 2, 7, 12, pool)
         if index % 2:
             u = rng.randrange(g.n)
             v = (u + rng.randrange(1, g.n)) % g.n
-            w = rng.choice(TWELFTHS_POOL)
+            w = rng.choice(pool)
             g = kind(g.n, g.instances + ((u, v, w), (u, v, -w)))
         yield g
 
@@ -51,6 +55,15 @@ def test_integer_row_sums_match_fraction_accumulation(directed):
         matrix = build(g)
         assert matrix == fraction_graph_matrix(g)
         assert all(type(x) is Fraction for row in matrix.entries for x in row)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["laplacian", "kirchhoff"])
+def test_float_builder_equals_exact_builder(directed):
+    build = kirchhoff if directed else laplacian
+    for g in cancelling_graphs(directed, seed=9, pool=DYADIC_POOL):
+        array = floatops.graph_matrix_array(g)
+        assert array.shape == (g.n, g.n)
+        assert array.tolist() == [[float(x) for x in row] for row in build(g).entries]
 
 
 class TestConstruction:
@@ -211,6 +224,14 @@ class TestToBidirected:
     def test_single_edge(self):
         g = Multigraph(2, ((0, 1, 1),))
         assert to_bidirected(g).arcs == (Arc(0, 1, F(1)), Arc(1, 0, F(1)))
+
+    def test_arcs_interleave_in_edge_order(self):
+        g = Multigraph(3, ((0, 1, 1), (1, 2, F(1, 2)), (0, 1, 3)))
+        assert to_bidirected(g).arcs == (
+            Arc(0, 1, F(1)), Arc(1, 0, F(1)),
+            Arc(1, 2, F(1, 2)), Arc(2, 1, F(1, 2)),
+            Arc(0, 1, F(3)), Arc(1, 0, F(3)),
+        )
 
     def test_kirchhoff_equals_laplacian(self):
         rng = random.Random(8)

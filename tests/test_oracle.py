@@ -315,6 +315,19 @@ class TestFilters:
         forests = enum_rooted_forests(unit_k3)
         assert filter_roots(unit_k3, forests, ()) == ()
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["rooted", "diverging"])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_vertex_out_of_range(self, unit_k3, directed, bad):
+        g = to_bidirected(unit_k3) if directed else unit_k3
+        forests = enum_diverging_forests(g) if directed else enum_rooted_forests(g)
+        for call in (lambda: filter_roots(g, forests, [bad]),
+                     lambda: filter_roots(g, forests, [0, 2, bad]),
+                     lambda: filter_rooted(g, forests, 0, bad),
+                     lambda: filter_rooted(g, forests, bad, 0)):
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+                call()
+        assert filter_roots(g, forests, ()) == ()
+
     def test_filter_roots_matches_independent_root_sets(self):
         rng = random.Random(33)
         for _ in range(10):
