@@ -299,8 +299,11 @@ def _cmd_accessibility(args):
         from . import floatops
         try:
             rows = floatops.accessibility_array(graph, float(lam)).tolist()
-        except numpy.linalg.LinAlgError as exc:  # W numerically singular
-            raise SingularForestMatrixError(str(exc)) from None
+        except numpy.linalg.LinAlgError:
+            raise SingularForestMatrixError(
+                f"W = lambda*I + L is numerically singular at lambda = {lam}; "
+                "the accessibility matrix does not exist"
+            ) from None
     else:
         rows = _matrix_out(accessibility(graph, lam).matrix)
     return EXIT_OK, {**_head(args, graph), "matrix": rows}

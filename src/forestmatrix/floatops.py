@@ -56,9 +56,16 @@ def cofactor_value(graph: AnyGraph, i: int, j: int, lam: float = 1.0) -> float:
 
 
 def accessibility_array(graph: AnyGraph, lam: float = 1.0) -> np.ndarray:
-    """Q = W**-1 by LU solve against the identity (partial pivoting)."""
+    """Q = W**-1 by LU solve against the identity (partial pivoting). Raises
+    LinAlgError when W is numerically singular: LAPACK meets a zero pivot, or
+    the probe v = (1, ..., n) leaves |W(Qv) - v|_inf / |v|_inf above 1e-6 (the
+    all-ones vector would probe nothing, since W 1 = lambda 1)."""
     w = forest_matrix_array(graph, lam)
-    return np.linalg.solve(w, np.eye(graph.n))
+    q = np.linalg.solve(w, np.eye(graph.n))
+    v = np.arange(1.0, graph.n + 1)
+    if graph.n and np.max(np.abs(w @ (q @ v) - v)) > 1e-6 * graph.n:
+        raise np.linalg.LinAlgError("residual probe above tolerance")
+    return q
 
 
 def charpoly_coeffs(graph: AnyGraph) -> np.ndarray:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .graphs import (
-    AnyGraph,
-    Multidigraph,
-    Multigraph,
-    kirchhoff,
-    laplacian,
-)
+from .graphs import AnyGraph, Multidigraph, _graph_matrix
 from .linalg import (
     Polynomial,
     SingularMatrixError,
@@ -50,18 +44,16 @@ __all__ = [
 
 
 class SingularForestMatrixError(SingularMatrixError):
-    """W is singular: the total spanning-forest weight is zero.
+    """W = lambda*I + L is singular; at lambda = 1, the total spanning-forest weight is zero.
 
-    Possible only when some weights are negative or zero; with positive
-    weights det W is a sum of positive forest weights.
+    Possible only when lambda <= 0 or some weight is negative: otherwise det W
+    is a sum of nonnegative forest terms, and the edgeless forest adds lambda**n.
     """
 
 
 def graph_matrix(graph: AnyGraph) -> SquareMatrix:
     """The graph's Laplacian (undirected) or Kirchhoff (directed) matrix."""
-    if isinstance(graph, Multigraph):
-        return laplacian(graph)
-    return kirchhoff(graph)
+    return _graph_matrix(graph)
 
 
 def forest_matrix(matrix: SquareMatrix, lam=1) -> SquareMatrix:
@@ -115,14 +107,15 @@ def accessibility(graph: AnyGraph, lam=1) -> AccessibilityMatrix:
 
     Entry (i, j) is the fraction of total forest weight carried by the
     forests connecting i into the tree of j. Raises
-    SingularForestMatrixError when the total forest weight is zero.
+    SingularForestMatrixError when W is singular.
     """
     w = forest_matrix(graph_matrix(graph), lam)
     try:
         return AccessibilityMatrix(w.inverse())
     except SingularMatrixError:
         raise SingularForestMatrixError(
-            "total spanning-forest weight is zero; the accessibility matrix does not exist"
+            f"W = lambda*I + L is singular at lambda = {lam}; "
+            "the accessibility matrix does not exist"
         ) from None
 
 
@@ -148,17 +141,12 @@ def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
 def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     """The cofactor of (i, j) in lambda*I - L as a polynomial in lambda.
 
-    A forest counted in coefficient k of cofactor_poly has k+1 trees, hence
-    exactly n-1-k arcs, so flipping each coefficient by (-1)**(n-1-k) is the
-    same as weighting every forest by (-1)**(number of arcs). Arranged as a
-    matrix (transposed), these polynomials form the adjugate of the
-    characteristic matrix of L.
+    Coefficient k is the weight of the forests counted in coefficient k of
+    cofactor_poly, each weighted by (-1)**(number of arcs); verify checks this
+    against the enumeration. Arranged as a matrix (transposed), these
+    polynomials form the adjugate of the characteristic matrix of L.
     """
-    base = cofactor_poly(graph, i, j)
-    n = graph.n
-    return Polynomial(
-        tuple(c if (n - 1 - k) % 2 == 0 else -c for k, c in enumerate(base.coeffs))
-    )
+    return (-graph_matrix(graph)).cofactor_poly(i, j)
 
 
 def path_expansion_cofactor(

@@ -6,19 +6,25 @@ Grammar (UTF-8, LF or CRLF):
     <u> <v> <w>
     ...
 
-`u` and `v` are 1-based vertex labels; `w` is an integer, an exact decimal
-(0.25 means exactly 1/4) or `p/q` with positive q. `#` starts a comment to
-end of line; blank lines are ignored. Duplicate (u, v) lines are parallel
-instances, preserved in file order.
+`n`, `u` and `v` are integers, `u` and `v` 1-based vertex labels; `w` is an
+integer, an exact decimal with optional exponent (0.25 is exactly 1/4) or `p/q`
+with q > 0. Each may be signed; digits are ASCII, with no `_`. `#` starts a
+comment to end of line; blank lines are ignored. Duplicate (u, v) lines are
+parallel instances, preserved in file order.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .graphs import AnyGraph, GraphValidationError, Multidigraph, Multigraph
 
 __all__ = ["GraphParseError", "parse_graph", "format_graph"]
+
+# int() and Fraction() also take non-ASCII digits, and "_" (Fraction() only from 3.11 on).
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
 
 
 class GraphParseError(ValueError):
@@ -36,21 +42,23 @@ def _significant_lines(text: str):
             yield line_no, line
 
 
-def _parse_vertex(token: str, n: int, line_no: int) -> int:
+def _number(token: str, what: str, line_no: int, pattern=_INTEGER, convert=int):
+    """token converted, if it is in the grammar; "1/0" and more digits than
+    int() converts are parse errors too."""
     try:
-        v = int(token)
-    except ValueError:
-        raise GraphParseError(line_no, f"vertex label {token!r} is not an integer") from None
+        if pattern.fullmatch(token):
+            return convert(token)
+    except (ValueError, ZeroDivisionError):
+        pass
+    kind = "an integer" if convert is int else "a rational literal"
+    raise GraphParseError(line_no, f"{what} {token!r} is not {kind}")
+
+
+def _parse_vertex(token: str, n: int, line_no: int) -> int:
+    v = _number(token, "vertex label", line_no)
     if not (1 <= v <= n):
         raise GraphValidationError(f"line {line_no}: vertex {v} out of range 1..{n}")
     return v - 1
-
-
-def _parse_weight(token: str, line_no: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise GraphParseError(line_no, f"weight {token!r} is not a rational literal") from None
 
 
 def parse_graph(text: str) -> AnyGraph:
@@ -63,10 +71,7 @@ def parse_graph(text: str) -> AnyGraph:
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "graph" or tokens[1] not in ("directed", "undirected"):
         raise GraphParseError(header_no, f"bad header {header!r}")
-    try:
-        n = int(tokens[2])
-    except ValueError:
-        raise GraphParseError(header_no, f"vertex count {tokens[2]!r} is not an integer") from None
+    n = _number(tokens[2], "vertex count", header_no)
     if n < 0:
         raise GraphValidationError(f"line {header_no}: vertex count must be >= 0, got {n}")
 
@@ -80,7 +85,7 @@ def parse_graph(text: str) -> AnyGraph:
         v = _parse_vertex(parts[1], n, line_no)
         if u == v:
             raise GraphValidationError(f"line {line_no}: self-loop at vertex {u + 1}")
-        instances.append((u, v, _parse_weight(parts[2], line_no)))
+        instances.append((u, v, _number(parts[2], "weight", line_no, _RATIONAL, Fraction)))
     if directed:
         return Multidigraph(n, tuple(instances))
     return Multigraph(n, tuple(instances))

@@ -3,7 +3,7 @@
 Every matrix-side quantity the package computes is compared here against the
 brute-force enumeration oracle on one user-supplied graph: determinant and
 cofactors of W, accessibility, characteristic-polynomial coefficients,
-cofactor polynomials (plain and signed), principal minors against root-set
+cofactor polynomials of L and of -L, principal minors against root-set
 filters and contractions, path-expansion cofactors, and invariance under
 parallel-instance merging. All comparisons are exact.
 """
@@ -21,12 +21,10 @@ from .forest import (
     _path_sum,
     accessibility,
     charpoly_forest_coeffs,
-    cofactor_poly,
     forest_det,
     forest_matrix,
     graph_matrix,
     matrix_tree_check,
-    signed_cofactor_poly,
 )
 from .graphs import (
     AnyGraph,
@@ -154,15 +152,14 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         _check_rooted_minors(minors, table),
         _check_charpoly(graph, lap, det_w, minors, table),
         _check_polys(
-            "cofactor-polynomials", cofactor_poly, graph, lap, EVAL_POINTS, table.coeffs,
+            "cofactor-polynomials", lap, EVAL_POINTS, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
         _check_path_expansion(graph, lap, minors, guard),
-        # n+1 evaluation points pin every coefficient of a degree n-1 polynomial
+        # n+1 points, none of them a node, pin every coefficient of a degree n-1 polynomial
         _check_polys(
-            "signed-cofactor-polynomials", signed_cofactor_poly, graph, -lap,
-            [*range(n), -1], table.signed,
+            "signed-cofactor-polynomials", -lap, range(-1, -n - 2, -1), table.signed,
             "arc-parity-signed coefficients match the cofactors of the "
             "characteristic matrix of L",
         ),
@@ -294,12 +291,12 @@ def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
     )
 
 
-def _check_polys(name, poly_of, graph, matrix, points, column, detail) -> CheckResult:
+def _check_polys(name, matrix, points, column, detail) -> CheckResult:
     adjs = [forest_matrix(matrix, lam).adjugate() for lam in points]
     ok = True
-    for i in range(graph.n):
-        for j in range(graph.n):
-            poly = poly_of(graph, i, j)
+    for i in range(matrix.n):
+        for j in range(matrix.n):
+            poly = matrix.cofactor_poly(i, j)
             ok = ok and list(poly.coeffs) == column[(i, j)]
             for lam, adj in zip(points, adjs):
                 ok = ok and poly.evaluate(lam) == adj.entries[j][i]

@@ -85,6 +85,37 @@ class TestParseGraph:
     def test_zero_vertices_allowed(self):
         assert parse_graph("graph directed 0\n").n == 0
 
+    @pytest.mark.parametrize("text", [
+        "graph undirected 1_0\n",
+        "graph undirected \u0663\n",
+        "graph undirected 0x3\n",
+        "graph undirected 10\n1_0 2 1\n",
+        "graph undirected 10\n\u0661 \u0663 1\n",
+        "graph undirected 2\n1 2 1_000\n",
+        "graph undirected 2\n1 2 1/2_0\n",
+        "graph undirected 2\n1 2 1e1_0\n",
+        "graph undirected 2\n1 2 \u0662\n",
+    ])
+    def test_out_of_grammar_token_is_1(self, capsys, tmp_path, text):
+        # int() and Fraction() take non-ASCII digits and "_" (Fraction() from
+        # Python 3.11 on); the grammar takes neither, on every version
+        p = tmp_path / "bad.graph"
+        p.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "laplacian", str(p)) == (1, "")
+
+    @pytest.mark.parametrize("token, value", [
+        ("-2", F(-2)), ("+2", F(2)), ("0.25", F(1, 4)), ("1e400", F(10**400)),
+        ("-1/2", F(-1, 2)), ("+3/4", F(3, 4)), ("2.5E-1", F(1, 4)), (".5", F(1, 2)),
+    ])
+    def test_grammar_weights(self, token, value):
+        assert parse_graph(f"graph undirected 2\n1 2 {token}\n").edges[0].w == value
+
+    def test_signed_integer_labels_and_count(self):
+        g = parse_graph("graph directed +2\n+1 +2 1\n")
+        assert g.n == 2 and g.arcs == ((0, 1, F(1)),)
+        with pytest.raises(GraphValidationError):
+            parse_graph("graph directed -1\n")
+
     def test_round_trip_fixed(self):
         text = "graph directed 3\n1 2 1/3\n1 2 2/3\n3 1 -2\n"
         g = parse_graph(text)
@@ -268,6 +299,32 @@ class TestExitCodes:
         p = tmp_path / "singular.graph"
         p.write_text("graph undirected 2\n1 2 -1/2\n", encoding="utf-8")
         assert run_cli(capsys, "accessibility", str(p))[0] == 3
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("text, lam", [
+        # W = J/3: LAPACK meets no zero pivot, so float mode needs the residual probe
+        ("graph undirected 3\n1 2 -1/3\n2 3 -1/3\n1 3 -1/3\n", "1"),
+        ("graph undirected 2\n1 2 1\n", "0"),  # W = L
+    ])
+    def test_singular_accessibility_is_3_and_names_lambda(self, capsys, tmp_path, mode, text, lam):
+        p = tmp_path / "singular.graph"
+        p.write_text(text, encoding="utf-8")
+        code = main(["accessibility", str(p), "--lambda", lam, "--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        numerically = "numerically " if mode == "float" else ""
+        assert f"W = lambda*I + L is {numerically}singular at lambda = {lam};" in captured.err
+
+    def test_ill_conditioned_float_accessibility_is_0(self, capsys, tmp_path):
+        # nonsingular, condition number about 1e7: the probe reads about 5e-11
+        p = tmp_path / "ill.graph"
+        p.write_text("graph undirected 2\n1 2 -0.4999999\n", encoding="utf-8")
+        _, exact = run_json(capsys, "accessibility", str(p))
+        code, approx = run_json(capsys, "accessibility", str(p), "--mode", "float")
+        assert code == 0
+        for row_e, row_f in zip(exact["matrix"], approx["matrix"]):
+            for e, f in zip(row_e, row_f):
+                assert abs(float(Fraction(e)) - f) <= 1e-6 * abs(f)
 
     def test_guard_is_4(self, capsys, tmp_path):
         lines = ["graph undirected 9"] + [f"{u} {u + 1} 1" for u in range(1, 9)]

@@ -319,7 +319,8 @@ class TestSignedCofactorPoly:
                 for i in range(g.n):
                     for j in range(g.n):
                         poly = signed_cofactor_poly(g, i, j)
-                        for lam in list(range(g.n)) + [-1]:
+                        # n + 1 points, none of them an interpolation node 0..n-1
+                        for lam in range(-1, -g.n - 2, -1):
                             assert poly.evaluate(lam) == forest_matrix(neg, lam).cofactor(i, j)
 
     def test_matches_arc_parity_signed_oracle(self):
@@ -333,6 +334,22 @@ class TestSignedCofactorPoly:
                     n = dg.n
                     signed = [c if (n - 1 - k) % 2 == 0 else -c for k, c in enumerate(plain)]
                     assert list(signed_cofactor_poly(dg, i, j).coeffs) == signed
+
+    def test_flip_rule_reference(self):
+        # A forest in coefficient k has n-1-k arcs, so the signed coefficient k
+        # is the plain one negated exactly when n-1-k is odd.
+        rng = random.Random(116)
+        pool = (F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 7), F(5, 12), F(7, 3))
+        for maker in (random_multigraph, random_multidigraph):
+            for _ in range(20):
+                g = maker(rng, 2, 6, 9, pool)
+                g = type(g)(g.n, g.instances + g.instances[:1])  # a parallel pair
+                n = g.n
+                for i in range(n):
+                    for j in range(n):
+                        plain = cofactor_poly(g, i, j).coeffs
+                        flipped = tuple(-c if (n - 1 - k) % 2 else c for k, c in enumerate(plain))
+                        assert signed_cofactor_poly(g, i, j).coeffs == flipped
 
     def test_edgeless_equals_plain(self):
         g = Multigraph(3)

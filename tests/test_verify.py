@@ -59,8 +59,8 @@ def detail(graph, name: str) -> str:
 def perturb_pair(fn, pair=(1, 2)):
     """fn, except that coefficient 0 of the polynomial for one (i, j) pair is off by one."""
 
-    def perturbed(graph, i, j):
-        poly = fn(graph, i, j)
+    def perturbed(owner, i, j):
+        poly = fn(owner, i, j)
         if (i, j) != pair:
             return poly
         return Polynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
@@ -77,13 +77,16 @@ def graph(request):
 
 class TestMutations:
     def test_cofactor_poly(self, graph, monkeypatch):
-        monkeypatch.setattr(verify, "cofactor_poly", perturb_pair(verify.cofactor_poly))
-        assert failing(graph) == {"cofactor-polynomials"}
+        # verify takes both polynomial families from this one method, of L and of -L
+        monkeypatch.setattr(
+            SquareMatrix, "cofactor_poly", perturb_pair(SquareMatrix.cofactor_poly)
+        )
+        assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
     def test_signed_cofactor_poly(self, graph, monkeypatch):
-        monkeypatch.setattr(
-            verify, "signed_cofactor_poly", perturb_pair(verify.signed_cofactor_poly)
-        )
+        # the signed route takes the polynomials of L instead of -L; they agree
+        # with L's own adjugates, so only the arc-parity coefficients catch it
+        monkeypatch.setattr(SquareMatrix, "__neg__", lambda self: self)
         assert failing(graph) == {"signed-cofactor-polynomials"}
 
     def test_charpoly_forest_coeffs(self, graph, monkeypatch):
