@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Reads a graph file, runs one operation, prints a deterministic JSON (default)
-or TSV document. Exact mode serializes every value as an integer or "p/q"
-string; float mode emits binary64 numbers and exists for large instances
-only, it never backs `verify`. numpy is imported by float-mode commands only.
+or TSV document. Exact mode serializes every value, at any length, as an
+integer or "p/q" string; float mode emits binary64 numbers and exists for
+large instances only, it never backs `verify`. numpy is imported by
+float-mode commands only.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
 forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check,
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .forest import (
 )
 from .graphfile import GraphParseError, parse_graph
 from .graphs import AnyGraph, GraphValidationError, Multidigraph
-from .linalg import SingularMatrixError, SquareMatrix
+from .linalg import SingularMatrixError, SquareMatrix, _literal
 from .oracle import (
     DEFAULT_GUARD,
     Guard,
@@ -64,33 +66,47 @@ MAX_ENUM = 24
 
 _FLOAT_COMMANDS = {"laplacian", "forest-matrix", "det", "cofactor", "accessibility", "charpoly"}
 
+# The errors a command reports with an exit code instead of a traceback.
+_ERROR_EXITS = {
+    GraphParseError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    GraphValidationError: EXIT_VALIDATION,
+    SingularMatrixError: EXIT_SINGULAR,
+    GuardExceededError: EXIT_GUARD,
+}
+
+# Python's limit on int/str conversions, from 3.10.7 on; earlier there is none.
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def entry() -> None:
     raise SystemExit(main())
 
 
 def main(argv=None) -> int:
+    # The literal grammar bounds every number read, so the digit limit is lifted
+    # while main runs: exact results print at any length, whatever the limit.
+    limit = _get_digit_limit()
+    _set_digit_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        _set_digit_limit(limit)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             if args.mode == "float":  # an overflow is reported below, with exit 6
                 warnings.simplefilter("ignore", RuntimeWarning)
-            code, payload = args.handler(args)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GraphValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+            graph = _load(args)
+            code, payload = args.handler(args, graph)
+    except tuple(_ERROR_EXITS) as exc:
+        reading = "cannot read input: " if isinstance(exc, OSError) else ""
+        print(f"error: {reading}{exc}", file=sys.stderr)
+        return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
     except OverflowError:  # a float-mode input beyond binary64
         if args.mode != "float":
             raise
@@ -102,6 +118,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_NONFINITE
+    payload = {"command": args.command, "n": graph.n, "mode": args.mode, **payload}
     if args.output == "json":
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
@@ -127,15 +144,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", default="1", metavar="RATIONAL",
-                help="diagonal shift of the forest matrix (default 1)",
+                help="diagonal shift of the forest matrix: an integer, decimal or p/q "
+                "as in graph files (default 1)",
             )
         if pair:
-            p.add_argument("--from", dest="from_vertex", type=int, metavar="I",
-                           help="1-based start vertex")
-            p.add_argument("--to", dest="to_vertex", type=int, metavar="J",
-                           help="1-based target vertex")
+            p.add_argument("--from", dest="from_vertex", metavar="I",
+                           help="1-based start vertex, ASCII digits")
+            p.add_argument("--to", dest="to_vertex", metavar="J",
+                           help="1-based target vertex, ASCII digits")
         if enum:
-            p.add_argument("--max-enum", type=int, metavar="N",
+            p.add_argument("--max-enum", metavar="N",
                            help="raise the vertex and instance caps of the enumeration "
                            f"guard (8 and 16) to N, at most {MAX_ENUM}; a cap above N is kept")
         p.set_defaults(command=name)
@@ -178,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> AnyGraph:
-    text = Path(args.path).read_text(encoding="utf-8")
+    text = Path(args.path).read_bytes().decode("utf-8")  # no newline translation
     graph = parse_graph(text)
     if args.mode == "float" and args.command not in _FLOAT_COMMANDS:
         raise GraphValidationError(
@@ -187,34 +205,35 @@ def _load(args) -> AnyGraph:
     return graph
 
 
-def _lam(args) -> Fraction:
+def _number(value: str, flag: str, integer: bool = True):
     try:
-        return Fraction(args.lam)
-    except (ValueError, ZeroDivisionError):
-        raise GraphValidationError(f"--lambda {args.lam!r} is not a rational literal") from None
+        return _literal(value, integer)
+    except ValueError as exc:
+        raise GraphValidationError(f"{flag} {exc}") from None
 
 
-def _vertex(value, graph: AnyGraph, flag: str) -> int:
+def _lam(args) -> Fraction:
+    return _number(args.lam, "--lambda", integer=False)
+
+
+def _vertex(value: str | None, graph: AnyGraph, flag: str) -> int:
     if value is None:
         raise GraphValidationError(f"{flag} is required for this command")
-    if not (1 <= value <= graph.n):
-        raise GraphValidationError(f"{flag} {value} out of range 1..{graph.n}")
-    return value - 1
+    v = _number(value, flag)
+    if not (1 <= v <= graph.n):
+        raise GraphValidationError(f"{flag} {v} out of range 1..{graph.n}")
+    return v - 1
 
 
 def _guard(args) -> Guard:
-    limit = getattr(args, "max_enum", None)
-    if limit is None:
+    if getattr(args, "max_enum", None) is None:
         return DEFAULT_GUARD
+    limit = _number(args.max_enum, "--max-enum")
     if limit < 1:
         raise GraphValidationError(f"--max-enum must be positive, got {limit}")
     if limit > MAX_ENUM:
         raise GuardExceededError(f"--max-enum {limit} is above the ceiling of {MAX_ENUM}")
     return Guard(max(limit, DEFAULT_GUARD.max_vertices), max(limit, DEFAULT_GUARD.max_instances))
-
-
-def _head(args, graph: AnyGraph) -> dict:
-    return {"command": args.command, "n": graph.n, "mode": args.mode}
 
 
 def _matrix_out(matrix: SquareMatrix) -> list[list[str]]:
@@ -235,18 +254,16 @@ def _finite(value) -> bool:
 # -- command handlers --------------------------------------------------------
 
 
-def _cmd_laplacian(args):
-    graph = _load(args)
+def _cmd_laplacian(args, graph: AnyGraph):
     if args.mode == "float":
         from . import floatops
         rows = floatops.graph_matrix_array(graph).tolist()
     else:
         rows = _matrix_out(graph_matrix(graph))
-    return EXIT_OK, {**_head(args, graph), "matrix": rows}
+    return EXIT_OK, {"matrix": rows}
 
 
-def _cmd_forest_matrix(args):
-    graph = _load(args)
+def _cmd_forest_matrix(args, graph: AnyGraph):
     lam = _lam(args)
     if args.mode == "float":
         import numpy
@@ -264,22 +281,20 @@ def _cmd_forest_matrix(args):
             "matrix": _matrix_out(report.matrix),
             "detW": str(report.det),
         }
-    return EXIT_OK, {**_head(args, graph), **payload}
+    return EXIT_OK, payload
 
 
-def _cmd_det(args):
-    graph = _load(args)
+def _cmd_det(args, graph: AnyGraph):
     lam = _lam(args)
     if args.mode == "float":
         from . import floatops
         value = floatops.det_value(graph, float(lam))
     else:
         value = str(forest_det(graph, lam))
-    return EXIT_OK, {**_head(args, graph), "detW": value}
+    return EXIT_OK, {"detW": value}
 
 
-def _cmd_cofactor(args):
-    graph = _load(args)
+def _cmd_cofactor(args, graph: AnyGraph):
     lam = _lam(args)
     i = _vertex(args.from_vertex, graph, "--from")
     j = _vertex(args.to_vertex, graph, "--to")
@@ -288,11 +303,10 @@ def _cmd_cofactor(args):
         value = floatops.cofactor_value(graph, i, j, float(lam))
     else:
         value = str(forest_cofactor(graph, i, j, lam))
-    return EXIT_OK, {**_head(args, graph), "i": i + 1, "j": j + 1, "cofactor": value}
+    return EXIT_OK, {"i": i + 1, "j": j + 1, "cofactor": value}
 
 
-def _cmd_accessibility(args):
-    graph = _load(args)
+def _cmd_accessibility(args, graph: AnyGraph):
     lam = _lam(args)
     if args.mode == "float":
         import numpy
@@ -306,26 +320,23 @@ def _cmd_accessibility(args):
             ) from None
     else:
         rows = _matrix_out(accessibility(graph, lam).matrix)
-    return EXIT_OK, {**_head(args, graph), "matrix": rows}
+    return EXIT_OK, {"matrix": rows}
 
 
-def _cmd_charpoly(args):
-    graph = _load(args)
+def _cmd_charpoly(args, graph: AnyGraph):
     if args.mode == "float":
         from . import floatops
         coeffs = [float(c) for c in floatops.charpoly_coeffs(graph)]
     else:
         coeffs = [str(c) for c in charpoly_forest_coeffs(graph).coeffs]
-    return EXIT_OK, {**_head(args, graph), "coeffs": coeffs}
+    return EXIT_OK, {"coeffs": coeffs}
 
 
-def _cmd_cofactor_poly(args):
-    graph = _load(args)
+def _cmd_cofactor_poly(args, graph: AnyGraph):
     i = _vertex(args.from_vertex, graph, "--from")
     j = _vertex(args.to_vertex, graph, "--to")
     poly = signed_cofactor_poly(graph, i, j) if args.signed else cofactor_poly(graph, i, j)
     return EXIT_OK, {
-        **_head(args, graph),
         "i": i + 1,
         "j": j + 1,
         "signed": bool(args.signed),
@@ -333,22 +344,7 @@ def _cmd_cofactor_poly(args):
     }
 
 
-def _parse_roots(spec: str, graph: AnyGraph) -> frozenset[int]:
-    out = set()
-    for part in spec.split(","):
-        part = part.strip()
-        try:
-            v = int(part)
-        except ValueError:
-            raise GraphValidationError(f"--roots entry {part!r} is not an integer") from None
-        if not (1 <= v <= graph.n):
-            raise GraphValidationError(f"--roots vertex {v} out of range 1..{graph.n}")
-        out.add(v - 1)
-    return frozenset(out)
-
-
-def _cmd_enumerate(args):
-    graph = _load(args)
+def _cmd_enumerate(args, graph: AnyGraph):
     guard = _guard(args)
     directed = isinstance(graph, Multidigraph)
     kind = args.kind or ("diverging-forests" if directed else "rooted-forests")
@@ -371,7 +367,8 @@ def _cmd_enumerate(args):
     else:
         forests = enum_diverging_forests(graph, guard) if directed else enum_rooted_forests(graph, guard)
         if args.roots is not None:
-            forests = filter_roots(graph, forests, _parse_roots(args.roots, graph))
+            roots = frozenset(_vertex(v.strip(), graph, "--roots") for v in args.roots.split(","))
+            forests = filter_roots(graph, forests, roots)
         if args.from_vertex is not None or args.to_vertex is not None:
             i = _vertex(args.from_vertex, graph, "--from")
             j = _vertex(args.to_vertex, graph, "--to")
@@ -392,30 +389,14 @@ def _cmd_enumerate(args):
             member["roots"] = roots
         member["weight"] = str(weight)
         members.append(member)
-    return EXIT_OK, {
-        **_head(args, graph),
-        "kind": kind,
-        "forests": members,
-        "count": len(members),
-        "total": str(total),
-    }
+    return EXIT_OK, {"kind": kind, "forests": members, "count": len(members), "total": str(total)}
 
 
-def _cmd_verify(args):
-    graph = _load(args)
+def _cmd_verify(args, graph: AnyGraph):
     checks = run_all_checks(graph, _guard(args))
     all_pass = all(c.passed for c in checks)
-    payload = {
-        **_head(args, graph),
-        "report": {
-            "all_pass": all_pass,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "skipped": c.skipped, "detail": c.detail}
-                for c in checks
-            ],
-        },
-    }
-    return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), payload
+    report = {"all_pass": all_pass, "checks": [asdict(c) for c in checks]}
+    return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), {"report": report}
 
 
 # -- TSV rendering -----------------------------------------------------------

@@ -8,23 +8,19 @@ Grammar (UTF-8, LF or CRLF):
 
 `n`, `u` and `v` are integers, `u` and `v` 1-based vertex labels; `w` is an
 integer, an exact decimal with optional exponent (0.25 is exactly 1/4) or `p/q`
-with q > 0. Each may be signed; digits are ASCII, with no `_`. `#` starts a
+with q > 0. Each may be signed; digits are ASCII, with no `_` and at most 4300
+in a run (`linalg`'s literal grammar, which CLI flags share). Lines end at LF
+or CRLF only, never at a form feed or a Unicode line separator. `#` starts a
 comment to end of line; blank lines are ignored. Duplicate (u, v) lines are
 parallel instances, preserved in file order.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
 from .graphs import AnyGraph, GraphValidationError, Multidigraph, Multigraph
+from .linalg import _literal
 
 __all__ = ["GraphParseError", "parse_graph", "format_graph"]
-
-# int() and Fraction() also take non-ASCII digits, and "_" (Fraction() only from 3.11 on).
-_INTEGER = re.compile(r"[-+]?[0-9]+")
-_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
 
 
 class GraphParseError(ValueError):
@@ -36,22 +32,17 @@ class GraphParseError(ValueError):
 
 
 def _significant_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line
 
 
-def _number(token: str, what: str, line_no: int, pattern=_INTEGER, convert=int):
-    """token converted, if it is in the grammar; "1/0" and more digits than
-    int() converts are parse errors too."""
+def _number(token: str, what: str, line_no: int, integer: bool = True):
     try:
-        if pattern.fullmatch(token):
-            return convert(token)
-    except (ValueError, ZeroDivisionError):
-        pass
-    kind = "an integer" if convert is int else "a rational literal"
-    raise GraphParseError(line_no, f"{what} {token!r} is not {kind}")
+        return _literal(token, integer)
+    except ValueError as exc:
+        raise GraphParseError(line_no, f"{what} {exc}") from None
 
 
 def _parse_vertex(token: str, n: int, line_no: int) -> int:
@@ -85,7 +76,7 @@ def parse_graph(text: str) -> AnyGraph:
         v = _parse_vertex(parts[1], n, line_no)
         if u == v:
             raise GraphValidationError(f"line {line_no}: self-loop at vertex {u + 1}")
-        instances.append((u, v, _number(parts[2], "weight", line_no, _RATIONAL, Fraction)))
+        instances.append((u, v, _number(parts[2], "weight", line_no, integer=False)))
     if directed:
         return Multidigraph(n, tuple(instances))
     return Multigraph(n, tuple(instances))

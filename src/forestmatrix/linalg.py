@@ -10,6 +10,7 @@ x are interpolated exactly from the kernel's values at x = 0, 1, 2, ...
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,18 +34,41 @@ class SingularMatrixError(ZeroDivisionError):
     """An exact inverse was requested for a matrix with zero determinant."""
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and exact literal strings ("3", "1/2", "0.25").
+# The one grammar for numbers given as text: graph-file tokens, CLI flags and
+# as_rational strings. Digits are ASCII, "_" is refused, and each digit run is
+# capped at 4300 digits (CPython's default int/str limit, which cli.main lifts).
+_DIGITS = "[0-9]{1,4300}"
+_INTEGER = re.compile(rf"[-+]?{_DIGITS}")
+_RATIONAL = re.compile(
+    rf"[-+]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.[0-9]{{0,4300}})?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?)"
+)
 
-    Floats are refused: a binary float is almost never the number the caller
-    wrote down, and silently converting one would poison exact results.
+
+def _literal(text: str, integer: bool = False):
+    """The int (if `integer`) or Fraction that `text` spells; ValueError outside the grammar."""
+    if (_INTEGER if integer else _RATIONAL).fullmatch(text):
+        try:
+            return int(text) if integer else Fraction(text)
+        except ZeroDivisionError:  # "1/0"
+            pass
+    raise ValueError(f"{text!r} is not {'an integer' if integer else 'a rational literal'}")
+
+
+def as_rational(value) -> Fraction:
+    """Coerce ints, Fractions and strings in the literal grammar ("3", "1/2", "0.25").
+
+    Other strings raise ValueError. Floats are refused: a binary float is
+    almost never the number the caller wrote down, and silently converting
+    one would poison exact results.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing inexact float {value!r}; pass an int, Fraction or string"
         )
-    if type(value) is Fraction:
-        return value
+    if isinstance(value, str):
+        return _literal(value)
     return Fraction(value)
 
 

@@ -49,6 +49,20 @@ class TestParseGraph:
         g = parse_graph(text)
         assert g.n == 3 and len(g.edges) == 2
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+    def test_lines_end_only_at_lf(self, sep):
+        # str.splitlines() would also break here and read "2 3 5" as an edge
+        g = parse_graph(f"graph undirected 3\n1 2 1\n# note{sep}2 3 5\n")
+        assert g.edges == ((0, 1, F(1)),)
+
+    @pytest.mark.parametrize("sep", ["\f", "\r", "\u2028"])
+    def test_cli_reads_lines_to_lf_only(self, capsys, tmp_path, sep):
+        one = tmp_path / "one.graph"
+        one.write_bytes(b"graph undirected 3\n1 2 1\n")
+        odd = tmp_path / "odd.graph"
+        odd.write_bytes(f"graph undirected 3\n1 2 1\n# note{sep}2 3 5\n".encode())
+        assert run_cli(capsys, "laplacian", str(odd)) == run_cli(capsys, "laplacian", str(one))
+
     def test_missing_header(self):
         with pytest.raises(GraphParseError):
             parse_graph("1 2 1\n")
@@ -291,6 +305,33 @@ class TestExitCodes:
 
     def test_bad_lambda_is_2(self, capsys, edge_file):
         assert run_cli(capsys, "det", edge_file, "--lambda", "nope")[0] == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("det", "--lambda"), ("forest-matrix", "--lambda"), ("accessibility", "--lambda"),
+        ("cofactor", "--lambda"), ("cofactor", "--from"), ("cofactor", "--to"),
+        ("cofactor-poly", "--from"), ("cofactor-poly", "--to"), ("enumerate", "--from"),
+        ("enumerate", "--to"), ("enumerate", "--roots"), ("enumerate", "--max-enum"),
+        ("verify", "--max-enum"),
+    ])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_out_of_grammar_flag_is_2(self, capsys, edge_file, command, flag, value):
+        # int() and Fraction() take non-ASCII digits and "_" (Fraction() from
+        # Python 3.11 on); every numeric flag reads the graph file's grammar
+        pair = command.startswith("cofactor") or flag in ("--from", "--to")
+        flags = {"--from": "1", "--to": "2"} if pair else {}
+        flags[flag] = f"1, {value}" if flag == "--roots" else value
+        code = main([command, edge_file, *(x for item in flags.items() for x in item)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"error: {flag} " in captured.err
+
+    @pytest.mark.parametrize("lam, det", [
+        ("1/2", F(5, 4)), ("+2", F(8)), ("0.25", F(9, 16)), ("1e3", F(1_002_000)),
+    ])
+    def test_lambda_grammar(self, capsys, edge_file, lam, det):
+        # det [[l + 1, -1], [-1, l + 1]] = l**2 + 2l
+        code, payload = run_json(capsys, "det", edge_file, "--lambda", lam)
+        assert code == 0 and F(payload["detW"]) == det
 
     def test_float_mode_on_verify_is_2(self, capsys, k3_file):
         assert run_cli(capsys, "verify", k3_file, "--mode", "float")[0] == 2
@@ -550,9 +591,68 @@ class TestFloatMode:
         assert code == 0 and payload["detW"] == str(10**800 + 2 * 10**400)
 
 
-def test_exact_cli_import_leaves_numpy_unloaded():
+def _child_env(**extra):
     src = str(Path(forestmatrix.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    return {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra}
+
+
+def _cli_child(argv, **extra):
+    cmd = [sys.executable, "-m", "forestmatrix.cli", *argv]
+    return subprocess.run(cmd, env=_child_env(**extra), capture_output=True)
+
+
+class TestDigitLimit:
+    """Python's int/str digit limit (4300 by default, PYTHONINTMAXSTRDIGITS)
+    decides neither what parses nor what prints."""
+
+    LOW = {"PYTHONINTMAXSTRDIGITS": "640"}
+
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        p = tmp_path / "big.graph"
+        p.write_text("graph undirected 2\n1 2 1e5000\n", encoding="utf-8")
+        return str(p)
+
+    def test_long_exact_result_prints_the_same_under_any_limit(self, big_file):
+        plain, low = _cli_child(["det", big_file]), _cli_child(["det", big_file], **self.LOW)
+        assert (plain.returncode, low.returncode) == (0, 0), low.stderr
+        assert json.loads(plain.stdout)["detW"] == "2" + "0" * 4999 + "1"
+        assert low.stdout == plain.stdout
+
+    @pytest.mark.parametrize("line, code", [
+        ("1 2 " + "7" * 4300, 0),
+        ("1 2 " + "7" * 4301, 1),
+        ("1" * 4300 + " 2 1", 2),
+        ("1" * 4301 + " 2 1", 1),
+    ])
+    def test_digit_run_bound_is_the_grammar(self, tmp_path, line, code):
+        p = tmp_path / "run.graph"
+        p.write_text(f"graph undirected 2\n{line}\n", encoding="utf-8")
+        for extra in ({}, self.LOW):
+            done = _cli_child(["det", str(p)], **extra)
+            assert done.returncode == code, (extra, done.stderr[-200:])
+            assert bool(done.stdout) == (code == 0)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_main_restores_the_limit(self, capsys, big_file):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["det", big_file]) == 0
+            assert sys.get_int_max_str_digits() == 640
+            assert main(["det", big_file, "--lambda", "1_0"]) == 2
+            assert sys.get_int_max_str_digits() == 640
+            with pytest.raises(SystemExit):
+                main(["det"])  # argparse exits: no path given
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert json.loads(capsys.readouterr().out)["detW"] == "2" + "0" * 4999 + "1"
+
+
+def test_exact_cli_import_leaves_numpy_unloaded():
+    env = _child_env()
     code = "import sys, forestmatrix.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

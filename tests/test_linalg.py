@@ -9,6 +9,7 @@ from forestmatrix import (
     Polynomial,
     SingularMatrixError,
     SquareMatrix,
+    as_rational,
     forest_det,
     forest_matrix,
     graph_matrix,
@@ -27,6 +28,24 @@ F = Fraction
 M2 = SquareMatrix(((2, -1), (-1, 2)))
 M3 = SquareMatrix(((3, -1, -1), (-1, 3, -1), (-1, -1, 3)))
 K3_LAP = SquareMatrix(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+
+
+class TestAsRational:
+    @pytest.mark.parametrize("text, value", [
+        ("2/4", F(1, 2)), ("0.25", F(1, 4)), ("-3", F(-3)), ("1e3", F(1000)), ("+.5", F(1, 2)),
+        ("9" * 4300, F(10**4300 - 1)), ("1/" + "1" * 4300, F(9, 10**4300 - 1)),
+        ("1." + "0" * 4300, F(1)), ("1e" + "0" * 4299 + "2", F(100)),
+    ])
+    def test_grammar(self, text, value):
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_0", "\u0661", "9" * 4301, "1/" + "1" * 4301, "1." + "0" * 4301, "1e" + "0" * 4301,
+        " 1", "1/0", "1/-2", "0x3", "", "inf", "nan",
+    ])
+    def test_outside_grammar_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            as_rational(text)
 
 
 def random_matrix(rng, n, pool=WEIGHT_POOL):

@@ -3,6 +3,7 @@ oracle side is perturbed, and the oracle table must match independent totals."""
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -124,6 +125,30 @@ class TestMutations:
 
         monkeypatch.setattr(oracle, "enum_paths", perturbed)
         assert failing(graph) == {"path-expansion-cofactors"}
+
+    @pytest.mark.parametrize("field", ["coeffs", "signed", "by_roots", "by_count"])
+    def test_merged_table_field(self, graph, monkeypatch, field):
+        # one filtered total of the merged graph is off by one; the merge check
+        # compares every total, not only the pair table
+        original = verify._tabulate
+
+        def bump(x):
+            return [x[0] + 1, *x[1:]] if isinstance(x, list) else x + 1
+
+        def perturbed(host, forests):
+            table = original(host, forests)
+            if host is graph:
+                return table
+            totals = getattr(table, field)
+            if isinstance(totals, dict):
+                key = next(iter(totals))
+                totals = {**totals, key: bump(totals[key])}
+            else:
+                totals = bump(totals)
+            return replace(table, **{field: totals})
+
+        monkeypatch.setattr(verify, "_tabulate", perturbed)
+        assert failing(graph) == {"parallel-merge-invariance"}
 
 
 class TestEmptyGraph:
