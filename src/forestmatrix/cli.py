@@ -70,6 +70,7 @@ _FLOAT_COMMANDS = {"laplacian", "forest-matrix", "det", "cofactor", "accessibili
 _ERROR_EXITS = {
     GraphParseError: EXIT_PARSE,
     OSError: EXIT_PARSE,
+    UnicodeDecodeError: EXIT_PARSE,  # a graph file that is not UTF-8
     GraphValidationError: EXIT_VALIDATION,
     SingularMatrixError: EXIT_SINGULAR,
     GuardExceededError: EXIT_GUARD,
@@ -104,7 +105,7 @@ def _run(argv) -> int:
             graph = _load(args)
             code, payload = args.handler(args, graph)
     except tuple(_ERROR_EXITS) as exc:
-        reading = "cannot read input: " if isinstance(exc, OSError) else ""
+        reading = "cannot read input: " if isinstance(exc, (OSError, UnicodeDecodeError)) else ""
         print(f"error: {reading}{exc}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
     except OverflowError:  # a float-mode input beyond binary64

@@ -4,8 +4,10 @@ Every scalar is a `fractions.Fraction`, so results are exact and canonical.
 All determinant-derived quantities share one integer kernel: the matrix is
 scaled to integers once (each row by the lcm of its denominators) and reduced
 by fraction-free Bareiss elimination (Bareiss 1968), forward for determinants
-and cofactors, and as Gauss-Jordan on [A | I] for the inverse. Polynomials in
-x are interpolated exactly from the kernel's values at x = 0, 1, 2, ...
+and cofactors, and as Gauss-Jordan on [A | I] for the inverse and adjugate.
+Polynomials in x are interpolated exactly, in Newton form, through the
+kernel's values at integer shifts x = 0, 1, 2, ..., singular shifts skipped
+where an adjugate is needed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, lcm, prod
+from itertools import combinations, count, islice
+from math import lcm, prod
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "Rational",
@@ -163,27 +165,34 @@ def _shifted(rows: list[list[int]], mults: list[int], x: int) -> list[list[int]]
     return shifted
 
 
-def _interpolated(values: list[int], scale: int) -> Polynomial:
-    """The polynomial p with p(x) = values[x] / scale for x = 0, 1, ..., len(values) - 1.
+def _nonsingular(rows: list[list[int]], mults: list[int], shifts: Iterable[int]):
+    """(x, det, adj) for each shift x at which the scaled rows B of M + x*I are nonsingular,
+    from one Gauss-Jordan elimination of [B | I] per shift (det B * B**-1 = adj B)."""
+    n = len(rows)
+    for x in shifts:
+        aug = [row + [int(r == c) for c in range(n)] for r, row in enumerate(_shifted(rows, mults, x))]
+        d = _bareiss(aug, jordan=True)
+        if d:
+            yield x, d, [row[n:] for row in aug]
 
-    The values must come from a polynomial with integer coefficients (a
-    determinant of integer rows shifted by integer multiples of x), so each
-    Newton coefficient, the k-th forward difference at 0 over k!, is an
-    integer and the division is exact.
+
+def _interpolated(nodes: Sequence[int], values: list[int], scale: int, terms=None) -> tuple[Fraction, ...]:
+    """The lowest `terms` (default all) coefficients, constant term first, of the
+    p with p(nodes[k]) = values[k] / scale, from its Newton form; terms=1 is
+    Horner's rule for p(0). The nodes are distinct integers and scale * p must
+    have integer coefficients (a determinant of integer rows shifted by integer
+    multiples of x), so every divided difference is an integer and each // exact.
     """
-    newton = []
-    diffs = values
-    for k in range(len(values)):
-        newton.append(diffs[0] // factorial(k))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    coeffs = [newton.pop()]
-    for k in reversed(range(len(newton))):  # coeffs * (x - k) + newton[k]
-        coeffs = (
-            [newton[k] - k * coeffs[0]]
-            + [a - k * b for a, b in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    return Polynomial(tuple(Fraction(c, scale) for c in coeffs))
+    newton, diffs = [], values
+    for k in range(1, len(values) + 1):
+        newton.append(diffs[0])
+        diffs = [(b - a) // (y - x) for a, b, x, y in zip(diffs, diffs[1:], nodes, nodes[k:])]
+    coeffs: list[int] = []
+    for node, c in zip(reversed(nodes), reversed(newton)):  # coeffs * (x - node) + c
+        coeffs = [c, *coeffs[:terms]]
+        for e in range(len(coeffs) - 1):
+            coeffs[e] -= node * coeffs[e + 1]
+    return tuple(Fraction(c, scale) for c in coeffs[:terms])
 
 
 @dataclass(frozen=True)
@@ -280,20 +289,26 @@ class SquareMatrix:
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
 
-        Built from the n**2 signed minors of one integer scaling, so it is
-        defined for singular matrices too.
+        One Gauss-Jordan elimination of the scaled rows B gives adj B if det B
+        != 0. Otherwise each entry of adj(B + x*D), D the row scales, is an
+        integer polynomial of degree below n, taken at the first n shifts
+        x = 1, 2, ... with det(B + x*D) != 0 (at most n are skipped: that
+        determinant has degree n) and interpolated back to x = 0.
         """
         n = self.n
         if n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
         rows, mults = _integer_rows(self.entries)
-        scale = prod(mults)
-        return SquareMatrix(
-            tuple(
-                tuple(Fraction(_signed_minor(rows, j, i), scale // mults[j]) for j in range(n))
-                for i in range(n)
-            )
-        )
+        scales = [prod(mults) // m for m in mults]
+        found = _nonsingular(rows, mults, count())
+        shift, d, adj = next(found)
+        if not shift:
+            return SquareMatrix(tuple(tuple(Fraction(a, s) for a, s in zip(row, scales)) for row in adj))
+        nodes, _, adjs = zip((shift, d, adj), *islice(found, n - 1))
+        return SquareMatrix(tuple(
+            tuple(_interpolated(nodes, [a[i][j] for a in adjs], s, terms=1)[0] for j, s in enumerate(scales))
+            for i in range(n)
+        ))
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse by fraction-free Gauss-Jordan elimination of [A | I].
@@ -303,16 +318,12 @@ class SquareMatrix:
         multiplied by the column's row scale (self**-1 = A**-1 * diag(scales)).
         Raises SingularMatrixError when det == 0.
         """
-        n = self.n
         rows, mults = _integer_rows(self.entries)
-        for r, row in enumerate(rows):
-            row.extend(int(r == c) for c in range(n))
-        d = _bareiss(rows, jordan=True)
-        if d == 0:
-            raise SingularMatrixError("matrix is singular")
-        return SquareMatrix(
-            tuple(tuple(Fraction(x * m, d) for x, m in zip(row[n:], mults)) for row in rows)
-        )
+        for _, d, adj in _nonsingular(rows, mults, (0,)):
+            return SquareMatrix(
+                tuple(tuple(Fraction(x * m, d) for x, m in zip(row, mults)) for row in adj)
+            )
+        raise SingularMatrixError("matrix is singular")
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""
@@ -335,7 +346,7 @@ class SquareMatrix:
         """
         rows, mults = _integer_rows(self.entries)
         values = [_bareiss(_shifted(rows, mults, x)) for x in range(self.n + 1)]
-        return _interpolated(values, prod(mults))
+        return Polynomial(_interpolated(range(self.n + 1), values, prod(mults)))
 
     def cofactor_poly(self, i: int, j: int) -> Polynomial:
         """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term first.
@@ -346,7 +357,18 @@ class SquareMatrix:
         self._check_index(i, j)
         rows, mults = _integer_rows(self.entries)
         values = [_signed_minor(_shifted(rows, mults, x), i, j) for x in range(self.n)]
-        return _interpolated(values, prod(mults) // mults[i])
+        return Polynomial(_interpolated(range(self.n), values, prod(mults) // mults[i]))
+
+    def _cofactor_polys(self) -> list[list[Polynomial]]:
+        """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
+        the scaled rows at the first n shifts x = 0, 1, ... where det(self + x*I) != 0."""
+        rows, mults = _integer_rows(self.entries)
+        found = list(islice(_nonsingular(rows, mults, count()), self.n))
+        nodes, scale = [x for x, _, _ in found], prod(mults)
+        return [
+            [Polynomial(_interpolated(nodes, [a[j][i] for _, _, a in found], scale // m)) for j in range(self.n)]
+            for i, m in enumerate(mults)
+        ]
 
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.n and 0 <= j < self.n):

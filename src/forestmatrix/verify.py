@@ -40,7 +40,7 @@ from .oracle import DEFAULT_GUARD, Guard, GuardExceededError
 
 __all__ = ["CheckResult", "run_all_checks"]
 
-# Never interpolation nodes (those are 0, 1, ..., n), so evaluating the
+# Never interpolation nodes (nonnegative integers up to 2n), so evaluating the
 # interpolated polynomials here tests them instead of passing by construction.
 EVAL_POINTS = (-1, -2, Fraction(1, 2), Fraction(-3, 2))
 
@@ -296,9 +296,8 @@ def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
 def _check_polys(name, matrix, points, column, detail) -> CheckResult:
     adjs = [forest_matrix(matrix, lam).adjugate() for lam in points]
     ok = True
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            poly = matrix.cofactor_poly(i, j)
+    for i, row in enumerate(matrix._cofactor_polys()):
+        for j, poly in enumerate(row):
             ok = ok and list(poly.coeffs) == column[(i, j)]
             for lam, adj in zip(points, adjs):
                 ok = ok and poly.evaluate(lam) == adj.entries[j][i]

@@ -2,7 +2,9 @@
 
 The checkers and determinants here deliberately avoid the package's own
 algorithms (no union-find subset filtering, no Bareiss) so that agreement
-between the two sides actually means something.
+between the two sides actually means something. The one exception is
+minor_adjugate, which takes each minor by the package's forward determinant
+to check the adjugate's Gauss-Jordan and interpolation route.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def fraction_graph_matrix(graph) -> SquareMatrix:
             m[u][u] += w
             m[v][v] += w
     return SquareMatrix(tuple(map(tuple, m)))
+
+
+def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:
+    """Adjugate entry by entry: adj[i][j] is the signed minor of (j, i), each minor
+    a separate forward determinant (no Gauss-Jordan, no interpolation)."""
+    n = matrix.n
+    rows = matrix.entries
+
+    def cofactor(i, j):
+        minor = tuple(row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i)
+        return (-1) ** (i + j) * SquareMatrix(minor).det()
+
+    return SquareMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
 
 
 def fraction_horner(coeffs, x: Fraction) -> Fraction:

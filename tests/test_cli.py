@@ -292,6 +292,15 @@ class TestExitCodes:
     def test_missing_file_is_1(self, capsys, tmp_path):
         assert run_cli(capsys, "det", str(tmp_path / "nope.graph"))[0] == 1
 
+    def test_not_utf8_is_1(self, capsys, tmp_path):
+        p = tmp_path / "latin1.graph"
+        p.write_bytes(b"graph undirected 2\n1 2 \xff\n")
+        code = main(["det", str(p)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: cannot read input: ")
+        assert captured.err.count("\n") == 1
+
     def test_validation_error_is_2(self, capsys, tmp_path):
         p = tmp_path / "loop.graph"
         p.write_text("graph undirected 2\n1 1 1\n", encoding="utf-8")

@@ -13,12 +13,14 @@ from forestmatrix import (
     forest_det,
     forest_matrix,
     graph_matrix,
+    linalg,
 )
 from helpers import (
     POSITIVE_POOL,
     WEIGHT_POOL,
     fraction_horner,
     leibniz_det,
+    minor_adjugate,
     random_multidigraph,
     random_multigraph,
 )
@@ -128,6 +130,64 @@ class TestAdjugate:
         rng = random.Random(3)
         m = SquareMatrix.identity(13).scaled(5) + random_matrix(rng, 13, pool=(F(0), F(1)))
         assert m @ m.adjugate() == SquareMatrix.identity(13).scaled(m.det())
+
+
+def staircase(rng, n):
+    """diag(0, -1, ..., 1 - n) plus a random strict upper part: det(x*I + m) has
+    the roots x = 0, 1, ..., n - 1, so the first n nonnegative shifts are singular."""
+    return SquareMatrix(tuple(
+        tuple(-r if r == c else rng.choice(WEIGHT_POOL) if c > r else 0 for c in range(n))
+        for r in range(n)
+    ))
+
+
+def adjugate_cases():
+    """Seeded matrices, n = 1..7: random, with a duplicate row, undirected and
+    directed graph Laplacians (all singular), and staircases."""
+    rng = random.Random(59)
+    cases = []
+    for n in range(1, 8):
+        m = random_matrix(rng, n)
+        cases += [m, SquareMatrix(m.entries[:-1] + m.entries[:1]), staircase(rng, n)]
+        if n > 1:
+            cases += [graph_matrix(random_multigraph(rng, n, n, 2 * n)),
+                      graph_matrix(random_multidigraph(rng, n, n, 2 * n))]
+    return cases
+
+
+class TestAdjugateKernel:
+    """adjugate and the cofactor-polynomial grid come from Gauss-Jordan eliminations
+    at nonsingular shifts; each must equal its entry-by-entry route."""
+
+    def test_cases_cover_singular_and_nonsingular(self):
+        dets = [m.det() for m in adjugate_cases()]
+        assert sum(d == 0 for d in dets) >= 25 and sum(d != 0 for d in dets) >= 5
+
+    def test_adjugate_matches_signed_minors(self):
+        for m in adjugate_cases():
+            assert m.adjugate() == minor_adjugate(m)
+
+    def test_cofactor_polys_match_per_pair(self):
+        for m in adjugate_cases():
+            grid = [[m.cofactor_poly(i, j) for j in range(m.n)] for i in range(m.n)]
+            assert m._cofactor_polys() == grid
+
+    def test_first_shifts_singular(self):
+        # shifts 0, 1 and 2 are singular, so the nodes start at 3
+        m = SquareMatrix(((0, 1, F(1, 2)), (0, -1, 2), (0, 0, -2)))
+        assert m.adjugate() == minor_adjugate(m) == SquareMatrix(((2, 2, F(5, 2)), (0, 0, 0), (0, 0, 0)))
+        assert m._cofactor_polys()[0][0].coeffs == (2, -3, 1)
+
+    def test_empty_grid(self):
+        assert SquareMatrix(())._cofactor_polys() == []
+
+    def test_interpolated_at_non_consecutive_nodes(self):
+        # 6 * p(x) = 7 - 3x + 2x**3, through four distinct nodes out of order
+        nodes = [5, -2, 9, 0]
+        values = [7 - 3 * x + 2 * x**3 for x in nodes]
+        assert linalg._interpolated(nodes, values, 6) == (F(7, 6), F(-1, 2), 0, F(1, 3))
+        assert linalg._interpolated(nodes, values, 6, terms=1) == (F(7, 6),)
+        assert linalg._interpolated([3], [12], 4) == (3,)
 
 
 class TestInverse:

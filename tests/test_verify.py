@@ -18,6 +18,8 @@ from forestmatrix import (
     SquareMatrix,
     enum_diverging_forests,
     enum_rooted_forests,
+    graph_matrix,
+    linalg,
     merge_parallel,
     oracle,
     run_all_checks,
@@ -58,13 +60,14 @@ def detail(graph, name: str) -> str:
 
 
 def perturb_pair(fn, pair=(1, 2)):
-    """fn, except that coefficient 0 of the polynomial for one (i, j) pair is off by one."""
+    """fn, except that coefficient 0 of the polynomial for one (i, j) pair of its grid is off by one."""
 
-    def perturbed(owner, i, j):
-        poly = fn(owner, i, j)
-        if (i, j) != pair:
-            return poly
-        return Polynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+    def perturbed(owner):
+        grid = fn(owner)
+        i, j = pair
+        poly = grid[i][j]
+        grid[i][j] = Polynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+        return grid
 
     return perturbed
 
@@ -78,9 +81,9 @@ def graph(request):
 
 class TestMutations:
     def test_cofactor_poly(self, graph, monkeypatch):
-        # verify takes both polynomial families from this one method, of L and of -L
+        # verify takes both polynomial families from this one grid, of L and of -L
         monkeypatch.setattr(
-            SquareMatrix, "cofactor_poly", perturb_pair(SquareMatrix.cofactor_poly)
+            SquareMatrix, "_cofactor_polys", perturb_pair(SquareMatrix._cofactor_polys)
         )
         assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
@@ -216,6 +219,34 @@ class TestWorkCounts:
         monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted)
         run_all_checks(graph)
         assert len(built) == 2**n + sum(comb(n, k) for k in range(n - 1)) == 27
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_eliminations_per_adjugate(self, monkeypatch, n):
+        # one Gauss-Jordan per nonsingular adjugate or inverse, at most 2n + 1 per
+        # singular adjugate, n plus the skipped singular shifts for the grid of
+        # cofactor polynomials; entry-by-entry minors would take n**2 each
+        calls = []
+        original = linalg._bareiss
+
+        def counted(rows, jordan=False):
+            calls.append(jordan)
+            return original(rows, jordan)
+
+        def eliminations(method):
+            calls.clear()
+            method()
+            return len(calls)
+
+        monkeypatch.setattr(linalg, "_bareiss", counted)
+        regular = SquareMatrix.identity(n).scaled(n) + SquareMatrix(((1,) * n,) * n)
+        lap = graph_matrix(Multigraph(n, tuple((v, v + 1, 1) for v in range(n - 1))))
+        stair = SquareMatrix(tuple(tuple(-r if r == c else int(c > r) for c in range(n)) for r in range(n)))
+        assert eliminations(regular.adjugate) == eliminations(regular.inverse) == 1
+        assert eliminations(lap.adjugate) == n + 1  # only x = 0 is singular
+        assert eliminations(stair.adjugate) == 2 * n  # x = 0, 1, ..., n - 1 are singular
+        assert eliminations(regular._cofactor_polys) == n
+        assert eliminations(stair._cofactor_polys) == 2 * n
+        assert all(calls)
 
     def test_merge_invariance_counts_merged_forests(self, graph):
         merged = merge_parallel(graph)
