@@ -24,7 +24,7 @@ from .forest import (
     path_expansion_cofactor,
     signed_cofactor_poly,
 )
-from .graphfile import GraphParseError, format_graph, parse_graph
+from .graphfile import GraphParseError, parse_graph
 from .graphs import (
     Arc,
     Edge,
@@ -35,12 +35,10 @@ from .graphs import (
     kirchhoff,
     laplacian,
     merge_parallel,
-    reverse,
     to_bidirected,
 )
 from .linalg import (
     Polynomial,
-    Rational,
     SingularMatrixError,
     SquareMatrix,
     as_rational,

@@ -3,7 +3,9 @@
 Reads a graph file, runs one operation, prints a deterministic JSON (default)
 or TSV document. Exact mode serializes every value, at any length, as an
 integer or "p/q" string; float mode emits binary64 numbers and exists for
-large instances only, it never backs `verify`. numpy is imported by
+large instances only, it never backs `verify`. The six float commands call the
+same function names in either mode: `_backend` picks `forest` or its binary64
+mirror `floatops`, and `_out` renders what comes back. numpy is imported by
 float-mode commands only.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
@@ -16,27 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .forest import (
-    SingularForestMatrixError,
-    accessibility,
-    charpoly_forest_coeffs,
-    cofactor_poly,
-    forest_cofactor,
-    forest_det,
-    forest_matrix_report,
-    graph_matrix,
-    signed_cofactor_poly,
-)
+from . import forest
+from .forest import cofactor_poly, signed_cofactor_poly
 from .graphfile import GraphParseError, parse_graph
 from .graphs import AnyGraph, GraphValidationError, Multidigraph
-from .linalg import SingularMatrixError, SquareMatrix, _literal
+from .linalg import Polynomial, SingularMatrixError, SquareMatrix, _literal
 from .oracle import (
     DEFAULT_GUARD,
     Guard,
@@ -108,11 +100,9 @@ def _run(argv) -> int:
         reading = "cannot read input: " if isinstance(exc, (OSError, UnicodeDecodeError)) else ""
         print(f"error: {reading}{exc}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
-    except OverflowError:  # a float-mode input beyond binary64
+    except OverflowError:  # a float-mode input beyond binary64, or a result _out refused
         if args.mode != "float":
             raise
-        payload = None
-    if args.mode == "float" and (payload is None or not all(map(_finite, payload.values()))):
         print(
             f"error: a float input or result of '{args.command}' is beyond binary64, "
             "infinite or NaN; use --mode exact for the exact value",
@@ -237,100 +227,66 @@ def _guard(args) -> Guard:
     return Guard(max(limit, DEFAULT_GUARD.max_vertices), max(limit, DEFAULT_GUARD.max_instances))
 
 
-def _matrix_out(matrix: SquareMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in matrix.entries]
+def _backend(args):
+    """The module that computes a float command: `forest`, or in float mode its
+    binary64 mirror `floatops`, imported only then so exact mode never loads numpy."""
+    if args.mode == "float":
+        from . import floatops
+        return floatops
+    return forest
 
 
-def _finite(value) -> bool:
-    """False if a float payload value, or a list or matrix of them, holds inf or NaN."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            return all(map(_finite, value))
-        return all(map(math.isfinite, value))
-    return True
+def _out(value):
+    """A payload value: an exact scalar as a string, an exact matrix or polynomial as
+    lists of them; a float value (numpy scalar or array) as floats, or OverflowError
+    if any of them is infinite or NaN."""
+    if isinstance(value, SquareMatrix):
+        return [[str(x) for x in row] for row in value.entries]
+    if isinstance(value, Polynomial):
+        return [str(c) for c in value.coeffs]
+    if isinstance(value, Fraction):
+        return str(value)
+    import numpy
+    array = numpy.asarray(value, dtype=float)
+    if not numpy.isfinite(array).all():
+        raise OverflowError("float result is infinite or NaN")
+    return array.tolist()
 
 
 # -- command handlers --------------------------------------------------------
 
 
 def _cmd_laplacian(args, graph: AnyGraph):
-    if args.mode == "float":
-        from . import floatops
-        rows = floatops.graph_matrix_array(graph).tolist()
-    else:
-        rows = _matrix_out(graph_matrix(graph))
-    return EXIT_OK, {"matrix": rows}
+    return EXIT_OK, {"matrix": _out(_backend(args).graph_matrix(graph))}
 
 
 def _cmd_forest_matrix(args, graph: AnyGraph):
-    lam = _lam(args)
-    if args.mode == "float":
-        import numpy
-        from . import floatops
-        arr = floatops.forest_matrix_array(graph, float(lam))
-        payload = {
-            "lambda": float(lam),
-            "matrix": arr.tolist(),
-            "detW": float(numpy.linalg.det(arr)),
-        }
-    else:
-        report = forest_matrix_report(graph, lam)
-        payload = {
-            "lambda": str(report.lam),
-            "matrix": _matrix_out(report.matrix),
-            "detW": str(report.det),
-        }
-    return EXIT_OK, payload
+    report = _backend(args).forest_matrix_report(graph, _lam(args))
+    return EXIT_OK, {
+        "lambda": _out(report.lam),
+        "matrix": _out(report.matrix),
+        "detW": _out(report.det),
+    }
 
 
 def _cmd_det(args, graph: AnyGraph):
-    lam = _lam(args)
-    if args.mode == "float":
-        from . import floatops
-        value = floatops.det_value(graph, float(lam))
-    else:
-        value = str(forest_det(graph, lam))
-    return EXIT_OK, {"detW": value}
+    return EXIT_OK, {"detW": _out(_backend(args).forest_det(graph, _lam(args)))}
 
 
 def _cmd_cofactor(args, graph: AnyGraph):
     lam = _lam(args)
     i = _vertex(args.from_vertex, graph, "--from")
     j = _vertex(args.to_vertex, graph, "--to")
-    if args.mode == "float":
-        from . import floatops
-        value = floatops.cofactor_value(graph, i, j, float(lam))
-    else:
-        value = str(forest_cofactor(graph, i, j, lam))
-    return EXIT_OK, {"i": i + 1, "j": j + 1, "cofactor": value}
+    value = _backend(args).forest_cofactor(graph, i, j, lam)
+    return EXIT_OK, {"i": i + 1, "j": j + 1, "cofactor": _out(value)}
 
 
 def _cmd_accessibility(args, graph: AnyGraph):
-    lam = _lam(args)
-    if args.mode == "float":
-        import numpy
-        from . import floatops
-        try:
-            rows = floatops.accessibility_array(graph, float(lam)).tolist()
-        except numpy.linalg.LinAlgError:
-            raise SingularForestMatrixError(
-                f"W = lambda*I + L is numerically singular at lambda = {lam}; "
-                "the accessibility matrix does not exist"
-            ) from None
-    else:
-        rows = _matrix_out(accessibility(graph, lam).matrix)
-    return EXIT_OK, {"matrix": rows}
+    return EXIT_OK, {"matrix": _out(_backend(args).accessibility(graph, _lam(args)).matrix)}
 
 
 def _cmd_charpoly(args, graph: AnyGraph):
-    if args.mode == "float":
-        from . import floatops
-        coeffs = [float(c) for c in floatops.charpoly_coeffs(graph)]
-    else:
-        coeffs = [str(c) for c in charpoly_forest_coeffs(graph).coeffs]
-    return EXIT_OK, {"coeffs": coeffs}
+    return EXIT_OK, {"coeffs": _out(_backend(args).charpoly_forest_coeffs(graph))}
 
 
 def _cmd_cofactor_poly(args, graph: AnyGraph):
@@ -341,7 +297,7 @@ def _cmd_cofactor_poly(args, graph: AnyGraph):
         "i": i + 1,
         "j": j + 1,
         "signed": bool(args.signed),
-        "coeffs": [str(c) for c in poly.coeffs],
+        "coeffs": _out(poly),
     }
 
 

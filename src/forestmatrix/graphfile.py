@@ -20,7 +20,7 @@ from __future__ import annotations
 from .graphs import AnyGraph, GraphValidationError, Multidigraph, Multigraph
 from .linalg import _literal
 
-__all__ = ["GraphParseError", "parse_graph", "format_graph"]
+__all__ = ["GraphParseError", "parse_graph"]
 
 
 class GraphParseError(ValueError):
@@ -80,12 +80,3 @@ def parse_graph(text: str) -> AnyGraph:
     if directed:
         return Multidigraph(n, tuple(instances))
     return Multigraph(n, tuple(instances))
-
-
-def format_graph(graph: AnyGraph) -> str:
-    """Serialize a graph back to the file format (parse(format(g)) == g)."""
-    directed = isinstance(graph, Multidigraph)
-    lines = [f"graph {'directed' if directed else 'undirected'} {graph.n}"]
-    for a, b, w in graph.instances:
-        lines.append(f"{a + 1} {b + 1} {w}")
-    return "\n".join(lines) + "\n"

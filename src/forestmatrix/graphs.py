@@ -29,7 +29,6 @@ __all__ = [
     "kirchhoff",
     "merge_parallel",
     "contract",
-    "reverse",
     "to_bidirected",
 ]
 
@@ -194,12 +193,6 @@ def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigra
             continue
         arcs.append(Arc(relabel[t], relabel[h], w))
     return Multidigraph(digraph.n - len(merged) + 1, tuple(arcs)), relabel[anchor]
-
-
-def reverse(digraph: Multidigraph) -> Multidigraph:
-    """Flip every arc; an involution. Converging-forest quantities of a graph
-    are the diverging-forest quantities of its reverse."""
-    return Multidigraph(digraph.n, tuple(Arc(h, t, w) for t, h, w in digraph.arcs))
 
 
 def to_bidirected(graph: Multigraph) -> Multidigraph:

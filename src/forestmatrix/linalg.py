@@ -21,16 +21,11 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "SingularMatrixError",
     "SquareMatrix",
     "Polynomial",
     "as_rational",
 ]
-
-# All exact scalars in this package are plain fractions.
-Rational = Fraction
-
 
 class SingularMatrixError(ZeroDivisionError):
     """An exact inverse was requested for a matrix with zero determinant."""
@@ -212,11 +207,6 @@ class SquareMatrix:
     def identity(cls, n: int) -> "SquareMatrix":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n: int) -> "SquareMatrix":
-        zero = Fraction(0)
-        return cls(tuple((zero,) * n for _ in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -224,18 +214,6 @@ class SquareMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._same_size(other)
-        return SquareMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._same_size(other)
-        return SquareMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
-        )
 
     def __neg__(self) -> "SquareMatrix":
         return SquareMatrix(tuple(tuple(-a for a in row) for row in self.entries))
@@ -250,15 +228,8 @@ class SquareMatrix:
             )
         )
 
-    def scaled(self, factor) -> "SquareMatrix":
-        c = as_rational(factor)
-        return SquareMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
-
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(tuple(zip(*self.entries))) if self.n else self
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.entries)

@@ -87,6 +87,20 @@ cmp long.out long-640.out
 grep -q "\"detW\": \"2$(printf '0%.0s' $(seq 4999))1\"" long.out
 
 if [ "$part" = all ]; then
+  echo "every float command runs on an undirected and a directed file, in json and tsv"
+  for file in small.graph small-directed-parallel.graph; do
+    for command in laplacian forest-matrix det "cofactor --from 1 --to 2" accessibility charpoly; do
+      for output in json tsv; do
+        fm $command "$file" --mode float --output $output > /dev/null
+      done
+    done
+  done
+
+  echo "exact-only commands refuse float mode with exit 2"
+  for command in verify enumerate "cofactor-poly --from 1 --to 2"; do
+    expect 2 $command small.graph --mode float
+  done
+
   echo "float inputs beyond binary64 exit 6, and singular float accessibility exits 3"
   printf 'graph undirected 2\n1 2 1e400\n' > huge.graph
   printf 'graph undirected 3\n1 2 -1/3\n2 3 -1/3\n1 3 -1/3\n' > singular-triangle.graph

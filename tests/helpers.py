@@ -5,6 +5,11 @@ algorithms (no union-find subset filtering, no Bareiss) so that agreement
 between the two sides actually means something. The one exception is
 minor_adjugate, which takes each minor by the package's forward determinant
 to check the adjugate's Gauss-Jordan and interpolation route.
+
+Test-side references for operations the package has no caller for: diag and
+matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
+reversed_digraph (the arc flip that turns converging forests into diverging
+ones) and graph_text (the graph file that parse_graph must read back).
 """
 
 from __future__ import annotations
@@ -68,6 +73,30 @@ def fraction_graph_matrix(graph) -> SquareMatrix:
             m[u][u] += w
             m[v][v] += w
     return SquareMatrix(tuple(map(tuple, m)))
+
+
+def diag(n: int, c) -> SquareMatrix:
+    """c times the n-by-n identity; c = 0 gives the zero matrix."""
+    return SquareMatrix(tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def matrix_sum(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """Entrywise sum of two matrices of one size."""
+    assert a.n == b.n
+    return SquareMatrix(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+
+
+def reversed_digraph(digraph: Multidigraph) -> Multidigraph:
+    """Every arc flipped, instance order kept: converging-forest quantities of a
+    digraph are the diverging-forest quantities of its reverse."""
+    return Multidigraph(digraph.n, tuple((h, t, w) for t, h, w in digraph.arcs))
+
+
+def graph_text(graph) -> str:
+    """The graph as a graph file, one line per instance in order, 1-based labels."""
+    kind = "directed" if isinstance(graph, Multidigraph) else "undirected"
+    lines = [f"graph {kind} {graph.n}"] + [f"{a + 1} {b + 1} {w}" for a, b, w in graph.instances]
+    return "\n".join(lines) + "\n"
 
 
 def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:

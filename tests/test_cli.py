@@ -16,11 +16,10 @@ from forestmatrix import (
     GraphValidationError,
     Multidigraph,
     Multigraph,
-    format_graph,
     parse_graph,
 )
 from forestmatrix.cli import main
-from helpers import POSITIVE_POOL, random_multidigraph, random_multigraph
+from helpers import POSITIVE_POOL, graph_text, random_multidigraph, random_multigraph
 
 F = Fraction
 
@@ -133,15 +132,15 @@ class TestParseGraph:
     def test_round_trip_fixed(self):
         text = "graph directed 3\n1 2 1/3\n1 2 2/3\n3 1 -2\n"
         g = parse_graph(text)
-        assert parse_graph(format_graph(g)) == g
+        assert parse_graph(graph_text(g)) == g
 
     def test_round_trip_random(self):
         rng = random.Random(200)
         for _ in range(20):
             g = random_multigraph(rng)
-            assert parse_graph(format_graph(g)) == g
+            assert parse_graph(graph_text(g)) == g
             dg = random_multidigraph(rng)
-            assert parse_graph(format_graph(dg)) == dg
+            assert parse_graph(graph_text(dg)) == dg
 
 
 @pytest.fixture
@@ -504,7 +503,7 @@ class TestTsv:
 
 def write_graph(tmp_path, graph, name="g.graph"):
     p = tmp_path / name
-    p.write_text(format_graph(graph), encoding="utf-8")
+    p.write_text(graph_text(graph), encoding="utf-8")
     return str(p)
 
 

@@ -28,16 +28,18 @@ from forestmatrix import (
     matrix_tree_check,
     merge_parallel,
     path_expansion_cofactor,
-    reverse,
     set_weight,
     signed_cofactor_poly,
     weight_of,
 )
 from helpers import (
+    diag,
+    matrix_sum,
     oracle_cofactor_coeffs,
     pair_weight_table,
     random_multidigraph,
     random_multigraph,
+    reversed_digraph,
     root_set_weights,
 )
 
@@ -68,7 +70,7 @@ class TestForestMatrix:
         rng = random.Random(5)
         for g in (random_multigraph(rng), random_multidigraph(rng), Multigraph(0)):
             lap = graph_matrix(g)
-            assert forest_matrix(lap, lam) == SquareMatrix.identity(g.n).scaled(lam) + lap
+            assert forest_matrix(lap, lam) == matrix_sum(diag(g.n, lam), lap)
 
     def test_report_carries_det(self, single_edge):
         report = forest_matrix_report(single_edge, F(1, 2))
@@ -469,7 +471,7 @@ class TestConvergingDuality:
         rng = random.Random(121)
         for _ in range(10):
             dg = random_multidigraph(rng, n_max=4, max_arcs=8)
-            rev = reverse(dg)
+            rev = reversed_digraph(dg)
             rev_forests = enum_diverging_forests(rev)
             table = pair_weight_table(rev, rev_forests)
             for i in range(dg.n):

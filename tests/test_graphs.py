@@ -16,10 +16,9 @@ from forestmatrix import (
     kirchhoff,
     laplacian,
     merge_parallel,
-    reverse,
     to_bidirected,
 )
-from helpers import fraction_graph_matrix, random_multidigraph, random_multigraph
+from helpers import fraction_graph_matrix, random_multidigraph, random_multigraph, reversed_digraph
 
 F = Fraction
 
@@ -61,7 +60,7 @@ def test_integer_row_sums_match_fraction_accumulation(directed):
 def test_float_builder_equals_exact_builder(directed):
     build = kirchhoff if directed else laplacian
     for g in cancelling_graphs(directed, seed=9, pool=DYADIC_POOL):
-        array = floatops.graph_matrix_array(g)
+        array = floatops.graph_matrix(g)
         assert array.shape == (g.n, g.n)
         assert array.tolist() == [[float(x) for x in row] for row in build(g).entries]
 
@@ -211,13 +210,13 @@ class TestContract:
 class TestReverse:
     def test_single_arc(self):
         dg = Multidigraph(2, ((0, 1, 1),))
-        assert reverse(dg).arcs == (Arc(1, 0, F(1)),)
+        assert reversed_digraph(dg).arcs == (Arc(1, 0, F(1)),)
 
     def test_involution(self):
         rng = random.Random(7)
         for _ in range(20):
             dg = random_multidigraph(rng)
-            assert reverse(reverse(dg)) == dg
+            assert reversed_digraph(reversed_digraph(dg)) == dg
 
 
 class TestToBidirected:

@@ -18,6 +18,7 @@ from forestmatrix import (
 from helpers import (
     POSITIVE_POOL,
     WEIGHT_POOL,
+    diag,
     fraction_horner,
     leibniz_det,
     minor_adjugate,
@@ -120,16 +121,16 @@ class TestAdjugate:
         assert M2.adjugate() == SquareMatrix(((2, 1), (1, 2)))
 
     def test_product_identity(self):
-        assert M3 @ M3.adjugate() == SquareMatrix.identity(3).scaled(16)
+        assert M3 @ M3.adjugate() == diag(3, 16)
 
     def test_product_identity_singular(self):
         m = SquareMatrix(((1, 2), (2, 4)))
-        assert m @ m.adjugate() == SquareMatrix.zeros(2)
+        assert m @ m.adjugate() == diag(2, 0)
 
     def test_product_identity_13x13(self):
         rng = random.Random(3)
-        m = SquareMatrix.identity(13).scaled(5) + random_matrix(rng, 13, pool=(F(0), F(1)))
-        assert m @ m.adjugate() == SquareMatrix.identity(13).scaled(m.det())
+        m = forest_matrix(random_matrix(rng, 13, pool=(F(0), F(1))), 5)
+        assert m @ m.adjugate() == diag(13, m.det())
 
 
 def staircase(rng, n):
@@ -210,7 +211,7 @@ class TestInverse:
         m = SquareMatrix(((0, F(1, 2), F(1, 3)), (F(2, 5), F(-1, 2), 1), (F(3, 7), 0, 2)))
         inv = m.inverse()
         assert m @ inv == SquareMatrix.identity(3) == inv @ m
-        assert inv == m.adjugate().scaled(1 / m.det())
+        assert inv == m.adjugate() @ diag(3, 1 / m.det())
 
     def test_round_trip_random(self):
         rng = random.Random(23)
@@ -279,7 +280,7 @@ class TestSparseKernel:
         dup = SquareMatrix(((1, 0, 2), (0, 3, 0), (1, 0, 2)))
         zero_row = SquareMatrix(((1, 2, 0), (0, 0, 0), (0, 4, 5)))
         zero_col = SquareMatrix(((0, 2, 1), (0, 1, 0), (0, 4, 5)))
-        for m in (dup, zero_row, zero_col, SquareMatrix.zeros(3)):
+        for m in (dup, zero_row, zero_col, diag(3, 0)):
             self.check_against_leibniz(m)
 
     @pytest.mark.parametrize("pool", [(1, -1, 2, 3, -4), WEIGHT_POOL], ids=["integer", "rational"])
@@ -347,7 +348,7 @@ class TestDeleteRowsCols:
 
 class TestCharPoly:
     def test_zero_matrix(self):
-        assert SquareMatrix.zeros(2).char_poly().coeffs == (0, 0, 1)
+        assert diag(2, 0).char_poly().coeffs == (0, 0, 1)
 
     def test_k3_laplacian(self):
         assert K3_LAP.char_poly().coeffs == (0, 9, 6, 1)
@@ -390,8 +391,7 @@ class TestCofactorPoly:
                 for j in range(m.n):
                     poly = m.cofactor_poly(i, j)
                     for x in (-1, F(1, 2), F(-7, 3), m.n + 1):
-                        shifted = SquareMatrix.identity(m.n).scaled(x) + m
-                        assert poly.evaluate(x) == shifted.cofactor(i, j)
+                        assert poly.evaluate(x) == forest_matrix(m, x).cofactor(i, j)
 
     @pytest.mark.parametrize("i,j", [(-1, 0), (0, 2)])
     def test_out_of_range(self, i, j):

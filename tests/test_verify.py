@@ -18,6 +18,7 @@ from forestmatrix import (
     SquareMatrix,
     enum_diverging_forests,
     enum_rooted_forests,
+    forest_matrix,
     graph_matrix,
     linalg,
     merge_parallel,
@@ -238,7 +239,7 @@ class TestWorkCounts:
             return len(calls)
 
         monkeypatch.setattr(linalg, "_bareiss", counted)
-        regular = SquareMatrix.identity(n).scaled(n) + SquareMatrix(((1,) * n,) * n)
+        regular = forest_matrix(SquareMatrix(((1,) * n,) * n), n)
         lap = graph_matrix(Multigraph(n, tuple((v, v + 1, 1) for v in range(n - 1))))
         stair = SquareMatrix(tuple(tuple(-r if r == c else int(c > r) for c in range(n)) for r in range(n)))
         assert eliminations(regular.adjugate) == eliminations(regular.inverse) == 1
