@@ -1,13 +1,16 @@
 """Exact dense linear algebra over rational scalars.
 
 Every scalar is a `fractions.Fraction`, so results are exact and canonical.
-All determinant-derived quantities share one integer kernel: the matrix is
-scaled to integers once (each row by the lcm of its denominators) and reduced
-by fraction-free Bareiss elimination (Bareiss 1968), forward for determinants
-and cofactors, and as Gauss-Jordan on [A | I] for the inverse and adjugate.
-Polynomials in x are interpolated exactly, in Newton form, through the
-kernel's values at integer shifts x = 0, 1, 2, ..., singular shifts skipped
-where an adjugate is needed.
+All determinant-derived quantities are taken on the same integer rows: the
+matrix is scaled to integers once (each row by the lcm of its denominators)
+and reduced by fraction-free Bareiss elimination (Bareiss 1968), forward for
+determinants and cofactors, and as Gauss-Jordan on [A | I] for the inverse
+and adjugate. The determinant and cofactors of a symmetric matrix (W = I + L
+of an undirected graph) take a symmetric variant instead, which updates the
+upper triangle only, in a minimum-degree order, and hands a zero pivot back
+to the general kernel. Polynomials in x are interpolated exactly, in Newton
+form, through the kernel's values at integer shifts x = 0, 1, 2, ...,
+singular shifts skipped where an adjugate is needed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import combinations, compress, count, islice
 from math import lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -33,17 +36,21 @@ class SingularMatrixError(ZeroDivisionError):
 
 # The one grammar for numbers given as text: graph-file tokens, CLI flags and
 # as_rational strings. Digits are ASCII, "_" is refused, and each digit run is
-# capped at 4300 digits (CPython's default int/str limit, which cli.main lifts).
+# capped at 4300 digits (CPython's default int/str limit, which cli.main lifts);
+# so is the value of a decimal exponent, or a 10-character token like
+# "1e1000000" would spell a million-digit number.
 _DIGITS = "[0-9]{1,4300}"
+_MAX_EXPONENT = 4300
 _INTEGER = re.compile(rf"[-+]?{_DIGITS}")
 _RATIONAL = re.compile(
-    rf"[-+]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.[0-9]{{0,4300}})?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?)"
+    rf"[-+]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.[0-9]{{0,4300}})?|\.{_DIGITS})(?:[eE](?P<exp>[-+]?{_DIGITS}))?)"
 )
 
 
 def _literal(text: str, integer: bool = False):
     """The int (if `integer`) or Fraction that `text` spells; ValueError outside the grammar."""
-    if (_INTEGER if integer else _RATIONAL).fullmatch(text):
+    match = (_INTEGER if integer else _RATIONAL).fullmatch(text)
+    if match and abs(int(match.groupdict().get("exp") or 0)) <= _MAX_EXPONENT:
         try:
             return int(text) if integer else Fraction(text)
         except ZeroDivisionError:  # "1/0"
@@ -152,6 +159,82 @@ def _signed_minor(rows: list[list[int]], i: int, j: int) -> int:
     return -_bareiss(minor) if (i + j) % 2 else _bareiss(minor)
 
 
+def _min_degree_order(rows: list[list[int]], last: tuple[int, ...]) -> list[int]:
+    """A greedy minimum-degree elimination order (Tinney & Walker 1967) of the
+    symmetric nonzero pattern of `rows`, ending with the indices of `last`.
+
+    Each step takes, of the indices not yet ordered and not in `last`, one with
+    the fewest neighbours (the lowest index on a tie) and joins its neighbours
+    into a clique, the fill-in its elimination makes.
+    """
+    n = len(rows)
+    adj = [set(compress(range(n), row)) - {r} for r, row in enumerate(rows)]
+    degree = list(map(len, adj))
+    left = [v for v in range(n) if v not in last]
+    order = []
+    while left:
+        v = min(left, key=degree.__getitem__)
+        left.remove(v)
+        order.append(v)
+        nbrs = adj[v]
+        for u in nbrs:
+            joined = adj[u]
+            joined |= nbrs
+            joined -= {u, v}
+            degree[u] = len(joined)
+    return order + list(last)
+
+
+def _symmetric(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | None = None):
+    """_bareiss(rows) if pair is None, else _signed_minor(rows, *pair), for the
+    scaled rows B = D * W of a symmetric W, D = diag(mults); None when a pivot
+    the result divides by is zero. `rows` is left unchanged.
+
+    Rows and columns are permuted by one _min_degree_order that puts j and
+    then i last (i alone if i == j). Bareiss then runs with diagonal pivots on
+    the upper triangle only. Every stage entry is a minor of B, and
+    B_rk * d_k = B_kr * d_r, so entry (r, k) of a row below the pivot is
+    rk[r] * d_r // d_k, read from the pivot row; for a lazy row (as in
+    _bareiss) its stored value is rk[r] * d_r * level[r] // (d_k * p_(k-1)).
+
+    det B is the last diagonal entry after n - 1 steps, and a diagonal
+    cofactor the last diagonal entry of the leading (n - 1)-block after
+    n - 2. For i != j, n - 2 steps leave det B[P + j, P + i] (rows P and j,
+    columns P and i, P the other indices) in entry (n - 2, n - 1), and the
+    signed minor is its negation.
+    """
+    n = len(rows)
+    i, j = pair or (None, None)
+    off_diagonal = i != j
+    last = (j, i) if off_diagonal else () if pair is None else (i,)
+    size = n if pair is None else n - 1
+    if size == 0:
+        return 1
+    order = _min_degree_order(rows, last)
+    b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
+    d = list(map(mults.__getitem__, order))
+    level = [1] * n
+    prev = 1
+    for k in range(size - 1):
+        rk = b[k]
+        if level[k] != prev:
+            t = level[k]
+            rk[k:] = [x * prev // t for x in rk[k:]]
+        pivot = rk[k]
+        if not pivot:
+            return None
+        dk = d[k] * prev
+        for r in compress(range(k + 1, n), rk[k + 1:]):
+            row, t = b[r], level[r]
+            f = rk[r] * d[r] * t // dk
+            row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
+            level[r] = pivot
+        prev = pivot
+    r = size - 1
+    entry = b[r][r + off_diagonal] * prev // level[r]
+    return -entry if off_diagonal else entry
+
+
 def _shifted(rows: list[list[int]], mults: list[int], x: int) -> list[list[int]]:
     """Scaled rows of M + x*I, given the scaled rows of M and their multipliers."""
     shifted = [row[:] for row in rows]
@@ -235,7 +318,7 @@ class SquareMatrix:
         return tuple(sum(row, Fraction(0)) for row in self.entries)
 
     def is_symmetric(self) -> bool:
-        return self.entries == self.transpose().entries
+        return self.entries == tuple(zip(*self.entries))
 
     def _same_size(self, other: "SquareMatrix") -> None:
         if self.n != other.n:
@@ -246,7 +329,8 @@ class SquareMatrix:
     def det(self) -> Fraction:
         """Exact determinant; the empty matrix has determinant 1."""
         rows, mults = _integer_rows(self.entries)
-        return Fraction(_bareiss(rows), prod(mults))
+        d = _symmetric(rows, mults) if self.is_symmetric() else None
+        return Fraction(_bareiss(rows) if d is None else d, prod(mults))
 
     def cofactor(self, i: int, j: int) -> Fraction:
         """Signed minor (-1)**(i+j) * det(self without row i and column j).
@@ -255,7 +339,8 @@ class SquareMatrix:
         """
         self._check_index(i, j)
         rows, mults = _integer_rows(self.entries)
-        return Fraction(_signed_minor(rows, i, j), prod(mults) // mults[i])
+        c = _symmetric(rows, mults, (i, j)) if self.is_symmetric() else None
+        return Fraction(_signed_minor(rows, i, j) if c is None else c, prod(mults) // mults[i])
 
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.

@@ -79,12 +79,34 @@ fm laplacian form-feed.graph > form-feed.out
 fm laplacian one-edge.graph > one-edge.out
 cmp form-feed.out one-edge.out
 
-echo "a 5001-digit exact result prints the same under any digit limit"
-printf 'graph undirected 2\n1 2 1e5000\n' > long.graph
+echo "a decimal exponent beyond 4300 is out of grammar: exit 1 in a file, exit 2 in a flag"
+printf 'graph undirected 2\n1 2 1e4301\n' > huge-exponent.graph
+expect 1 det huge-exponent.graph
+expect 2 det edge.graph --lambda 1e5000
+
+echo "a 4301-digit exact result prints the same under any digit limit"
+printf 'graph undirected 2\n1 2 1e4300\n' > long.graph
 fm det long.graph > long.out
 PYTHONINTMAXSTRDIGITS=640 fm det long.graph > long-640.out
 cmp long.out long-640.out
-grep -q "\"detW\": \"2$(printf '0%.0s' $(seq 4999))1\"" long.out
+grep -q "\"detW\": \"2$(printf '0%.0s' $(seq 4299))1\"" long.out
+
+echo "signed weights with zero diagonal pivots: W = [[0, 2, -1], [2, 0, -1], [-1, -1, 3]]"
+printf 'graph undirected 3\n1 2 -2\n2 3 1\n1 3 1\n' > zero-pivot.graph
+fm det zero-pivot.graph > zero-pivot.out
+grep -q '"detW": "-8"' zero-pivot.out
+for check in "2 3 -2" "3 3 -4" "1 2 -5"; do
+  read -r from to want <<< "$check"
+  fm cofactor zero-pivot.graph --from "$from" --to "$to" > zero-pivot.out
+  grep -q "\"cofactor\": \"$want\"" zero-pivot.out
+done
+
+echo "an undirected cofactor is the same from i to j as from j to i"
+for file in small.graph zero-pivot.graph; do
+  fm cofactor "$file" --from 1 --to 3 | grep '"cofactor"' > forward.out
+  fm cofactor "$file" --from 3 --to 1 | grep '"cofactor"' > backward.out
+  cmp forward.out backward.out
+done
 
 if [ "$part" = all ]; then
   echo "every float command runs on an undirected and a directed file, in json and tsv"

@@ -314,6 +314,12 @@ class TestExitCodes:
     def test_bad_lambda_is_2(self, capsys, edge_file):
         assert run_cli(capsys, "det", edge_file, "--lambda", "nope")[0] == 2
 
+    def test_lambda_exponent_beyond_the_digit_cap_is_2(self, capsys, edge_file):
+        code = main(["det", edge_file, "--lambda", "1e5000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: --lambda '1e5000' is not a rational literal" in captured.err
+
     @pytest.mark.parametrize("command, flag", [
         ("det", "--lambda"), ("forest-matrix", "--lambda"), ("accessibility", "--lambda"),
         ("cofactor", "--lambda"), ("cofactor", "--from"), ("cofactor", "--to"),
@@ -619,13 +625,13 @@ class TestDigitLimit:
     @pytest.fixture
     def big_file(self, tmp_path):
         p = tmp_path / "big.graph"
-        p.write_text("graph undirected 2\n1 2 1e5000\n", encoding="utf-8")
+        p.write_text("graph undirected 2\n1 2 1e4300\n", encoding="utf-8")
         return str(p)
 
     def test_long_exact_result_prints_the_same_under_any_limit(self, big_file):
         plain, low = _cli_child(["det", big_file]), _cli_child(["det", big_file], **self.LOW)
         assert (plain.returncode, low.returncode) == (0, 0), low.stderr
-        assert json.loads(plain.stdout)["detW"] == "2" + "0" * 4999 + "1"
+        assert json.loads(plain.stdout)["detW"] == "2" + "0" * 4299 + "1"
         assert low.stdout == plain.stdout
 
     @pytest.mark.parametrize("line, code", [
@@ -633,6 +639,7 @@ class TestDigitLimit:
         ("1 2 " + "7" * 4301, 1),
         ("1" * 4300 + " 2 1", 2),
         ("1" * 4301 + " 2 1", 1),
+        ("1 2 1e4301", 1),
     ])
     def test_digit_run_bound_is_the_grammar(self, tmp_path, line, code):
         p = tmp_path / "run.graph"
@@ -656,7 +663,7 @@ class TestDigitLimit:
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(before)
-        assert json.loads(capsys.readouterr().out)["detW"] == "2" + "0" * 4999 + "1"
+        assert json.loads(capsys.readouterr().out)["detW"] == "2" + "0" * 4299 + "1"
 
 
 def test_exact_cli_import_leaves_numpy_unloaded():

@@ -1,7 +1,9 @@
 """Exact linear algebra: determinants, cofactors, adjugates, polynomials."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from forestmatrix import (
     SingularMatrixError,
     SquareMatrix,
     as_rational,
+    forest_cofactor,
     forest_det,
     forest_matrix,
     graph_matrix,
@@ -37,14 +40,14 @@ class TestAsRational:
     @pytest.mark.parametrize("text, value", [
         ("2/4", F(1, 2)), ("0.25", F(1, 4)), ("-3", F(-3)), ("1e3", F(1000)), ("+.5", F(1, 2)),
         ("9" * 4300, F(10**4300 - 1)), ("1/" + "1" * 4300, F(9, 10**4300 - 1)),
-        ("1." + "0" * 4300, F(1)), ("1e" + "0" * 4299 + "2", F(100)),
+        ("1." + "0" * 4300, F(1)), ("1e" + "0" * 4299 + "2", F(100)), ("1e4300", F(10**4300)),
     ])
     def test_grammar(self, text, value):
         assert as_rational(text) == value
 
     @pytest.mark.parametrize("text", [
         "1_0", "\u0661", "9" * 4301, "1/" + "1" * 4301, "1." + "0" * 4301, "1e" + "0" * 4301,
-        " 1", "1/0", "1/-2", "0x3", "", "inf", "nan",
+        " 1", "1/0", "1/-2", "0x3", "", "inf", "nan", "1e4301", "1e-4301",
     ])
     def test_outside_grammar_is_value_error(self, text):
         with pytest.raises(ValueError):
@@ -308,9 +311,11 @@ class TestSparseKernel:
         inv, pinv = w.inverse(), p.inverse()
         assert all(pinv[a, b] == inv[perm[a], perm[b]] for a in range(40) for b in range(40))
 
-    def test_n96_forest_det_against_modular_elimination(self):
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_n96_forest_det_against_modular_elimination(self, directed):
         prime = 2**61 - 1
-        g = random_multidigraph(random.Random(53), 96, 96, 3 * 96, POSITIVE_POOL)
+        make = random_multidigraph if directed else random_multigraph
+        g = make(random.Random(53), 96, 96, 3 * 96, POSITIVE_POOL)
         det = forest_det(g)
         rows = [[x.numerator * pow(x.denominator, -1, prime) % prime for x in row]
                 for row in forest_matrix(graph_matrix(g)).entries]
@@ -328,6 +333,51 @@ class TestSparseKernel:
                 if f:
                     rows[r] = [(a - f * b) % prime for a, b in zip(rows[r], rows[k])]
         assert det.numerator * pow(det.denominator, -1, prime) % prime == expected % prime
+
+
+def symmetric_matrix(rng, n, pool, singular=False):
+    a = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            a[r][c] = a[c][r] = rng.choice(pool)
+    if singular and n > 1:  # the last row and column repeat the first
+        for c in range(n):
+            a[n - 1][c] = a[c][n - 1] = a[0][c]
+        a[n - 1][n - 1] = a[0][0]
+    return SquareMatrix(tuple(map(tuple, a)))
+
+
+class TestSymmetricKernel:
+    """det and cofactor of a symmetric matrix take linalg._symmetric, which hands
+    the input to _bareiss when a pivot it needs is zero."""
+
+    def test_matches_leibniz(self):
+        rng = random.Random(59)
+        pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
+        routes = Counter()  # (det, diagonal or off-diagonal cofactor; fell back)
+        for n in range(8):
+            for copy in range(8 if n < 6 else 2):
+                m = symmetric_matrix(rng, n, pool, singular=copy % 3 == 1)
+                assert m.is_symmetric()
+                rows, mults = linalg._integer_rows(m.entries)
+                routes["det", linalg._symmetric(rows, mults) is None] += 1
+                assert m.det() == leibniz_det(m)
+                for i, j in product(range(n), repeat=2):
+                    routes[i == j, linalg._symmetric(rows, mults, (i, j)) is None] += 1
+                    assert m.cofactor(i, j) == leibniz_cofactor(m, i, j)
+        assert all(routes[kind, fell_back] for kind in ("det", True, False) for fell_back in (False, True))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_only_a_nonsymmetric_w_takes_the_general_kernel(self, monkeypatch, directed):
+        calls = []
+        bareiss = linalg._bareiss
+        monkeypatch.setattr(linalg, "_bareiss", lambda *args, **kw: calls.append(1) or bareiss(*args, **kw))
+        make = random_multidigraph if directed else random_multigraph
+        g = make(random.Random(61), 12, 12, 36, POSITIVE_POOL)
+        forest_det(g)
+        forest_cofactor(g, 0, 5)
+        forest_cofactor(g, 3, 3)
+        assert bool(calls) == directed
 
 
 class TestDeleteRowsCols:
