@@ -52,8 +52,9 @@ EXIT_GUARD = 4
 EXIT_CHECK_FAILED = 5
 EXIT_NONFINITE = 6
 
-# Largest --max-enum: a forest scan visits at most 2**instances subsets, so
-# this caps one scan at 2**24 (about 1.7e7) subsets.
+# Largest --max-enum: a forest enumeration tries at most prod(indeg + 1) <=
+# 2**arcs parent choices, so this caps one enumeration of a digraph at 2**24
+# (about 1.7e7) choices; an undirected graph is walked as its twin, 2 arcs per edge.
 MAX_ENUM = 24
 
 _FLOAT_COMMANDS = {"laplacian", "forest-matrix", "det", "cofactor", "accessibility", "charpoly"}

@@ -198,7 +198,9 @@ def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigra
 def to_bidirected(graph: Multigraph) -> Multidigraph:
     """Replace each edge instance by the two opposite arcs of the same weight.
 
-    The result has the same Kirchhoff matrix as the graph's Laplacian, and its
-    diverging forests correspond one-to-one to the graph's rooted forests.
+    Edge e = (u, v, w) becomes arc 2e = (u, v, w) and arc 2e + 1 = (v, u, w),
+    so arc >> 1 is the arc's edge. The result has the same Kirchhoff matrix as
+    the graph's Laplacian, and its diverging forests correspond one-to-one to
+    the graph's rooted forests.
     """
     return Multidigraph(graph.n, tuple(_arcs(graph)))

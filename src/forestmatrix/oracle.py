@@ -1,29 +1,28 @@
 """Brute-force enumeration of spanning trees, rooted forests and paths.
 
 This module is the ground truth the matrix-side operations are tested
-against, so it is deliberately naive: every edge/arc-instance subset a
-forest can use is generated and filtered by the defining invariants. Forest
-scans visit the sum over k < n of C(m, k) subsets of at most n - 1
-instances, tree scans only the C(m, n - 1) subsets of the size a spanning
-tree has. The diverging filter tests in-degree (no two arcs share a head)
-before acyclicity, so a subset with a repeated head is rejected without a
-union-find; the diverging-tree scan draws its subsets from the arcs that do
-not enter the root, so a subset with an arc into the root is never built.
+against, so it is deliberately naive and uses no matrix. A diverging forest
+is one choice per vertex of an entering arc or none, with no cycle, and one
+walk lists them: vertices choose in index order, and an arc is dropped when
+the parents chosen so far lead from its tail back to the choosing vertex.
+That is at most the product over v of (indeg v + 1) candidates, never more
+than 2**arcs; a tree diverging from r gives r no arc and every other vertex
+one, at most the product over v != r of indeg v. An undirected rooted forest
+is a diverging forest of the bidirected twin (Chaiken 1982), its roots the
+vertices that chose none, and a spanning tree is a twin tree from vertex 0.
 Roots come from one walk, `tree_roots`, for both forest kinds: for a digraph
-"rooted at i" means "diverging from i", so one filter serves both. No
-backtracking, no cleverness. Enumeration runs over instances, not merged
-simple graphs, which keeps parallel-instance identities testable instead of
-assumed.
+"rooted at i" means "diverging from i", so one filter serves both.
+Enumeration runs over instances, not merged simple graphs, which keeps
+parallel-instance identities testable instead of assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .graphs import Multidigraph, Multigraph
+from .graphs import Multidigraph, Multigraph, to_bidirected
 
 __all__ = [
     "Guard",
@@ -47,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Guard:
-    """Size cap on exhaustive enumeration; subset scans stay <= 2**max_instances."""
+    """Size cap on exhaustive enumeration: at most prod(indeg + 1) <= 2**arcs parent
+    choices, where an undirected graph is walked as its twin of 2 arcs per edge."""
 
     max_vertices: int = 8
     max_instances: int = 16
@@ -92,26 +92,6 @@ class Path:
         return frozenset(self.vertices)
 
 
-class _DSU:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the two classes; False when a and b were already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def weight_of(instances: Iterable[int], host: Union[Multigraph, Multidigraph]) -> Fraction:
     """Product of the selected instances' weights; the empty product is 1."""
     items = host.instances
@@ -142,89 +122,78 @@ def _check_guard(graph, guard: Guard) -> None:
         )
 
 
-def _forest_sized_subsets(m: int, n: int):
-    """Every subset of at most n - 1 instances (the empty one alone for n = 0)."""
-    return chain.from_iterable(combinations(range(m), k) for k in range(min(m, max(n - 1, 0)) + 1))
+def _choices(digraph: Multidigraph, root: int | None = None):
+    """Every diverging forest, or with `root` every spanning tree diverging from
+    it, as one entering arc per vertex (None for a root).
 
+    Vertices choose in index order: none or one entering arc, and an arc is
+    dropped when the walk up the chosen parents from its tail comes back to the
+    choosing vertex. A tree gives `root` no arc and every other vertex one.
+    """
+    n = digraph.n
+    tails = [a.tail for a in digraph.arcs]
+    options = [[None] if root is None or v == root else [] for v in range(n)]
+    for idx, a in enumerate(digraph.arcs):
+        if a.head != root:
+            options[a.head].append(idx)
+    chosen = [None] * n
+    up = [-1] * n  # tail of each vertex's chosen arc; -1 for roots and vertices yet to choose
 
-def _is_forest_subset(graph: Multigraph, idxs: Sequence[int]) -> _DSU | None:
-    """DSU of the subset when acyclic (parallel instances count as cycles), else None."""
-    dsu = _DSU(graph.n)
-    for i in idxs:
-        e = graph.edges[i]
-        if not dsu.union(e.u, e.v):
-            return None
-    return dsu
+    def walk(v):
+        if v == n:
+            yield tuple(chosen)
+            return
+        for idx in options[v]:
+            if idx is not None:
+                t = tails[idx]
+                while t != v and up[t] >= 0:
+                    t = up[t]
+                if t == v:
+                    continue
+            up[v] = -1 if idx is None else tails[idx]
+            chosen[v] = idx
+            yield from walk(v + 1)
+        up[v] = -1
 
-
-def _is_diverging_subset(digraph: Multidigraph, idxs: Sequence[int]) -> bool:
-    arcs = digraph.arcs
-    if len({arcs[i].head for i in idxs}) < len(idxs):
-        return False  # a repeated head: some vertex has in-degree above 1
-    dsu = _DSU(digraph.n)
-    return all(dsu.union(arcs[i].tail, arcs[i].head) for i in idxs)
+    return walk(0)
 
 
 def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[RootedForest, ...]:
-    """All spanning rooted forests: every acyclic edge-instance subset paired with
-    every choice of one root per connected component."""
+    """All spanning rooted forests: the diverging forests of the bidirected twin,
+    edge e being twin arcs 2e and 2e + 1 and the roots the vertices no arc enters."""
     _check_guard(graph, guard)
     out = []
-    for idxs in _forest_sized_subsets(len(graph.edges), graph.n):
-        dsu = _is_forest_subset(graph, idxs)
-        if dsu is None:
-            continue
-        comps: dict[int, list[int]] = {}
-        for v in range(graph.n):
-            comps.setdefault(dsu.find(v), []).append(v)
-        edge_set = frozenset(idxs)
-        for choice in product(*comps.values()):
-            out.append(RootedForest(edge_set, frozenset(choice)))
+    for c in _choices(to_bidirected(graph)):
+        roots = frozenset(v for v, idx in enumerate(c) if idx is None)
+        out.append(RootedForest(frozenset(idx >> 1 for idx in c if idx is not None), roots))
     return tuple(sorted(out, key=_rooted_key))
 
 
 def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) -> tuple[DivergingForest, ...]:
     """All spanning diverging forests (arc subsets with in-degree <= 1 and no cycle)."""
     _check_guard(digraph, guard)
-    out = [
-        DivergingForest(frozenset(idxs))
-        for idxs in _forest_sized_subsets(len(digraph.arcs), digraph.n)
-        if _is_diverging_subset(digraph, idxs)
-    ]
+    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c in _choices(digraph)]
     return tuple(sorted(out, key=_diverging_key))
 
 
 def enum_spanning_trees(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[frozenset[int], ...]:
-    """All spanning trees as edge-instance subsets (acyclic with n-1 instances)."""
+    """All spanning trees as edge-instance subsets: the bidirected twin's trees
+    diverging from vertex 0, each arc mapped back to its edge."""
     _check_guard(graph, guard)
     if graph.n == 0:
         return ()
-    out = [
-        frozenset(idxs)
-        for idxs in combinations(range(len(graph.edges)), graph.n - 1)
-        if _is_forest_subset(graph, idxs) is not None
-    ]
+    out = [frozenset(idx >> 1 for idx in c if idx is not None) for c in _choices(to_bidirected(graph), 0)]
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
 def enum_diverging_trees(
     digraph: Multidigraph, root: int, guard: Guard = DEFAULT_GUARD
 ) -> tuple[DivergingForest, ...]:
-    """All spanning trees diverging from `root` (single-component diverging forests).
-
-    A diverging subset of n - 1 arcs is one spanning tree whose root is the
-    only vertex no arc enters, so the subsets are drawn from the arcs that do
-    not enter `root`.
-    """
+    """All spanning trees diverging from `root` (single-component diverging forests)."""
     if not (0 <= root < digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
-    candidates = [idx for idx, a in enumerate(digraph.arcs) if a.head != root]
-    out = [
-        DivergingForest(frozenset(idxs))
-        for idxs in combinations(candidates, digraph.n - 1)
-        if _is_diverging_subset(digraph, idxs)
-    ]
+    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c in _choices(digraph, root)]
     return tuple(sorted(out, key=_diverging_key))
 
 
@@ -234,21 +203,44 @@ def tree_roots(
     """Entry v is the root of the tree containing vertex v.
 
     A diverging forest's root is found by following the unique in-arcs
-    upward; a rooted forest's is the chosen root in v's component.
+    upward; a rooted forest's by a walk out from each chosen root. Raises
+    ValueError on a malformed forest: two arcs entering one vertex, or,
+    naming a vertex, a cycle, a tree with two roots or one without a root.
     """
+    n = host.n
     if isinstance(host, Multidigraph):
         parent = {host.arcs[i].head: host.arcs[i].tail for i in forest.arcs}
+        if len(parent) < len(forest.arcs):
+            raise ValueError("two arcs of the forest enter one vertex")
         out = []
-        for v in range(host.n):
-            while v in parent:
-                v = parent[v]
-            out.append(v)
+        for v in range(n):
+            u, steps = v, 0
+            while u in parent:
+                u = parent[u]
+                steps += 1
+                if steps == n:  # a root is at most n - 1 arcs up
+                    raise ValueError(f"vertex {v} is on a cycle of the forest or below one")
+            out.append(u)
         return tuple(out)
-    dsu = _DSU(host.n)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for e in forest.edges:
-        dsu.union(host.edges[e].u, host.edges[e].v)
-    root_of = {dsu.find(r): r for r in forest.roots}
-    return tuple(root_of[dsu.find(v)] for v in range(host.n))
+        u, v, _ = host.edges[e]
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    root_of: list[int | None] = [None] * n
+    for r in sorted(forest.roots):
+        if root_of[r] is not None:
+            raise ValueError(f"vertex {r} is a second root in the tree of root {root_of[r]}")
+        root_of[r] = r
+        stack = [r]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if root_of[w] is None:
+                    root_of[w] = r
+                    stack.append(w)
+    if None in root_of:
+        raise ValueError(f"vertex {root_of.index(None)} is in a tree without a root")
+    return tuple(root_of)
 
 
 def _check_vertices(host, vertices: Iterable[int]) -> None:

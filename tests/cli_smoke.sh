@@ -30,6 +30,13 @@ expect() {
   fi
 }
 
+# field KEY ARG...: the string value of "KEY" in the command's json output
+field() {
+  local key=$1
+  shift
+  fm "$@" | sed -n "s/^  \"$key\": \"\(.*\)\",\{0,1\}\$/\1/p"
+}
+
 printf 'graph directed 3\n1 2 1\n2 3 1/2\n1 3 2\n3 1 -1\n' > small-directed.graph
 printf 'graph undirected 3\n1 2 1\n2 3 1/2\n1 3 2\n' > small-undirected.graph
 printf 'graph undirected 4\n1 2 1\n2 3 1/2\n3 4 2\n1 3 1\n' > small.graph
@@ -50,6 +57,15 @@ fm enumerate small-directed.graph --from 1 --to 2 > /dev/null
 fm enumerate small-directed.graph --roots 1 > /dev/null
 fm enumerate small-undirected.graph --kind trees > /dev/null
 expect 2 enumerate small-undirected.graph --kind trees --to 2
+
+echo "enumeration totals equal the matrix side: det W for forests, cofactor (2, 2) of L for trees"
+for check in "small.graph 49 4" "small-directed-parallel.graph 29/6 -1 --from 2"; do
+  read -r file forests trees from <<< "$check"
+  test "$(field total enumerate "$file")" = "$forests"
+  test "$(field detW det "$file")" = "$forests"
+  test "$(field total enumerate "$file" --kind trees $from)" = "$trees"
+  test "$(field cofactor cofactor "$file" --lambda 0 --from 2 --to 2)" = "$trees"
+done
 
 echo "out-of-grammar tokens exit 1 and out-of-grammar flags exit 2"
 printf 'graph undirected 2\n1 2 1_000\n' > underscore-weight.graph

@@ -1,10 +1,12 @@
 """Shared test utilities: random graph generators and independent oracles.
 
 The checkers and determinants here deliberately avoid the package's own
-algorithms (no union-find subset filtering, no Bareiss) so that agreement
-between the two sides actually means something. The one exception is
-minor_adjugate, which takes each minor by the package's forward determinant
-to check the adjugate's Gauss-Jordan and interpolation route.
+algorithms (no parent-choice enumeration, no Bareiss) so that agreement
+between the two sides actually means something: scan_forests and scan_trees
+filter all 2**m instance subsets with their own union-find and in-degree
+test. The one exception is minor_adjugate, which takes each minor by the
+package's forward determinant to check the adjugate's Gauss-Jordan and
+interpolation route.
 
 Test-side references for operations the package has no caller for: diag and
 matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
@@ -15,7 +17,7 @@ ones) and graph_text (the graph file that parse_graph must read back).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 from forestmatrix import (
@@ -270,3 +272,73 @@ def oracle_cofactor_coeffs(graph, forests, i: int, j: int) -> list[Fraction]:
         for phi in combinations(others, k):
             coeffs[k] += table.get(frozenset(phi) | {i}, Fraction(0))
     return coeffs
+
+
+def _components(n: int, pairs) -> list[int] | None:
+    """Union-find component label of each vertex under the pairs, or None when
+    a pair joins two vertices already joined (parallel pairs make a cycle)."""
+    label = list(range(n))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        label[ra] = rb
+    return [find(v) for v in range(n)]
+
+
+def _scan(graph):
+    """(instance indices, their (tail, head) or (u, v) pairs, component labels)
+    for every acyclic one of the 2**m instance subsets."""
+    m = len(graph.instances)
+    for mask in range(1 << m):
+        idxs = [i for i in range(m) if mask >> i & 1]
+        ends = [graph.instances[i][:2] for i in idxs]
+        comps = _components(graph.n, ends)
+        if comps is not None:
+            yield idxs, ends, comps
+
+
+def _in_degree_at_most_one(ends) -> bool:
+    return len({head for _, head in ends}) == len(ends)
+
+
+def scan_forests(graph) -> tuple:
+    """Every spanning forest from a scan of all instance subsets, sorted like the
+    enumerations (by size, then instances, then roots): a diverging forest is an
+    acyclic arc subset with in-degree <= 1, a rooted forest an acyclic edge
+    subset with one root chosen in each component."""
+    out = []
+    for idxs, ends, comps in _scan(graph):
+        if isinstance(graph, Multidigraph):
+            if _in_degree_at_most_one(ends):
+                out.append(((len(idxs), idxs), DivergingForest(frozenset(idxs))))
+            continue
+        groups: dict[int, list[int]] = {}
+        for v, c in enumerate(comps):
+            groups.setdefault(c, []).append(v)
+        for choice in product(*groups.values()):
+            key = (len(idxs), idxs, sorted(choice))
+            out.append((key, RootedForest(frozenset(idxs), frozenset(choice))))
+    return tuple(f for _, f in sorted(out, key=lambda item: item[0]))
+
+
+def scan_trees(graph, root: int = 0) -> tuple:
+    """Every spanning tree from a scan of all instance subsets, sorted by
+    instances: acyclic subsets of n - 1 instances, for a digraph with in-degree
+    <= 1 and no arc into `root` (as DivergingForest), for a graph as edge sets."""
+    out = []
+    for idxs, ends, _ in _scan(graph):
+        if len(idxs) != graph.n - 1:
+            continue
+        if isinstance(graph, Multidigraph):
+            if _in_degree_at_most_one(ends) and all(head != root for _, head in ends):
+                out.append((idxs, DivergingForest(frozenset(idxs))))
+        else:
+            out.append((idxs, frozenset(idxs)))
+    return tuple(t for _, t in sorted(out, key=lambda item: item[0]))

@@ -225,11 +225,14 @@ class TestToBidirected:
         assert to_bidirected(g).arcs == (Arc(0, 1, F(1)), Arc(1, 0, F(1)))
 
     def test_arcs_interleave_in_edge_order(self):
-        g = Multigraph(3, ((0, 1, 1), (1, 2, F(1, 2)), (0, 1, 3)))
+        # edge e is arcs 2e and 2e + 1, which the oracle maps back as arc >> 1
+        g = Multigraph(3, ((0, 1, 1), (1, 2, F(1, 2)), (0, 1, 3), (2, 0, 0), (0, 2, 0)))
         assert to_bidirected(g).arcs == (
             Arc(0, 1, F(1)), Arc(1, 0, F(1)),
             Arc(1, 2, F(1, 2)), Arc(2, 1, F(1, 2)),
             Arc(0, 1, F(3)), Arc(1, 0, F(3)),
+            Arc(2, 0, F(0)), Arc(0, 2, F(0)),
+            Arc(0, 2, F(0)), Arc(2, 0, F(0)),
         )
 
     def test_kirchhoff_equals_laplacian(self):

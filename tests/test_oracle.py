@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +22,6 @@ from forestmatrix import (
     filter_rooted,
     filter_roots,
     merge_parallel,
-    oracle,
     set_weight,
     to_bidirected,
     tree_roots,
@@ -35,6 +34,8 @@ from helpers import (
     random_multidigraph,
     random_multigraph,
     root_of_map,
+    scan_forests,
+    scan_trees,
 )
 
 F = Fraction
@@ -187,29 +188,6 @@ class TestTreeScansMatchOneTreeForests:
                 assert set(trees) == one_tree
 
 
-def _bitmask_scan(g):
-    """Every forest found by scanning all 2**m instance subsets, sorted like the
-    enumerations (by size, then instances, then roots)."""
-    m = len(g.instances)
-    out = []
-    for mask in range(1 << m):
-        idxs = [i for i in range(m) if mask >> i & 1]
-        if isinstance(g, Multidigraph):
-            if oracle._is_diverging_subset(g, idxs):
-                out.append(((len(idxs), idxs), DivergingForest(frozenset(idxs))))
-            continue
-        dsu = oracle._is_forest_subset(g, idxs)
-        if dsu is None:
-            continue
-        comps = {}
-        for v in range(g.n):
-            comps.setdefault(dsu.find(v), []).append(v)
-        for choice in product(*comps.values()):
-            key = (len(idxs), idxs, sorted(choice))
-            out.append((key, RootedForest(frozenset(idxs), frozenset(choice))))
-    return tuple(f for _, f in sorted(out, key=lambda item: item[0]))
-
-
 class TestForestScanBound:
     CASES = [g for g in TestTreeScansMatchOneTreeForests.CASES if len(g.instances) > g.n - 1]
 
@@ -225,11 +203,28 @@ class TestForestScanBound:
 
     def test_rooted_forests_match_a_full_bitmask_scan(self):
         for g in (g for g in self.CASES if isinstance(g, Multigraph)):
-            assert enum_rooted_forests(g) == _bitmask_scan(g)
+            assert enum_rooted_forests(g) == scan_forests(g)
 
     def test_diverging_forests_match_a_full_bitmask_scan(self):
         for g in (g for g in self.CASES if isinstance(g, Multidigraph)):
-            assert enum_diverging_forests(g) == _bitmask_scan(g)
+            assert enum_diverging_forests(g) == scan_forests(g)
+
+    def test_spanning_trees_match_a_full_bitmask_scan(self):
+        found = 0
+        for g in (g for g in TestTreeScansMatchOneTreeForests.CASES if isinstance(g, Multigraph)):
+            trees = enum_spanning_trees(g)
+            assert trees == scan_trees(g)
+            found += len(trees)
+        assert found > 0
+
+    def test_diverging_trees_match_a_full_bitmask_scan(self):
+        found = 0
+        for g in (g for g in TestTreeScansMatchOneTreeForests.CASES if isinstance(g, Multidigraph)):
+            for root in range(g.n):
+                trees = enum_diverging_trees(g, root)
+                assert trees == scan_trees(g, root)
+                found += len(trees)
+        assert found > 0
 
 
 class TestTreeRoots:
@@ -241,6 +236,27 @@ class TestTreeRoots:
     def test_rooted_forest_uses_the_chosen_root(self, unit_k3):
         forests = [f for f in enum_rooted_forests(unit_k3) if f.edges == frozenset({0})]
         assert {tree_roots(unit_k3, f) for f in forests} == {(0, 0, 2), (1, 1, 2)}
+
+    def test_diverging_cycle_is_a_value_error(self):
+        # with arc 2, vertex 0 hangs below the cycle 1 <-> 2 and its walk never returns to it
+        dg = Multidigraph(3, ((1, 2, 1), (2, 1, 1), (1, 0, 1)))
+        for arcs, v in (({0, 1}, 1), ({0, 1, 2}, 0)):
+            with pytest.raises(ValueError, match=f"vertex {v} is on a cycle of the forest or below one"):
+                tree_roots(dg, DivergingForest(frozenset(arcs)))
+
+    def test_two_arcs_into_one_vertex_is_a_value_error(self):
+        dg = Multidigraph(3, ((0, 2, 1), (1, 2, 1)))
+        with pytest.raises(ValueError, match="two arcs of the forest enter one vertex"):
+            tree_roots(dg, DivergingForest(frozenset({0, 1})))
+
+    def test_two_roots_in_one_tree_is_a_value_error(self, single_edge):
+        with pytest.raises(ValueError, match="vertex 1 is a second root in the tree of root 0"):
+            tree_roots(single_edge, RootedForest(frozenset({0}), frozenset({0, 1})))
+
+    def test_tree_without_a_root_is_a_value_error(self):
+        g = Multigraph(4, ((0, 1, 1), (2, 3, 1)))
+        with pytest.raises(ValueError, match="vertex 2 is in a tree without a root"):
+            tree_roots(g, RootedForest(frozenset({0, 1}), frozenset({1})))
 
     def test_matches_independent_walk(self):
         for g in TestTreeScansMatchOneTreeForests.CASES:
