@@ -5,7 +5,10 @@ or Kirchhoff (directed) matrix. det W at lambda = 1 is the total weight of
 spanning rooted / diverging forests, the (i, j) cofactor is the weight of the
 forests joining j into i's tree, and Q = W**-1 is the relative
 forest-accessibility matrix. Everything here is exact; the enumeration-based
-counterparts live in `oracle`.
+counterparts live in `oracle`. The functions of a graph run the `linalg`
+kernels on the integer rows of W that `graphs` sums from the arc list, so no
+matrix of Fractions is built for L or W; the results are the values the
+SquareMatrix methods give on forest_matrix(graph_matrix(graph), lam).
 """
 
 from __future__ import annotations
@@ -14,11 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .graphs import AnyGraph, Multidigraph, _graph_matrix
+from .graphs import AnyGraph, Multidigraph, Multigraph, _graph_matrix, _scaled_rows
 from .linalg import (
     Polynomial,
     SingularMatrixError,
     SquareMatrix,
+    _char_poly,
+    _cofactor,
+    _cofactor_poly,
+    _det,
+    _inverse,
     as_rational,
 )
 from .oracle import DEFAULT_GUARD, Guard
@@ -82,7 +90,7 @@ def forest_matrix_report(graph: AnyGraph, lam=1) -> ForestMatrixReport:
 
 def forest_det(graph: AnyGraph, lam=1) -> Fraction:
     """det(lambda*I + L); at lambda = 1 this is the total spanning-forest weight."""
-    return forest_matrix(graph_matrix(graph), lam).det()
+    return _det(*_scaled_rows(graph, lam), isinstance(graph, Multigraph))
 
 
 def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> Fraction:
@@ -92,7 +100,7 @@ def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> Fraction:
     tree rooted at / diverging from i. Symmetric in i and j for undirected
     input.
     """
-    return forest_matrix(graph_matrix(graph), lam).cofactor(i, j)
+    return _cofactor(*_scaled_rows(graph, lam), i, j, isinstance(graph, Multigraph))
 
 
 @dataclass(frozen=True)
@@ -109,9 +117,8 @@ def accessibility(graph: AnyGraph, lam=1) -> AccessibilityMatrix:
     forests connecting i into the tree of j. Raises
     SingularForestMatrixError when W is singular.
     """
-    w = forest_matrix(graph_matrix(graph), lam)
     try:
-        return AccessibilityMatrix(w.inverse())
+        return AccessibilityMatrix(_inverse(*_scaled_rows(graph, lam)))
     except SingularMatrixError:
         raise SingularForestMatrixError(
             f"W = lambda*I + L is singular at lambda = {lam}; "
@@ -126,7 +133,7 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
     trees (summed over every k-subset of root vertices); the constant term is
     det L (always zero for a graph matrix) and the leading coefficient is 1.
     """
-    return graph_matrix(graph).char_poly()
+    return _char_poly(*_scaled_rows(graph))
 
 
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -135,7 +142,7 @@ def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     Evaluating at 1 gives forest_cofactor; coefficient k is the weight of the
     forests with k+1 trees that join j into i's tree (i among the roots).
     """
-    return graph_matrix(graph).cofactor_poly(i, j)
+    return _cofactor_poly(*_scaled_rows(graph), i, j)
 
 
 def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -146,7 +153,8 @@ def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     against the enumeration. Arranged as a matrix (transposed), these
     polynomials form the adjugate of the characteristic matrix of L.
     """
-    return (-graph_matrix(graph)).cofactor_poly(i, j)
+    rows, mults = _scaled_rows(graph)
+    return _cofactor_poly([[-x for x in row] for row in rows], mults, i, j)
 
 
 def path_expansion_cofactor(

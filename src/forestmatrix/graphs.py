@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Union
 
 from .linalg import SquareMatrix, as_rational
@@ -126,23 +126,43 @@ def kirchhoff(digraph: Multidigraph) -> SquareMatrix:
     return _graph_matrix(digraph)
 
 
-def _graph_matrix(graph: AnyGraph) -> SquareMatrix:
-    # Summing each row as integers over the lcm of its weights' denominators
-    # makes one Fraction per nonzero entry instead of one per weight added.
+def _scaled_rows(graph: AnyGraph, lam=0) -> tuple[list[list[int]], list[int]]:
+    """The integer rows of W = lam*I + L and their multipliers: row r of W is
+    rows[r] / mults[r], in lowest terms as a whole (the gcd of mults[r] and
+    rows[r] is 1). These are exactly the rows and multipliers that
+    linalg._integer_rows makes from W's Fractions.
+
+    Each row is summed as integers over the lcm of the denominators of lam and
+    of the weights into that vertex, in one pass over the arc list.
+    """
+    lam = as_rational(lam)
     n = graph.n
     arcs = _arcs(graph)
-    dens = [1] * n
+    mults = [lam.denominator] * n
     for _, head, w in arcs:
-        dens[head] = lcm(dens[head], w.denominator)
-    m = [[0] * n for _ in range(n)]
+        mults[head] = lcm(mults[head], w.denominator)
+    rows = [[0] * n for _ in range(n)]
     for tail, head, w in arcs:
         num, den = w.as_integer_ratio()
-        x = num * (dens[head] // den)
-        m[head][tail] -= x
-        m[head][head] += x
+        x = num * (mults[head] // den)
+        rows[head][tail] -= x
+        rows[head][head] += x
+    for r, (row, mult) in enumerate(zip(rows, mults)):
+        row[r] += lam.numerator * (mult // lam.denominator)
+        g = gcd(mult, *row)
+        if g > 1:
+            rows[r] = [x // g for x in row]
+            mults[r] = mult // g
+    return rows, mults
+
+
+def _graph_matrix(graph: AnyGraph) -> SquareMatrix:
+    # Summing each row as integers makes one Fraction per nonzero entry
+    # instead of one per weight added.
+    rows, mults = _scaled_rows(graph)
     zero = Fraction(0)
     return SquareMatrix(
-        tuple(tuple(Fraction(x, d) if x else zero for x in row) for row, d in zip(m, dens))
+        tuple(tuple(Fraction(x, d) if x else zero for x in row) for row, d in zip(rows, mults))
     )
 
 

@@ -5,12 +5,15 @@ All determinant-derived quantities are taken on the same integer rows: the
 matrix is scaled to integers once (each row by the lcm of its denominators)
 and reduced by fraction-free Bareiss elimination (Bareiss 1968), forward for
 determinants and cofactors, and as Gauss-Jordan on [A | I] for the inverse
-and adjugate. The determinant and cofactors of a symmetric matrix (W = I + L
-of an undirected graph) take a symmetric variant instead, which updates the
-upper triangle only, in a minimum-degree order, and hands a zero pivot back
-to the general kernel. Polynomials in x are interpolated exactly, in Newton
-form, through the kernel's values at integer shifts x = 0, 1, 2, ...,
-singular shifts skipped where an adjugate is needed.
+and adjugate. The kernels are functions of those rows and their multipliers,
+so `forest` runs them on rows built straight from an arc list, and the
+SquareMatrix methods on the rows of their entries. Determinants and
+cofactors take a diagonal-pivot variant in a Markowitz order (Markowitz
+1957), which for a symmetric matrix (W = I + L of an undirected graph)
+updates the upper triangle only, and which hands a zero pivot back to the
+general kernel. Polynomials in x are interpolated exactly, in Newton form,
+through the kernel's values at integer shifts x = 0, 1, 2, ..., singular
+shifts skipped where an adjugate is needed.
 """
 
 from __future__ import annotations
@@ -159,43 +162,62 @@ def _signed_minor(rows: list[list[int]], i: int, j: int) -> int:
     return -_bareiss(minor) if (i + j) % 2 else _bareiss(minor)
 
 
-def _min_degree_order(rows: list[list[int]], last: tuple[int, ...]) -> list[int]:
-    """A greedy minimum-degree elimination order (Tinney & Walker 1967) of the
-    symmetric nonzero pattern of `rows`, ending with the indices of `last`.
+def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) -> list[int]:
+    """A greedy Markowitz order (Markowitz 1957) of diagonal pivots on the nonzero
+    pattern of `rows`, ending with the indices of `last`.
 
-    Each step takes, of the indices not yet ordered and not in `last`, one with
-    the fewest neighbours (the lowest index on a tie) and joins its neighbours
-    into a clique, the fill-in its elimination makes.
+    Each step takes, of the indices not yet ordered and not in `last`, one whose
+    pivot has the least Markowitz cost (r - 1) * (c - 1), r and c the nonzeros
+    of its row and column, pivot included (the lowest index on a tie). Its
+    elimination fills each row with a nonzero in its column with its row's
+    pattern. On a symmetric pattern the cost is the square of the degree, so
+    this is the greedy minimum-degree order (Tinney & Walker 1967) and the
+    fill joins the neighbours into a clique; `symmetric` says the pattern is,
+    and then the column patterns are the row patterns and are not kept twice.
     """
     n = len(rows)
-    adj = [set(compress(range(n), row)) - {r} for r, row in enumerate(rows)]
-    degree = list(map(len, adj))
+    out = [set(compress(range(n), row)) for row in rows]
+    into = out if symmetric else [set(compress(range(n), col)) for col in zip(*rows)]
+    for r in range(n):
+        out[r].discard(r)
+        into[r].discard(r)
+    cost = [len(a) * len(b) for a, b in zip(out, into)]
     left = [v for v in range(n) if v not in last]
     order = []
     while left:
-        v = min(left, key=degree.__getitem__)
+        v = min(left, key=cost.__getitem__)
         left.remove(v)
         order.append(v)
-        nbrs = adj[v]
-        for u in nbrs:
-            joined = adj[u]
-            joined |= nbrs
-            joined -= {u, v}
-            degree[u] = len(joined)
+        cols, below = out[v], into[v]
+        for u in below:
+            joined = out[u]
+            joined |= cols
+            joined.discard(u)
+            joined.discard(v)
+            cost[u] = len(joined) * len(into[u])
+        if not symmetric:
+            for c in cols:
+                joined = into[c]
+                joined |= below
+                joined.discard(c)
+                joined.discard(v)
+                cost[c] = len(out[c]) * len(joined)
     return order + list(last)
 
 
-def _symmetric(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | None = None):
+def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None):
     """_bareiss(rows) if pair is None, else _signed_minor(rows, *pair), for the
-    scaled rows B = D * W of a symmetric W, D = diag(mults); None when a pivot
-    the result divides by is zero. `rows` is left unchanged.
+    scaled rows B = D * W of a matrix W, D = diag(mults); None when a pivot the
+    result divides by is zero. `rows` is left unchanged.
 
-    Rows and columns are permuted by one _min_degree_order that puts j and
-    then i last (i alone if i == j). Bareiss then runs with diagonal pivots on
-    the upper triangle only. Every stage entry is a minor of B, and
-    B_rk * d_k = B_kr * d_r, so entry (r, k) of a row below the pivot is
-    rk[r] * d_r // d_k, read from the pivot row; for a lazy row (as in
-    _bareiss) its stored value is rk[r] * d_r * level[r] // (d_k * p_(k-1)).
+    Rows and columns are permuted by one _pivot_order that puts j and then i
+    last (i alone if i == j). Bareiss then runs with diagonal pivots, and with
+    lazy rows as in _bareiss. For a `symmetric` W it updates the upper triangle
+    only: every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r, so
+    entry (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from the
+    pivot row; for a lazy row its stored value is
+    rk[r] * d_r * level[r] // (d_k * p_(k-1)). Otherwise each row below the
+    pivot is updated right of the pivot column.
 
     det B is the last diagonal entry after n - 1 steps, and a diagonal
     cofactor the last diagonal entry of the leading (n - 1)-block after
@@ -210,7 +232,7 @@ def _symmetric(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | 
     size = n if pair is None else n - 1
     if size == 0:
         return 1
-    order = _min_degree_order(rows, last)
+    order = _pivot_order(rows, last, symmetric)
     b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
     d = list(map(mults.__getitem__, order))
     level = [1] * n
@@ -223,12 +245,22 @@ def _symmetric(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | 
         pivot = rk[k]
         if not pivot:
             return None
-        dk = d[k] * prev
-        for r in compress(range(k + 1, n), rk[k + 1:]):
-            row, t = b[r], level[r]
-            f = rk[r] * d[r] * t // dk
-            row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
-            level[r] = pivot
+        if symmetric:
+            dk = d[k] * prev
+            for r in compress(range(k + 1, n), rk[k + 1:]):
+                row, t = b[r], level[r]
+                f = rk[r] * d[r] * t // dk
+                row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
+                level[r] = pivot
+        else:
+            tail = rk[k + 1:]
+            for r in range(k + 1, n):
+                row = b[r]
+                f = row[k]
+                if f:
+                    t = level[r]
+                    row[k + 1:] = [(a * pivot - f * x) // t for a, x in zip(row[k + 1:], tail)]
+                    level[r] = pivot
         prev = pivot
     r = size - 1
     entry = b[r][r + off_diagonal] * prev // level[r]
@@ -271,6 +303,59 @@ def _interpolated(nodes: Sequence[int], values: list[int], scale: int, terms=Non
         for e in range(len(coeffs) - 1):
             coeffs[e] -= node * coeffs[e + 1]
     return tuple(Fraction(c, scale) for c in coeffs[:terms])
+
+
+def _check_index(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"cofactor index ({i}, {j}) out of range for n={n}")
+
+
+# The kernels below take the scaled rows and row multipliers of a matrix M, as
+# _integer_rows makes them (and graphs._scaled_rows, straight from an arc list),
+# may eliminate the rows in place, and return exact results; `symmetric` says M
+# equals its transpose.
+
+
+def _det(rows: list[list[int]], mults: list[int], symmetric: bool) -> Fraction:
+    """det M; the empty matrix has determinant 1."""
+    d = _diagonal(rows, mults, symmetric)
+    return Fraction(_bareiss(rows) if d is None else d, prod(mults))
+
+
+def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> Fraction:
+    """Signed minor (-1)**(i+j) * det(M without row i and column j)."""
+    _check_index(len(rows), i, j)
+    c = _diagonal(rows, mults, symmetric, (i, j))
+    return Fraction(_signed_minor(rows, i, j) if c is None else c, prod(mults) // mults[i])
+
+
+def _inverse(rows: list[list[int]], mults: list[int]) -> "SquareMatrix":
+    """M**-1 from one Gauss-Jordan elimination of [B | I], B = D * M the scaled
+    rows: it leaves det(B) * B**-1 in the right block, which is divided by
+    det(B) once per entry and multiplied by the column's row scale
+    (M**-1 = B**-1 * D). Raises SingularMatrixError when det == 0."""
+    for _, d, adj in _nonsingular(rows, mults, (0,)):
+        return SquareMatrix(
+            tuple(tuple(Fraction(x * m, d) for x, m in zip(row, mults)) for row in adj)
+        )
+    raise SingularMatrixError("matrix is singular")
+
+
+def _char_poly(rows: list[list[int]], mults: list[int]) -> "Polynomial":
+    """det(x*I + M), interpolated through the n + 1 determinants at x = 0, 1, ..., n
+    of the scaled rows with x times the row scale added to the diagonal."""
+    n = len(rows)
+    values = [_bareiss(_shifted(rows, mults, x)) for x in range(n + 1)]
+    return Polynomial(_interpolated(range(n + 1), values, prod(mults)))
+
+
+def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int) -> "Polynomial":
+    """The (i, j) cofactor of x*I + M, interpolated through its values at
+    x = 0, 1, ..., n - 1, each shift taken like _char_poly's."""
+    n = len(rows)
+    _check_index(n, i, j)
+    values = [_signed_minor(_shifted(rows, mults, x), i, j) for x in range(n)]
+    return Polynomial(_interpolated(range(n), values, prod(mults) // mults[i]))
 
 
 @dataclass(frozen=True)
@@ -328,19 +413,14 @@ class SquareMatrix:
 
     def det(self) -> Fraction:
         """Exact determinant; the empty matrix has determinant 1."""
-        rows, mults = _integer_rows(self.entries)
-        d = _symmetric(rows, mults) if self.is_symmetric() else None
-        return Fraction(_bareiss(rows) if d is None else d, prod(mults))
+        return _det(*_integer_rows(self.entries), self.is_symmetric())
 
     def cofactor(self, i: int, j: int) -> Fraction:
         """Signed minor (-1)**(i+j) * det(self without row i and column j).
 
         A 1-by-1 matrix has cofactor 1 (the minor is the empty matrix).
         """
-        self._check_index(i, j)
-        rows, mults = _integer_rows(self.entries)
-        c = _symmetric(rows, mults, (i, j)) if self.is_symmetric() else None
-        return Fraction(_signed_minor(rows, i, j) if c is None else c, prod(mults) // mults[i])
+        return _cofactor(*_integer_rows(self.entries), i, j, self.is_symmetric())
 
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
@@ -367,19 +447,9 @@ class SquareMatrix:
         ))
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse by fraction-free Gauss-Jordan elimination of [A | I].
-
-        A is the row-scaled integer matrix. Elimination leaves det(A) * A**-1
-        in the right block, which is divided by det(A) once per entry and
-        multiplied by the column's row scale (self**-1 = A**-1 * diag(scales)).
-        Raises SingularMatrixError when det == 0.
-        """
-        rows, mults = _integer_rows(self.entries)
-        for _, d, adj in _nonsingular(rows, mults, (0,)):
-            return SquareMatrix(
-                tuple(tuple(Fraction(x * m, d) for x, m in zip(row, mults)) for row in adj)
-            )
-        raise SingularMatrixError("matrix is singular")
+        """Exact inverse by fraction-free Gauss-Jordan elimination of the scaled
+        rows; raises SingularMatrixError when det == 0."""
+        return _inverse(*_integer_rows(self.entries))
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""
@@ -395,25 +465,15 @@ class SquareMatrix:
     def char_poly(self) -> Polynomial:
         """Coefficients of det(x*I + self), constant term first; leading coefficient 1.
 
-        Interpolated exactly through the n + 1 determinants at x = 0, 1, ..., n,
-        each taken on the scaled integer rows with x times the row scale added
-        to the diagonal. principal_minor_sum is the independent subset-minor
-        route to the same coefficients.
+        principal_minor_sum is the independent subset-minor route to the same
+        coefficients.
         """
-        rows, mults = _integer_rows(self.entries)
-        values = [_bareiss(_shifted(rows, mults, x)) for x in range(self.n + 1)]
-        return Polynomial(_interpolated(range(self.n + 1), values, prod(mults)))
+        return _char_poly(*_integer_rows(self.entries))
 
     def cofactor_poly(self, i: int, j: int) -> Polynomial:
-        """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term first.
-
-        Interpolated exactly through the cofactors at lambda = 0, 1, ..., n-1,
-        computed like char_poly's nodes. For i != j the top coefficient is 0.
-        """
-        self._check_index(i, j)
-        rows, mults = _integer_rows(self.entries)
-        values = [_signed_minor(_shifted(rows, mults, x), i, j) for x in range(self.n)]
-        return Polynomial(_interpolated(range(self.n), values, prod(mults) // mults[i]))
+        """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term
+        first; for i != j the top coefficient is 0."""
+        return _cofactor_poly(*_integer_rows(self.entries), i, j)
 
     def _cofactor_polys(self) -> list[list[Polynomial]]:
         """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
@@ -425,10 +485,6 @@ class SquareMatrix:
             [Polynomial(_interpolated(nodes, [a[j][i] for _, _, a in found], scale // m)) for j in range(self.n)]
             for i, m in enumerate(mults)
         ]
-
-    def _check_index(self, i: int, j: int) -> None:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"cofactor index ({i}, {j}) out of range for n={self.n}")
 
     def principal_minor_sum(self, k: int) -> Fraction:
         """Sum of det(self with every size-k index subset deleted).

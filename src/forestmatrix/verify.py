@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from . import oracle
 from .forest import (
@@ -82,31 +82,43 @@ class _ForestTable:
 
 
 def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
-    # Forests with the same roots and instance-count parity add to the same
-    # entries, so their weights are summed first and spread once per group.
-    groups: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    # A forest has at most n - 1 instances, so its weight is an integer over
+    # den = lcm(instance denominators)**(n - 1). The tables sum those integers,
+    # and each entry becomes one Fraction at the end. Forests with the same
+    # roots and instance-count parity add to the same entries, so their
+    # weights are summed first and spread once per group.
+    n = graph.n
+    den = lcm(*(inst.w.denominator for inst in graph.instances)) ** (n - 1)
+    groups: dict[tuple[tuple[int, ...], int], int] = {}
     for f in forests:
         inst = _instances_of(f)
         key = (oracle.tree_roots(graph, f), len(inst) % 2)
-        groups[key] = groups.get(key, 0) + oracle.weight_of(inst, graph)
-    n = graph.n
+        w = oracle.weight_of(inst, graph)
+        groups[key] = groups.get(key, 0) + w.numerator * (den // w.denominator)
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    pair = dict.fromkeys(pairs, Fraction(0))
-    coeffs = {p: [Fraction(0)] * n for p in pairs}
-    signed = {p: [Fraction(0)] * n for p in pairs}
-    by_roots: dict[frozenset[int], Fraction] = {}
-    by_count = [Fraction(0)] * (n + 1)
+    pair = dict.fromkeys(pairs, 0)
+    coeffs = {p: [0] * n for p in pairs}
+    signed = {p: [0] * n for p in pairs}
+    by_roots: dict[frozenset[int], int] = {}
+    by_count = [0] * (n + 1)
     for (root_of, odd), w in groups.items():
         sw = -w if odd else w
         roots = frozenset(root_of)
         k = len(roots)
-        by_roots[roots] = by_roots.get(roots, Fraction(0)) + w
+        by_roots[roots] = by_roots.get(roots, 0) + w
         by_count[k] += w
         for j, i in enumerate(root_of):
             pair[(i, j)] += w
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
-    return _ForestTable(len(forests), pair, coeffs, signed, by_roots, by_count)
+    return _ForestTable(
+        len(forests),
+        {p: Fraction(w, den) for p, w in pair.items()},
+        {p: [Fraction(w, den) for w in ws] for p, ws in coeffs.items()},
+        {p: [Fraction(w, den) for w in ws] for p, ws in signed.items()},
+        {roots: Fraction(w, den) for roots, w in by_roots.items()},
+        [Fraction(w, den) for w in by_count],
+    )
 
 
 def _check_budget(twin: Multidigraph, guard: Guard) -> None:

@@ -67,6 +67,15 @@ for check in "small.graph 49 4" "small-directed-parallel.graph 29/6 -1 --from 2"
   test "$(field cofactor cofactor "$file" --lambda 0 --from 2 --to 2)" = "$trees"
 done
 
+echo "det (built from the arc list) and forest-matrix (built from W's entries) agree on det W"
+for file in small.graph small-directed-parallel.graph; do
+  for lam in 1 0 1/3 -2; do
+    det=$(field detW det "$file" --lambda="$lam")
+    test -n "$det"
+    test "$det" = "$(field detW forest-matrix "$file" --lambda="$lam")"
+  done
+done
+
 echo "out-of-grammar tokens exit 1 and out-of-grammar flags exit 2"
 printf 'graph undirected 2\n1 2 1_000\n' > underscore-weight.graph
 printf 'graph undirected 10\n1_0 2 1\n' > underscore-label.graph

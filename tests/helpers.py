@@ -12,12 +12,14 @@ Test-side references for operations the package has no caller for: diag and
 matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
 reversed_digraph (the arc flip that turns converging forests into diverging
 ones) and graph_text (the graph file that parse_graph must read back).
+min_degree_order is a reference copy of an elimination order the kernel must
+reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from random import Random
 
 from forestmatrix import (
@@ -112,6 +114,30 @@ def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:
         return (-1) ** (i + j) * SquareMatrix(minor).det()
 
     return SquareMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
+
+
+def min_degree_order(rows, last) -> list[int]:
+    """The greedy minimum-degree order (Tinney & Walker 1967) of the symmetric
+    nonzero pattern of `rows`, ending with the indices of `last`: each step
+    takes, of the indices not yet ordered and not in `last`, one with the
+    fewest neighbours (the lowest index on a tie) and joins its neighbours into
+    a clique. The reference for the kernel's Markowitz order on such patterns."""
+    n = len(rows)
+    adj = [set(compress(range(n), row)) - {r} for r, row in enumerate(rows)]
+    degree = list(map(len, adj))
+    left = [v for v in range(n) if v not in last]
+    order = []
+    while left:
+        v = min(left, key=degree.__getitem__)
+        left.remove(v)
+        order.append(v)
+        nbrs = adj[v]
+        for u in nbrs:
+            joined = adj[u]
+            joined |= nbrs
+            joined -= {u, v}
+            degree[u] = len(joined)
+    return order + list(last)
 
 
 def fraction_horner(coeffs, x: Fraction) -> Fraction:

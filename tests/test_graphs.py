@@ -13,11 +13,14 @@ from forestmatrix import (
     SquareMatrix,
     contract,
     floatops,
+    forest_matrix,
     kirchhoff,
     laplacian,
+    linalg,
     merge_parallel,
     to_bidirected,
 )
+from forestmatrix.graphs import _scaled_rows
 from helpers import fraction_graph_matrix, random_multidigraph, random_multigraph, reversed_digraph
 
 F = Fraction
@@ -54,6 +57,17 @@ def test_integer_row_sums_match_fraction_accumulation(directed):
         matrix = build(g)
         assert matrix == fraction_graph_matrix(g)
         assert all(type(x) is Fraction for row in matrix.entries for x in row)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["laplacian", "kirchhoff"])
+def test_scaled_rows_match_the_matrix_route(directed):
+    # the kernels' integer rows of W = lam*I + L, summed from the arc list, are
+    # the rows linalg._integer_rows takes from W's Fractions
+    pool = tuple(F(x) for x in ("1", "-1", "2", "1/2", "-3/2", "1/3", "5/12", "0"))
+    for g in cancelling_graphs(directed, seed=7, pool=pool):
+        for lam in (0, 1, 2, F(1, 3), F(-3, 2)):
+            w = forest_matrix(fraction_graph_matrix(g), lam)
+            assert _scaled_rows(g, lam) == linalg._integer_rows(w.entries)
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["laplacian", "kirchhoff"])

@@ -24,6 +24,7 @@ from helpers import (
     diag,
     fraction_horner,
     leibniz_det,
+    min_degree_order,
     minor_adjugate,
     random_multidigraph,
     random_multigraph,
@@ -348,8 +349,8 @@ def symmetric_matrix(rng, n, pool, singular=False):
 
 
 class TestSymmetricKernel:
-    """det and cofactor of a symmetric matrix take linalg._symmetric, which hands
-    the input to _bareiss when a pivot it needs is zero."""
+    """det and cofactor of a symmetric matrix take linalg._diagonal on the upper
+    triangle, which hands the input to _bareiss when a pivot it needs is zero."""
 
     def test_matches_leibniz(self):
         rng = random.Random(59)
@@ -360,15 +361,38 @@ class TestSymmetricKernel:
                 m = symmetric_matrix(rng, n, pool, singular=copy % 3 == 1)
                 assert m.is_symmetric()
                 rows, mults = linalg._integer_rows(m.entries)
-                routes["det", linalg._symmetric(rows, mults) is None] += 1
+                routes["det", linalg._diagonal(rows, mults, True) is None] += 1
                 assert m.det() == leibniz_det(m)
                 for i, j in product(range(n), repeat=2):
-                    routes[i == j, linalg._symmetric(rows, mults, (i, j)) is None] += 1
+                    routes[i == j, linalg._diagonal(rows, mults, True, (i, j)) is None] += 1
                     assert m.cofactor(i, j) == leibniz_cofactor(m, i, j)
         assert all(routes[kind, fell_back] for kind in ("det", True, False) for fell_back in (False, True))
 
+
+class TestDiagonalKernel:
+    """det and cofactor of any other matrix take linalg._diagonal on full rows,
+    in one Markowitz order, with the same fallback to _bareiss."""
+
+    def test_nonsymmetric_matches_leibniz(self):
+        rng = random.Random(67)
+        pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
+        routes = Counter()  # (det, diagonal or off-diagonal cofactor; fell back)
+        for n in range(8):
+            for copy in range(8 if n < 6 else 2):
+                m = sparse_matrix(rng, n, 0.9 if copy % 2 else 0.5, pool)
+                rows, mults = linalg._integer_rows(m.entries)
+                routes["det", linalg._diagonal(rows, mults, False) is None] += 1
+                assert linalg._det(*linalg._integer_rows(m.entries), False) == leibniz_det(m)
+                for i, j in product(range(n), repeat=2):
+                    routes[i == j, linalg._diagonal(rows, mults, False, (i, j)) is None] += 1
+                    cofactor = linalg._cofactor(*linalg._integer_rows(m.entries), i, j, False)
+                    assert cofactor == leibniz_cofactor(m, i, j)
+        assert all(routes[kind, fell_back] for kind in ("det", True, False) for fell_back in (False, True))
+
     @pytest.mark.parametrize("directed", [False, True])
-    def test_only_a_nonsymmetric_w_takes_the_general_kernel(self, monkeypatch, directed):
+    def test_positive_w_takes_no_general_kernel(self, monkeypatch, directed):
+        # W = I + L with positive weights is strictly diagonally dominant, so no
+        # diagonal pivot is zero, in any order
         calls = []
         bareiss = linalg._bareiss
         monkeypatch.setattr(linalg, "_bareiss", lambda *args, **kw: calls.append(1) or bareiss(*args, **kw))
@@ -377,7 +401,23 @@ class TestSymmetricKernel:
         forest_det(g)
         forest_cofactor(g, 0, 5)
         forest_cofactor(g, 3, 3)
-        assert bool(calls) == directed
+        assert not calls
+
+    def test_order_on_a_symmetric_pattern_is_minimum_degree(self):
+        rng = random.Random(71)
+        for n in range(12):
+            for _ in range(6):
+                rows = [[0] * n for _ in range(n)]
+                for r in range(n):
+                    rows[r][r] = 1
+                    for c in range(r + 1, n):
+                        if rng.random() < 0.3:
+                            rows[r][c] = rows[c][r] = rng.choice((1, -2, 3))
+                lasts = [()] + [(i,) for i in range(n)] + [(j, i) for i in range(n) for j in range(n) if i != j]
+                for last in lasts:
+                    expected = min_degree_order(rows, last)
+                    assert linalg._pivot_order(rows, last, True) == expected
+                    assert linalg._pivot_order(rows, last, False) == expected
 
 
 class TestDeleteRowsCols:
