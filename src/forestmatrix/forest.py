@@ -118,7 +118,7 @@ def accessibility(graph: AnyGraph, lam=1) -> AccessibilityMatrix:
     SingularForestMatrixError when W is singular.
     """
     try:
-        return AccessibilityMatrix(_inverse(*_scaled_rows(graph, lam)))
+        return AccessibilityMatrix(_inverse(*_scaled_rows(graph, lam), isinstance(graph, Multigraph)))
     except SingularMatrixError:
         raise SingularForestMatrixError(
             f"W = lambda*I + L is singular at lambda = {lam}; "

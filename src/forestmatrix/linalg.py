@@ -4,16 +4,18 @@ Every scalar is a `fractions.Fraction`, so results are exact and canonical.
 All determinant-derived quantities are taken on the same integer rows: the
 matrix is scaled to integers once (each row by the lcm of its denominators)
 and reduced by fraction-free Bareiss elimination (Bareiss 1968), forward for
-determinants and cofactors, and as Gauss-Jordan on [A | I] for the inverse
-and adjugate. The kernels are functions of those rows and their multipliers,
-so `forest` runs them on rows built straight from an arc list, and the
-SquareMatrix methods on the rows of their entries. Determinants and
-cofactors take a diagonal-pivot variant in a Markowitz order (Markowitz
-1957), which for a symmetric matrix (W = I + L of an undirected graph)
-updates the upper triangle only, and which hands a zero pivot back to the
-general kernel. Polynomials in x are interpolated exactly, in Newton form,
-through the kernel's values at integer shifts x = 0, 1, 2, ..., singular
-shifts skipped where an adjugate is needed.
+determinants and cofactors, and as Gauss-Jordan on [A | I] for the adjugate.
+The kernels are functions of those rows and their multipliers, so `forest`
+runs them on rows built straight from an arc list, and the SquareMatrix
+methods on the rows of their entries. Determinants, cofactors and the
+inverse take a diagonal-pivot variant in a Markowitz order (Markowitz 1957),
+which for a symmetric matrix (W = I + L of an undirected graph) updates the
+upper triangle only, and which hands a zero pivot back to the general
+kernel; the inverse solves for the adjugate from its pivot rows (and, unless
+symmetric, its pivot columns) by fraction-free back substitution, with no
+identity block carried along. Polynomials in x are interpolated exactly, in
+Newton form, through the kernel's values at integer shifts x = 0, 1, 2, ...,
+singular shifts skipped where an adjugate is needed.
 """
 
 from __future__ import annotations
@@ -205,39 +207,34 @@ def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) 
     return order + list(last)
 
 
-def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None):
-    """_bareiss(rows) if pair is None, else _signed_minor(rows, *pair), for the
-    scaled rows B = D * W of a matrix W, D = diag(mults); None when a pivot the
-    result divides by is zero. `rows` is left unchanged.
+def _forward(rows: list[list[int]], mults: list[int], symmetric: bool, last: tuple[int, ...], steps: int, lower: bool = False):
+    """The first `steps` steps of Bareiss elimination with diagonal pivots on the
+    scaled rows B = D * W of a matrix W, D = diag(mults), rows and columns
+    permuted by one _pivot_order(rows, last, symmetric); None if one of those
+    pivots is zero. `rows` is left unchanged.
 
-    Rows and columns are permuted by one _pivot_order that puts j and then i
-    last (i alone if i == j). Bareiss then runs with diagonal pivots, and with
-    lazy rows as in _bareiss. For a `symmetric` W it updates the upper triangle
-    only: every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r, so
-    entry (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from the
-    pivot row; for a lazy row its stored value is
+    Returns (order, b, d, pivots, level): b the permuted rows, eliminated in
+    place; d the permuted row scales; pivots = [1, p_0, ..., p_(steps-1)];
+    level as in _bareiss, for the rows not yet pivoted. Row k < steps of b
+    holds, from column k on, the pivot row U_k as it stood at step k, so
+    U_kk = p_k. With `lower`, each entry below a pivot is brought up to date
+    at its step, so column k below row k holds the pivot column L_rk.
+
+    Rows are lazy as in _bareiss. For a `symmetric` W only the upper triangle
+    is updated: every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r,
+    so entry (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from
+    the pivot row; for a lazy row its stored value is
     rk[r] * d_r * level[r] // (d_k * p_(k-1)). Otherwise each row below the
     pivot is updated right of the pivot column.
-
-    det B is the last diagonal entry after n - 1 steps, and a diagonal
-    cofactor the last diagonal entry of the leading (n - 1)-block after
-    n - 2. For i != j, n - 2 steps leave det B[P + j, P + i] (rows P and j,
-    columns P and i, P the other indices) in entry (n - 2, n - 1), and the
-    signed minor is its negation.
     """
     n = len(rows)
-    i, j = pair or (None, None)
-    off_diagonal = i != j
-    last = (j, i) if off_diagonal else () if pair is None else (i,)
-    size = n if pair is None else n - 1
-    if size == 0:
-        return 1
     order = _pivot_order(rows, last, symmetric)
     b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
     d = list(map(mults.__getitem__, order))
     level = [1] * n
+    pivots = [1]
     prev = 1
-    for k in range(size - 1):
+    for k in range(steps):
         rk = b[k]
         if level[k] != prev:
             t = level[k]
@@ -261,10 +258,88 @@ def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tu
                     t = level[r]
                     row[k + 1:] = [(a * pivot - f * x) // t for a, x in zip(row[k + 1:], tail)]
                     level[r] = pivot
+                    if lower:
+                        row[k] = f * prev // t
+        pivots.append(pivot)
         prev = pivot
+    return order, b, d, pivots, level
+
+
+def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None):
+    """_bareiss(rows) if pair is None, else _signed_minor(rows, *pair), for the
+    scaled rows B = D * W of a matrix W, D = diag(mults); None when a pivot the
+    result divides by is zero. `rows` is left unchanged.
+
+    _forward puts j and then i last (i alone if i == j). det B is the last
+    diagonal entry after n - 1 steps, and a diagonal cofactor the last
+    diagonal entry of the leading (n - 1)-block after n - 2. For i != j,
+    n - 2 steps leave det B[P + j, P + i] (rows P and j, columns P and i, P
+    the other indices) in entry (n - 2, n - 1), and the signed minor is its
+    negation.
+    """
+    n = len(rows)
+    i, j = pair or (None, None)
+    off_diagonal = i != j
+    last = (j, i) if off_diagonal else () if pair is None else (i,)
+    size = n if pair is None else n - 1
+    if size == 0:
+        return 1
+    run = _forward(rows, mults, symmetric, last, size - 1)
+    if run is None:
+        return None
+    _, b, _, pivots, level = run
     r = size - 1
-    entry = b[r][r + off_diagonal] * prev // level[r]
+    entry = b[r][r + off_diagonal] * pivots[-1] // level[r]
     return -entry if off_diagonal else entry
+
+
+def _substituted(coeffs: list[tuple[int, int]], rows: list[list[int]], k: int, p: int) -> list[int]:
+    """-(sum of c * rows[j][k + 1:] over (j, c) in coeffs) // p, entry by entry."""
+    acc = None
+    for j, c in coeffs:
+        tail = rows[j][k + 1:]
+        acc = [c * y for y in tail] if acc is None else [a + c * y for a, y in zip(acc, tail)]
+    return [0] * (len(rows) - k - 1) if acc is None else [-a // p for a in acc]
+
+
+def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric: bool) -> list[list[int]]:
+    """X = adj B of the permuted scaled rows B = D * W after _forward's n steps,
+    by fraction-free back substitution (Nakos, Turner & Williams 1997).
+
+    With L the pivot columns and U the pivot rows, B = L * diag(p_(k-1) * p_k)**-1
+    * U, so U * X = det * diag(p_(k-1) * p_k) * L**-1, which is lower
+    triangular with det * p_(k-1) on the diagonal. Row k of X is solved
+    upward from the rows below it:
+
+        p_k * X_kc = -sum(U_kj * X_jc for j > k)              (c > k)
+        p_k * X_kk = det * p_(k-1) - sum(U_kj * X_jk for j > k)
+
+    X is an integer matrix, so every division is exact. Column k below the
+    diagonal is filled in before X_kk: for a `symmetric` W, adj B = adj W *
+    adj D with adj W symmetric, so X_jk = X_kj * d_j // d_k and only the
+    upper triangle is solved (Takahashi, Fagan & Chin 1973); otherwise
+    X * L = det * U**-1 * diag(p_(k-1) * p_k), which is upper triangular,
+    gives p_k * X_jk = -sum(X_ji * L_ik for i > k) from the columns of X.
+    """
+    n = len(b)
+    det = pivots[-1]
+    x = [[0] * n for _ in range(n)]
+    xt = x if symmetric else [[0] * n for _ in range(n)]  # xt[c] is column c of X
+    for k in range(n - 1, -1, -1):
+        p, uk = pivots[k + 1], b[k]
+        right = [(j, uk[j]) for j in range(k + 1, n) if uk[j]]
+        row = x[k][k + 1:] = _substituted(right, x, k, p)
+        if symmetric:
+            dk = d[k]
+            col = [y * dj // dk for y, dj in zip(row, d[k + 1:])]
+        else:
+            col = xt[k][k + 1:] = _substituted([(j, b[j][k]) for j in range(k + 1, n) if b[j][k]], xt, k, p)
+            for xj, y in zip(xt[k + 1:], row):
+                xj[k] = y
+        for xj, y in zip(x[k + 1:], col):
+            xj[k] = y
+        x[k][k] = xt[k][k] = (det * pivots[k] - sum(u * x[j][k] for j, u in right)) // p
+    return x
 
 
 def _shifted(rows: list[list[int]], mults: list[int], x: int) -> list[list[int]]:
@@ -329,16 +404,33 @@ def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric
     return Fraction(_signed_minor(rows, i, j) if c is None else c, prod(mults) // mults[i])
 
 
-def _inverse(rows: list[list[int]], mults: list[int]) -> "SquareMatrix":
-    """M**-1 from one Gauss-Jordan elimination of [B | I], B = D * M the scaled
-    rows: it leaves det(B) * B**-1 in the right block, which is divided by
-    det(B) once per entry and multiplied by the column's row scale
-    (M**-1 = B**-1 * D). Raises SingularMatrixError when det == 0."""
-    for _, d, adj in _nonsingular(rows, mults, (0,)):
-        return SquareMatrix(
-            tuple(tuple(Fraction(x * m, d) for x, m in zip(row, mults)) for row in adj)
-        )
-    raise SingularMatrixError("matrix is singular")
+def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "SquareMatrix":
+    """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, so entry (r, c) is
+    X_rc * d_c / det. X = adj B comes from _forward's n steps in Markowitz
+    order and _adjugate_lu; a `symmetric` M makes each Fraction once per
+    unordered pair. At a zero pivot the rows go to one Gauss-Jordan
+    elimination of [B | I] instead, which leaves adj B in the right block.
+    Raises SingularMatrixError when det == 0."""
+    n = len(rows)
+    run = _forward(rows, mults, symmetric, (), n, lower=not symmetric)
+    if run is None:
+        for _, det, adj in _nonsingular(rows, mults, (0,)):
+            return SquareMatrix(
+                tuple(tuple(Fraction(x * m, det) for x, m in zip(row, mults)) for row in adj)
+            )
+        raise SingularMatrixError("matrix is singular")
+    order, b, d, pivots, _ = run
+    det = pivots[-1]
+    x = _adjugate_lu(b, d, pivots, symmetric)
+    if symmetric:
+        q = [[None] * n for _ in range(n)]
+        for r, row in enumerate(x):
+            for c in range(r, n):
+                q[r][c] = q[c][r] = Fraction(row[c] * d[c], det)
+    else:
+        q = [[Fraction(a * m, det) for a, m in zip(row, d)] for row in x]
+    place = sorted(range(n), key=order.__getitem__)  # order[place[v]] == v
+    return SquareMatrix(tuple(tuple(map(q[r].__getitem__, place)) for r in place))
 
 
 def _char_poly(rows: list[list[int]], mults: list[int]) -> "Polynomial":
@@ -447,9 +539,10 @@ class SquareMatrix:
         ))
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse by fraction-free Gauss-Jordan elimination of the scaled
-        rows; raises SingularMatrixError when det == 0."""
-        return _inverse(*_integer_rows(self.entries))
+        """Exact inverse from one fraction-free forward elimination of the scaled
+        rows with diagonal pivots and a fraction-free back substitution
+        (Gauss-Jordan at a zero pivot); raises SingularMatrixError when det == 0."""
+        return _inverse(*_integer_rows(self.entries), self.is_symmetric())
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""

@@ -126,6 +126,16 @@ for check in "2 3 -2" "3 3 -4" "1 2 -5"; do
   grep -q "\"cofactor\": \"$want\"" zero-pivot.out
 done
 
+echo "accessibility with a zero diagonal pivot: Q = adj W / (-8), taken by Gauss-Jordan"
+fm accessibility zero-pivot.graph --output tsv > zero-pivot.out
+printf '1/8\t5/8\t1/4\n5/8\t1/8\t1/4\n1/4\t1/4\t1/2\n' | cmp - zero-pivot.out
+
+echo "exact accessibility of a singular W exits 3: lambda = 0, and the roots -2 and -1/2 of det W"
+for argv in "small.graph --lambda 0" "small-directed.graph --lambda=-2" "small-directed.graph --lambda=-1/2"; do
+  expect 3 accessibility $argv 2> singular.err
+  grep -q '^error: W = lambda\*I + L is singular at lambda = ' singular.err
+done
+
 echo "an undirected cofactor is the same from i to j as from j to i"
 for file in small.graph zero-pivot.graph; do
   fm cofactor "$file" --from 1 --to 3 | grep '"cofactor"' > forward.out

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from forestmatrix import Multidigraph, Multigraph
+from forestmatrix import Multidigraph, Multigraph, linalg
 
 
 @pytest.fixture
@@ -26,3 +26,13 @@ def single_arc() -> Multidigraph:
 @pytest.fixture
 def directed_3cycle() -> Multidigraph:
     return Multidigraph(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """One entry per call of linalg._nonsingular, the Gauss-Jordan route that
+    inverse takes at a zero diagonal pivot."""
+    calls = []
+    nonsingular = linalg._nonsingular
+    monkeypatch.setattr(linalg, "_nonsingular", lambda *args: calls.append(1) or nonsingular(*args))
+    return calls

@@ -4,9 +4,10 @@ The checkers and determinants here deliberately avoid the package's own
 algorithms (no parent-choice enumeration, no Bareiss) so that agreement
 between the two sides actually means something: scan_forests and scan_trees
 filter all 2**m instance subsets with their own union-find and in-degree
-test. The one exception is minor_adjugate, which takes each minor by the
+test. The exceptions are minor_adjugate, which takes each minor by the
 package's forward determinant to check the adjugate's Gauss-Jordan and
-interpolation route.
+interpolation route, and adjugate_inverse, which divides that adjugate by the
+determinant to check the inverse's back substitution.
 
 Test-side references for operations the package has no caller for: diag and
 matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
@@ -114,6 +115,15 @@ def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:
         return (-1) ** (i + j) * SquareMatrix(minor).det()
 
     return SquareMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
+
+
+def adjugate_inverse(matrix: SquareMatrix) -> SquareMatrix:
+    """matrix**-1 as adjugate / det: the Gauss-Jordan route, which inverse takes
+    only at a zero pivot."""
+    if matrix.n == 0:
+        return matrix
+    det = matrix.det()
+    return SquareMatrix(tuple(tuple(x / det for x in row) for row in matrix.adjugate().entries))
 
 
 def min_degree_order(rows, last) -> list[int]:

@@ -1,6 +1,7 @@
 """Forest-matrix identities against the enumeration oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from forestmatrix import (
     weight_of,
 )
 from helpers import (
+    adjugate_inverse,
     diag,
     matrix_sum,
     oracle_cofactor_coeffs,
@@ -184,6 +186,69 @@ class TestAccessibility:
             q = accessibility(g).matrix
             assert q.is_symmetric()
             assert all(0 <= x <= 1 for row in q.entries for x in row)
+
+
+SIGNED_POOL = tuple(F(x) for x in ("1", "-1", "2", "1/2", "-3/2", "1/3", "0"))
+
+
+def signed_graph(rng, directed, n):
+    """2n random instances from SIGNED_POOL plus a parallel pair that cancels."""
+    if n < 2:
+        return (Multidigraph if directed else Multigraph)(n)
+    ends = [rng.sample(range(n), 2) for _ in range(2 * n + 1)]
+    weights = [rng.choice(SIGNED_POOL) for _ in range(2 * n)]
+    weights.append(-weights[-1])
+    ends.append(ends[-1])
+    instances = tuple((u, v, w) for (u, v), w in zip(ends, weights))
+    return Multidigraph(n, instances) if directed else Multigraph(n, instances)
+
+
+class TestAccessibilityKernel:
+    """Q comes from the diagonal-pivot forward pass and a fraction-free back
+    substitution, or from Gauss-Jordan at a zero pivot; both must give the
+    Fractions of adj W / det W."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_adjugate_over_det(self, directed, fallbacks):
+        rng = random.Random(113)
+        routes = Counter()  # (singular, fell back)
+        for n in (*range(9), 20):
+            for lam in (1, F(1, 3), 2, F(-3, 2)):
+                g = signed_graph(rng, directed, n)
+                w = forest_matrix(graph_matrix(g), lam)
+                fallbacks.clear()
+                if w.det() == 0:
+                    with pytest.raises(SingularForestMatrixError):
+                        accessibility(g, lam)
+                    routes[True, bool(fallbacks)] += 1
+                    continue
+                q = accessibility(g, lam).matrix
+                routes[False, bool(fallbacks)] += 1
+                assert q == adjugate_inverse(w) == w.inverse()
+                assert all(type(x) is Fraction for row in q.entries for x in row)
+        assert routes[False, False] and routes[False, True] and routes[True, True]
+        assert not routes[True, False]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_zero_markowitz_pivot_takes_the_fallback(self, directed, fallbacks):
+        # W = [[0, 2, -1], [2, 0, -1], [-1, -1, 3]]: every index costs 4, so
+        # index 0 is pivoted first, and its diagonal entry is 0
+        instances = ((0, 1, -2), (1, 2, 1), (0, 2, 1))
+        g = Multidigraph(3, instances + tuple((v, u, w) for u, v, w in instances)) if directed else Multigraph(3, instances)
+        w = forest_matrix(graph_matrix(g))
+        assert w.entries[0][0] == 0 and w.det() == -8
+        q = accessibility(g).matrix
+        assert len(fallbacks) == 1
+        assert q == adjugate_inverse(w) == SquareMatrix(((F(1, 8), F(5, 8), F(1, 4)), (F(5, 8), F(1, 8), F(1, 4)), (F(1, 4), F(1, 4), F(1, 2))))
+
+    @pytest.mark.parametrize("weight, lam", [(1, 0), (F(-1, 2), 1), (F(-1, 6), "1/3"), (F(1, 4), F(-1, 2))])
+    def test_singular_message(self, weight, lam):
+        # one edge: det W = lam * (lam + 2 * weight)
+        g = Multigraph(2, ((0, 1, weight),))
+        assert forest_det(g, lam) == 0
+        with pytest.raises(SingularForestMatrixError) as raised:
+            accessibility(g, lam)
+        assert str(raised.value) == f"W = lambda*I + L is singular at lambda = {lam}; the accessibility matrix does not exist"
 
 
 class TestCharpolyForestCoeffs:

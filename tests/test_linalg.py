@@ -11,6 +11,7 @@ from forestmatrix import (
     Polynomial,
     SingularMatrixError,
     SquareMatrix,
+    accessibility,
     as_rational,
     forest_cofactor,
     forest_det,
@@ -21,6 +22,7 @@ from forestmatrix import (
 from helpers import (
     POSITIVE_POOL,
     WEIGHT_POOL,
+    adjugate_inverse,
     diag,
     fraction_horner,
     leibniz_det,
@@ -401,7 +403,31 @@ class TestDiagonalKernel:
         forest_det(g)
         forest_cofactor(g, 0, 5)
         forest_cofactor(g, 3, 3)
+        accessibility(g, F(1, 3))
+        forest_matrix(graph_matrix(g), 2).inverse()
         assert not calls
+
+    def test_inverse_matches_adjugate_over_det(self, fallbacks):
+        # inverse takes the forward pass and back substitution, or Gauss-Jordan
+        # at a zero pivot; both must give adj / det, symmetric or not
+        rng = random.Random(131)
+        pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
+        routes = Counter()  # (symmetric, fell back)
+        for n in range(1, 9):
+            for copy in range(8):
+                symmetric = copy % 2 == 0
+                m = symmetric_matrix(rng, n, pool) if symmetric else sparse_matrix(rng, n, 0.6, pool)
+                fallbacks.clear()
+                if m.det() == 0:
+                    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                        m.inverse()
+                    assert fallbacks
+                    continue
+                inv = m.inverse()
+                routes[symmetric, bool(fallbacks)] += 1
+                assert inv == adjugate_inverse(m)
+                assert inv.is_symmetric() or not symmetric
+        assert all(routes[symmetric, fell_back] for symmetric in (False, True) for fell_back in (False, True))
 
     def test_order_on_a_symmetric_pattern_is_minimum_degree(self):
         rng = random.Random(71)

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from forestmatrix import (
     Multidigraph,
     Multigraph,
+    SingularMatrixError,
     SquareMatrix,
     accessibility,
     contract,
@@ -18,7 +20,7 @@ from forestmatrix import (
     merge_parallel,
     to_bidirected,
 )
-from helpers import diag, leibniz_det
+from helpers import adjugate_inverse, diag, leibniz_det
 
 F = Fraction
 
@@ -70,6 +72,29 @@ def test_adjugate_identity_holds_even_when_singular(m):
 def test_inverse_identity(m):
     assume(m.det() != 0)
     assert m @ m.inverse() == SquareMatrix.identity(m.n)
+
+
+@st.composite
+def zero_diagonal_matrices(draw, max_n=5):
+    """Symmetric or not, with some diagonal entries zero: the zero pivots that
+    send inverse from the diagonal-pivot route to Gauss-Jordan."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    for r in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        rows[r][r] = F(0)
+    return SquareMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_diagonal_matrices())
+def test_inverse_is_adjugate_over_det(m):
+    if m.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    assert m.inverse() == adjugate_inverse(m)
 
 
 @settings(max_examples=40, deadline=None)

@@ -224,9 +224,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_eliminations_per_adjugate(self, monkeypatch, n):
-        # one Gauss-Jordan per nonsingular adjugate or inverse, at most 2n + 1 per
-        # singular adjugate, n plus the skipped singular shifts for the grid of
-        # cofactor polynomials; entry-by-entry minors would take n**2 each
+        # one Gauss-Jordan per nonsingular adjugate, at most 2n + 1 per singular
+        # adjugate, n plus the skipped singular shifts for the grid of cofactor
+        # polynomials; entry-by-entry minors would take n**2 each. An inverse
+        # takes none unless a diagonal pivot is zero, and then one
         calls = []
         original = linalg._bareiss
 
@@ -243,7 +244,9 @@ class TestWorkCounts:
         regular = forest_matrix(SquareMatrix(((1,) * n,) * n), n)
         lap = graph_matrix(Multigraph(n, tuple((v, v + 1, 1) for v in range(n - 1))))
         stair = SquareMatrix(tuple(tuple(-r if r == c else int(c > r) for c in range(n)) for r in range(n)))
-        assert eliminations(regular.adjugate) == eliminations(regular.inverse) == 1
+        hollow = SquareMatrix(tuple(tuple(int(r != c) for c in range(n)) for r in range(n)))  # det = (n - 1) * (-1)**(n - 1)
+        assert eliminations(regular.adjugate) == eliminations(hollow.inverse) == 1
+        assert eliminations(regular.inverse) == 0
         assert eliminations(lap.adjugate) == n + 1  # only x = 0 is singular
         assert eliminations(stair.adjugate) == 2 * n  # x = 0, 1, ..., n - 1 are singular
         assert eliminations(regular._cofactor_polys) == n
