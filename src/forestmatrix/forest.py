@@ -133,7 +133,7 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
     trees (summed over every k-subset of root vertices); the constant term is
     det L (always zero for a graph matrix) and the leading coefficient is 1.
     """
-    return _char_poly(*_scaled_rows(graph))
+    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph))
 
 
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -142,7 +142,7 @@ def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     Evaluating at 1 gives forest_cofactor; coefficient k is the weight of the
     forests with k+1 trees that join j into i's tree (i among the roots).
     """
-    return _cofactor_poly(*_scaled_rows(graph), i, j)
+    return _cofactor_poly(*_scaled_rows(graph), i, j, isinstance(graph, Multigraph))
 
 
 def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -154,7 +154,7 @@ def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     polynomials form the adjugate of the characteristic matrix of L.
     """
     rows, mults = _scaled_rows(graph)
-    return _cofactor_poly([[-x for x in row] for row in rows], mults, i, j)
+    return _cofactor_poly([[-x for x in row] for row in rows], mults, i, j, isinstance(graph, Multigraph))
 
 
 def path_expansion_cofactor(

@@ -3,19 +3,18 @@
 Every scalar is a `fractions.Fraction`, so results are exact and canonical.
 All determinant-derived quantities are taken on the same integer rows: the
 matrix is scaled to integers once (each row by the lcm of its denominators)
-and reduced by fraction-free Bareiss elimination (Bareiss 1968), forward for
-determinants and cofactors, and as Gauss-Jordan on [A | I] for the adjugate.
-The kernels are functions of those rows and their multipliers, so `forest`
-runs them on rows built straight from an arc list, and the SquareMatrix
-methods on the rows of their entries. Determinants, cofactors and the
-inverse take a diagonal-pivot variant in a Markowitz order (Markowitz 1957),
-which for a symmetric matrix (W = I + L of an undirected graph) updates the
-upper triangle only, and which hands a zero pivot back to the general
-kernel; the inverse solves for the adjugate from its pivot rows (and, unless
-symmetric, its pivot columns) by fraction-free back substitution, with no
-identity block carried along. Polynomials in x are interpolated exactly, in
-Newton form, through the kernel's values at integer shifts x = 0, 1, 2, ...,
-singular shifts skipped where an adjugate is needed.
+and reduced by one fraction-free elimination (Bareiss 1968) with diagonal
+pivots in a Markowitz order (Markowitz 1957). For a symmetric matrix (W =
+I + L of an undirected graph) it updates the upper triangle only; a zero
+pivot restarts it on full rows, where a zero pivot swaps in a lower row. The
+kernels are functions of those rows and their multipliers, so `forest` runs
+them on rows built straight from an arc list, and the SquareMatrix methods on
+the rows of their entries. Determinants and cofactors are entries of the
+eliminated rows; the inverse and the adjugate are solved from the pivot rows
+(and, unless symmetric, the pivot columns) by fraction-free back
+substitution, with no identity block carried along. Polynomials in x are
+interpolated exactly, in Newton form, through the kernel's values at integer
+shifts x = 0, 1, 2, ..., singular shifts skipped where an adjugate is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count, islice
 from math import lcm, prod
-from operator import itemgetter
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -91,79 +90,6 @@ def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
     return rows, mults
 
 
-def _bareiss(rows: list[list[int]], jordan: bool = False) -> int:
-    """Determinant of the leading square block B of integer `rows`, eliminated in place.
-
-    Fraction-free elimination: with p_k the pivot of step k (p_-1 = 1), step k
-    sets entry (i, j) to (a[i][j] * p_k - a[i][k] * a[k][j]) // p_(k-1); the
-    division is exact by Sylvester's identity. Rows below the pivot are
-    cleared, and in `jordan` mode rows above it too, which leaves
-    det * B**-1 * T in place of the trailing columns T. A zero pivot row is
-    swapped with a lower row, negated to keep the sign. Returns 0 when B is
-    singular.
-
-    Sparsity is exploited in two ways that change no result:
-
-    - Order. Rows and the columns of B are first permuted in place by one
-      permutation, fewest nonzeros first, which leaves det B unchanged; in
-      `jordan` mode the rows are put back in their original order at the end.
-    - Lazy rows. A row with a zero in the pivot column is not touched at that
-      step; level[i] holds the pivot of the step that last updated row i, so
-      its up-to-date value is stored * p_(k-1) // level[i]. Updating it later
-      divides by level[i] instead of p_(k-1). The pivot row is brought up to
-      date when its step comes, and then counts as updated at that step.
-      `jordan` mode brings every row's trailing block up to date at the end.
-
-    Entries up to the pivot column go stale, and in forward mode the rows
-    are left permuted.
-    """
-    n = len(rows)
-    order = sorted(range(n), key=[row.count(0) for row in rows].__getitem__, reverse=True)
-    permuted = order != list(range(n))
-    if permuted:
-        get = itemgetter(*order)
-        rows[:] = get(rows)
-        for row in rows:
-            row[:n] = get(row)
-    level = [1] * n
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = [-x for x in rows[swap]], rows[k]
-            level[k], level[swap] = level[swap], level[k]
-        rk = rows[k]
-        if level[k] != prev:
-            t = level[k]
-            rk[k:] = [x * prev // t for x in rk[k:]]
-        pivot = rk[k]
-        tail = rk[k + 1:]
-        for i in range(n) if jordan else range(k + 1, n):
-            ri = rows[i]
-            f = ri[k]
-            if f and i != k:
-                t = level[i]
-                ri[k + 1:] = [(a * pivot - f * b) // t for a, b in zip(ri[k + 1:], tail)]
-                level[i] = pivot
-        level[k] = pivot
-        prev = pivot
-    if jordan:
-        for row, t in zip(rows, level):
-            if t != prev:
-                row[n:] = [x * prev // t for x in row[n:]]
-        if permuted:
-            rows[:] = [row for _, row in sorted(zip(order, rows))]
-    return prev
-
-
-def _signed_minor(rows: list[list[int]], i: int, j: int) -> int:
-    """(-1)**(i+j) * det(rows without row i and column j), by _bareiss."""
-    minor = [row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i]
-    return -_bareiss(minor) if (i + j) % 2 else _bareiss(minor)
-
-
 def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) -> list[int]:
     """A greedy Markowitz order (Markowitz 1957) of diagonal pivots on the nonzero
     pattern of `rows`, ending with the indices of `last`.
@@ -176,6 +102,7 @@ def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) 
     this is the greedy minimum-degree order (Tinney & Walker 1967) and the
     fill joins the neighbours into a clique; `symmetric` says the pattern is,
     and then the column patterns are the row patterns and are not kept twice.
+    The diagonal is not read, so one order serves every shift M + x*I.
     """
     n = len(rows)
     out = [set(compress(range(n), row)) for row in rows]
@@ -207,51 +134,73 @@ def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) 
     return order + list(last)
 
 
-def _forward(rows: list[list[int]], mults: list[int], symmetric: bool, last: tuple[int, ...], steps: int, lower: bool = False):
+def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, steps: int, lower: bool = False, shift: int = 0):
     """The first `steps` steps of Bareiss elimination with diagonal pivots on the
-    scaled rows B = D * W of a matrix W, D = diag(mults), rows and columns
-    permuted by one _pivot_order(rows, last, symmetric); None if one of those
-    pivots is zero. `rows` is left unchanged.
+    scaled rows B = D * (W + shift * I) of a matrix W, D = diag(mults), rows and
+    columns permuted by `order`. `rows` is left unchanged.
 
-    Returns (order, b, d, pivots, level): b the permuted rows, eliminated in
-    place; d the permuted row scales; pivots = [1, p_0, ..., p_(steps-1)];
-    level as in _bareiss, for the rows not yet pivoted. Row k < steps of b
-    holds, from column k on, the pivot row U_k as it stood at step k, so
-    U_kk = p_k. With `lower`, each entry below a pivot is brought up to date
-    at its step, so column k below row k holds the pivot column L_rk.
+    Returns (b, d, pivots, level, swaps), or None when the leading
+    (steps + 1)-block (all of B if steps == n) is singular: b the permuted
+    rows, eliminated in place; d the permuted row scales; pivots = [1, p_0,
+    ..., p_(steps-1)]; level[r] the pivot of the step that last updated row r.
+    Row k < steps of b holds, from column k on, the pivot row U_k as it stood
+    at step k, so U_kk = p_k. With `lower`, each entry below a pivot is
+    brought up to date at its step, so column k below row k holds the pivot
+    column L_rk. Rows past `steps` are not updated.
 
-    Rows are lazy as in _bareiss. For a `symmetric` W only the upper triangle
-    is updated: every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r,
-    so entry (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from
-    the pivot row; for a lazy row its stored value is
-    rk[r] * d_r * level[r] // (d_k * p_(k-1)). Otherwise each row below the
-    pivot is updated right of the pivot column.
+    Lazy rows: a row with a zero in the pivot column is not touched at that
+    step, so its up-to-date value is stored * p_(k-1) // level[r]; a later
+    update divides by level[r] instead of p_(k-1), still exact by Sylvester's
+    identity, and a pivot row is brought up to date when its step comes.
+
+    For a `symmetric` W only the upper triangle is updated, and swaps is None:
+    every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r, so entry
+    (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from the pivot
+    row; for a lazy row its stored value is rk[r] * d_r * level[r] // (d_k *
+    p_(k-1)). A zero pivot there restarts the run on full rows. On full rows,
+    a zero pivot p_k swaps in, negated, the first row r, k < r <= steps, with
+    a nonzero in column k, and (k, r) joins swaps. The result then describes
+    P * B, P the signed permutation of the swaps; det P = 1, so det(P * B) =
+    det B and adj B = adj(P * B) * P.
     """
     n = len(rows)
-    order = _pivot_order(rows, last, symmetric)
     b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
     d = list(map(mults.__getitem__, order))
+    if shift:
+        for k, row in enumerate(b):
+            row[k] += shift * d[k]
+    end = min(steps + 1, n)
     level = [1] * n
     pivots = [1]
+    swaps = None if symmetric else []
     prev = 1
     for k in range(steps):
         rk = b[k]
+        if not rk[k]:
+            if symmetric:
+                # column k below the pivot is zero exactly where row k right of it is
+                return _forward(rows, mults, order, False, steps, lower, shift) if any(rk[k + 1:end]) else None
+            r = next((r for r in range(k + 1, end) if b[r][k]), None)
+            if r is None:
+                return None
+            b[k], b[r] = [-x for x in b[r]], rk
+            rk = b[k]
+            level[k], level[r] = level[r], level[k]
+            swaps.append((k, r))
         if level[k] != prev:
             t = level[k]
             rk[k:] = [x * prev // t for x in rk[k:]]
         pivot = rk[k]
-        if not pivot:
-            return None
         if symmetric:
             dk = d[k] * prev
-            for r in compress(range(k + 1, n), rk[k + 1:]):
+            for r in compress(range(k + 1, end), rk[k + 1:end]):
                 row, t = b[r], level[r]
                 f = rk[r] * d[r] * t // dk
                 row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
                 level[r] = pivot
         else:
             tail = rk[k + 1:]
-            for r in range(k + 1, n):
+            for r in range(k + 1, end):
                 row = b[r]
                 f = row[k]
                 if f:
@@ -262,20 +211,20 @@ def _forward(rows: list[list[int]], mults: list[int], symmetric: bool, last: tup
                         row[k] = f * prev // t
         pivots.append(pivot)
         prev = pivot
-    return order, b, d, pivots, level
+    return b, d, pivots, level, swaps
 
 
-def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None):
-    """_bareiss(rows) if pair is None, else _signed_minor(rows, *pair), for the
-    scaled rows B = D * W of a matrix W, D = diag(mults); None when a pivot the
-    result divides by is zero. `rows` is left unchanged.
+def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None, shifts: Iterable[int] = (0,)) -> list[int]:
+    """det B if pair is None, else the signed minor (-1)**(i+j) * det(B without
+    row i and column j) for pair = (i, j), of the scaled rows B = D * (W + x * I)
+    of a matrix W, D = diag(mults), at each shift x. `rows` is left unchanged.
 
-    _forward puts j and then i last (i alone if i == j). det B is the last
-    diagonal entry after n - 1 steps, and a diagonal cofactor the last
-    diagonal entry of the leading (n - 1)-block after n - 2. For i != j,
-    n - 2 steps leave det B[P + j, P + i] (rows P and j, columns P and i, P
-    the other indices) in entry (n - 2, n - 1), and the signed minor is its
-    negation.
+    One _pivot_order, for every shift, puts j and then i last (i alone if
+    i == j). det B is the last diagonal entry after n - 1 steps of _forward,
+    and a diagonal cofactor the last diagonal entry of the leading
+    (n - 1)-block after n - 2. For i != j, n - 2 steps leave det B[P + j, P + i]
+    (rows P and j, columns P and i, P the other indices) in entry
+    (n - 2, n - 1), and the signed minor is its negation.
     """
     n = len(rows)
     i, j = pair or (None, None)
@@ -283,14 +232,19 @@ def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tu
     last = (j, i) if off_diagonal else () if pair is None else (i,)
     size = n if pair is None else n - 1
     if size == 0:
-        return 1
-    run = _forward(rows, mults, symmetric, last, size - 1)
-    if run is None:
-        return None
-    _, b, _, pivots, level = run
+        return [1 for _ in shifts]
+    order = _pivot_order(rows, last, symmetric)
     r = size - 1
-    entry = b[r][r + off_diagonal] * pivots[-1] // level[r]
-    return -entry if off_diagonal else entry
+    values = []
+    for x in shifts:
+        run = _forward(rows, mults, order, symmetric, r, shift=x)
+        if run is None:
+            values.append(0)
+            continue
+        b, _, pivots, level, _ = run
+        entry = b[r][r + off_diagonal] * pivots[-1] // level[r]
+        values.append(-entry if off_diagonal else entry)
+    return values
 
 
 def _substituted(coeffs: list[tuple[int, int]], rows: list[list[int]], k: int, p: int) -> list[int]:
@@ -342,31 +296,33 @@ def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric:
     return x
 
 
-def _shifted(rows: list[list[int]], mults: list[int], x: int) -> list[list[int]]:
-    """Scaled rows of M + x*I, given the scaled rows of M and their multipliers."""
-    shifted = [row[:] for row in rows]
-    for r, mult in enumerate(mults):
-        shifted[r][r] += x * mult
-    return shifted
-
-
-def _nonsingular(rows: list[list[int]], mults: list[int], shifts: Iterable[int]):
-    """(x, det, adj) for each shift x at which the scaled rows B of M + x*I are nonsingular,
-    from one Gauss-Jordan elimination of [B | I] per shift (det B * B**-1 = adj B)."""
+def _adjugates(rows: list[list[int]], mults: list[int], symmetric: bool, shifts: Iterable[int]):
+    """(x, det, adj) for each shift x at which the scaled rows B of M + x*I are
+    nonsingular: _forward's n steps in one _pivot_order, taken once, then
+    _adjugate_lu. Its X = adj(P B) of the permuted rows, P the signed
+    permutation of the row swaps, goes back through adj B = X * P, each swap
+    (k, r) undone last to first, and then to the original index order."""
     n = len(rows)
+    order = _pivot_order(rows, (), symmetric)
+    place = sorted(range(n), key=order.__getitem__)  # order[place[v]] == v
     for x in shifts:
-        aug = [row + [int(r == c) for c in range(n)] for r, row in enumerate(_shifted(rows, mults, x))]
-        d = _bareiss(aug, jordan=True)
-        if d:
-            yield x, d, [row[n:] for row in aug]
+        run = _forward(rows, mults, order, symmetric, n, lower=True, shift=x)
+        if run is None:
+            continue
+        b, d, pivots, _, swaps = run
+        adj = _adjugate_lu(b, d, pivots, swaps is None)
+        for k, r in reversed(swaps or ()):
+            for row in adj:
+                row[k], row[r] = row[r], -row[k]
+        yield x, pivots[-1], [list(map(adj[v].__getitem__, place)) for v in place]
 
 
-def _interpolated(nodes: Sequence[int], values: list[int], scale: int, terms=None) -> tuple[Fraction, ...]:
-    """The lowest `terms` (default all) coefficients, constant term first, of the
-    p with p(nodes[k]) = values[k] / scale, from its Newton form; terms=1 is
-    Horner's rule for p(0). The nodes are distinct integers and scale * p must
-    have integer coefficients (a determinant of integer rows shifted by integer
-    multiples of x), so every divided difference is an integer and each // exact.
+def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[Fraction, ...]:
+    """The coefficients, constant term first, of the p with p(nodes[k]) =
+    values[k] / scale, from its Newton form. The nodes are distinct integers
+    and scale * p must have integer coefficients (a determinant of integer rows
+    shifted by integer multiples of x), so every divided difference is an
+    integer and each // exact.
     """
     newton, diffs = [], values
     for k in range(1, len(values) + 1):
@@ -374,10 +330,21 @@ def _interpolated(nodes: Sequence[int], values: list[int], scale: int, terms=Non
         diffs = [(b - a) // (y - x) for a, b, x, y in zip(diffs, diffs[1:], nodes, nodes[k:])]
     coeffs: list[int] = []
     for node, c in zip(reversed(nodes), reversed(newton)):  # coeffs * (x - node) + c
-        coeffs = [c, *coeffs[:terms]]
+        coeffs = [c, *coeffs]
         for e in range(len(coeffs) - 1):
             coeffs[e] -= node * coeffs[e + 1]
-    return tuple(Fraction(c, scale) for c in coeffs[:terms])
+    return tuple(Fraction(c, scale) for c in coeffs)
+
+
+def _weights_at_zero(nodes: Sequence[int]) -> tuple[list[int], int]:
+    """Integer Lagrange weights w and a common denominator q > 0 with
+    p(0) = sum(w[k] * p(nodes[k])) / q for every p of degree below len(nodes):
+    the basis polynomial of node k is 1 at it and 0 at the others, so its value
+    at 0 is prod(nodes[m]) / prod(nodes[m] - nodes[k]) over m != k."""
+    nums = [prod(y for y in nodes if y != x) for x in nodes]
+    dens = [prod(y - x for y in nodes if y != x) for x in nodes]
+    q = lcm(*dens)
+    return [a * (q // b) for a, b in zip(nums, dens)], q
 
 
 def _check_index(n: int, i: int, j: int) -> None:
@@ -387,66 +354,51 @@ def _check_index(n: int, i: int, j: int) -> None:
 
 # The kernels below take the scaled rows and row multipliers of a matrix M, as
 # _integer_rows makes them (and graphs._scaled_rows, straight from an arc list),
-# may eliminate the rows in place, and return exact results; `symmetric` says M
-# equals its transpose.
+# leave them unchanged, and return exact results; `symmetric` says M equals its
+# transpose.
 
 
 def _det(rows: list[list[int]], mults: list[int], symmetric: bool) -> Fraction:
     """det M; the empty matrix has determinant 1."""
-    d = _diagonal(rows, mults, symmetric)
-    return Fraction(_bareiss(rows) if d is None else d, prod(mults))
+    return Fraction(_diagonal(rows, mults, symmetric)[0], prod(mults))
 
 
 def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> Fraction:
     """Signed minor (-1)**(i+j) * det(M without row i and column j)."""
     _check_index(len(rows), i, j)
-    c = _diagonal(rows, mults, symmetric, (i, j))
-    return Fraction(_signed_minor(rows, i, j) if c is None else c, prod(mults) // mults[i])
+    return Fraction(_diagonal(rows, mults, symmetric, (i, j))[0], prod(mults) // mults[i])
 
 
 def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "SquareMatrix":
     """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, so entry (r, c) is
-    X_rc * d_c / det. X = adj B comes from _forward's n steps in Markowitz
-    order and _adjugate_lu; a `symmetric` M makes each Fraction once per
-    unordered pair. At a zero pivot the rows go to one Gauss-Jordan
-    elimination of [B | I] instead, which leaves adj B in the right block.
-    Raises SingularMatrixError when det == 0."""
-    n = len(rows)
-    run = _forward(rows, mults, symmetric, (), n, lower=not symmetric)
-    if run is None:
-        for _, det, adj in _nonsingular(rows, mults, (0,)):
-            return SquareMatrix(
-                tuple(tuple(Fraction(x * m, det) for x, m in zip(row, mults)) for row in adj)
-            )
-        raise SingularMatrixError("matrix is singular")
-    order, b, d, pivots, _ = run
-    det = pivots[-1]
-    x = _adjugate_lu(b, d, pivots, symmetric)
-    if symmetric:
+    adj(B)_rc * d_c / det, with adj B from _adjugates at x = 0; a `symmetric` M
+    makes each Fraction once per unordered pair. Raises SingularMatrixError
+    when det == 0."""
+    for _, det, adj in _adjugates(rows, mults, symmetric, (0,)):
+        if not symmetric:
+            return SquareMatrix._of(tuple(tuple(Fraction(a * m, det) for a, m in zip(row, mults)) for row in adj))
+        n = len(adj)
         q = [[None] * n for _ in range(n)]
-        for r, row in enumerate(x):
+        for r, row in enumerate(adj):
             for c in range(r, n):
-                q[r][c] = q[c][r] = Fraction(row[c] * d[c], det)
-    else:
-        q = [[Fraction(a * m, det) for a, m in zip(row, d)] for row in x]
-    place = sorted(range(n), key=order.__getitem__)  # order[place[v]] == v
-    return SquareMatrix(tuple(tuple(map(q[r].__getitem__, place)) for r in place))
+                q[r][c] = q[c][r] = Fraction(row[c] * mults[c], det)
+        return SquareMatrix._of(tuple(map(tuple, q)))
+    raise SingularMatrixError("matrix is singular")
 
 
-def _char_poly(rows: list[list[int]], mults: list[int]) -> "Polynomial":
+def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool) -> "Polynomial":
     """det(x*I + M), interpolated through the n + 1 determinants at x = 0, 1, ..., n
     of the scaled rows with x times the row scale added to the diagonal."""
-    n = len(rows)
-    values = [_bareiss(_shifted(rows, mults, x)) for x in range(n + 1)]
-    return Polynomial(_interpolated(range(n + 1), values, prod(mults)))
+    nodes = range(len(rows) + 1)
+    return Polynomial(_interpolated(nodes, _diagonal(rows, mults, symmetric, shifts=nodes), prod(mults)))
 
 
-def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int) -> "Polynomial":
+def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> "Polynomial":
     """The (i, j) cofactor of x*I + M, interpolated through its values at
     x = 0, 1, ..., n - 1, each shift taken like _char_poly's."""
     n = len(rows)
     _check_index(n, i, j)
-    values = [_signed_minor(_shifted(rows, mults, x), i, j) for x in range(n)]
+    values = _diagonal(rows, mults, symmetric, (i, j), range(n))
     return Polynomial(_interpolated(range(n), values, prod(mults) // mults[i]))
 
 
@@ -462,6 +414,14 @@ class SquareMatrix:
             if len(row) != len(rows):
                 raise ValueError(f"matrix is not square: {len(row)} != {len(rows)}")
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _of(cls, entries: tuple[tuple[Fraction, ...], ...]) -> "SquareMatrix":
+        """The matrix of square rows of Fractions that a kernel has just built,
+        without __post_init__'s check of every entry."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -517,31 +477,31 @@ class SquareMatrix:
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
 
-        One Gauss-Jordan elimination of the scaled rows B gives adj B if det B
-        != 0. Otherwise each entry of adj(B + x*D), D the row scales, is an
-        integer polynomial of degree below n, taken at the first n shifts
-        x = 1, 2, ... with det(B + x*D) != 0 (at most n are skipped: that
-        determinant has degree n) and interpolated back to x = 0.
+        adj B of the scaled rows B = D * self comes from one forward elimination
+        and back substitution if det B != 0. Otherwise each entry of
+        adj(B + x*D) is an integer polynomial of degree below n, taken at the
+        first n shifts x = 1, 2, ... with det(B + x*D) != 0 (at most n are
+        skipped: that determinant has degree n) and read at x = 0 with one set
+        of integer Lagrange weights for every entry.
         """
         n = self.n
         if n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
         rows, mults = _integer_rows(self.entries)
         scales = [prod(mults) // m for m in mults]
-        found = _nonsingular(rows, mults, count())
-        shift, d, adj = next(found)
-        if not shift:
-            return SquareMatrix(tuple(tuple(Fraction(a, s) for a, s in zip(row, scales)) for row in adj))
-        nodes, _, adjs = zip((shift, d, adj), *islice(found, n - 1))
-        return SquareMatrix(tuple(
-            tuple(_interpolated(nodes, [a[i][j] for a in adjs], s, terms=1)[0] for j, s in enumerate(scales))
-            for i in range(n)
-        ))
+        found = _adjugates(rows, mults, self.is_symmetric(), count())
+        shift, det, adj = next(found)
+        if shift:
+            nodes, _, adjs = zip((shift, det, adj), *islice(found, n - 1))
+            weights, q = _weights_at_zero(nodes)
+            adj = [[sum(map(mul, weights, values)) for values in zip(*row)] for row in zip(*adjs)]
+            scales = [s * q for s in scales]
+        return SquareMatrix._of(tuple(tuple(Fraction(a, s) for a, s in zip(row, scales)) for row in adj))
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse from one fraction-free forward elimination of the scaled
-        rows with diagonal pivots and a fraction-free back substitution
-        (Gauss-Jordan at a zero pivot); raises SingularMatrixError when det == 0."""
+        rows with diagonal pivots (a row swap at a zero pivot) and a
+        fraction-free back substitution; raises SingularMatrixError when det == 0."""
         return _inverse(*_integer_rows(self.entries), self.is_symmetric())
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
@@ -561,18 +521,18 @@ class SquareMatrix:
         principal_minor_sum is the independent subset-minor route to the same
         coefficients.
         """
-        return _char_poly(*_integer_rows(self.entries))
+        return _char_poly(*_integer_rows(self.entries), self.is_symmetric())
 
     def cofactor_poly(self, i: int, j: int) -> Polynomial:
         """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term
         first; for i != j the top coefficient is 0."""
-        return _cofactor_poly(*_integer_rows(self.entries), i, j)
+        return _cofactor_poly(*_integer_rows(self.entries), i, j, self.is_symmetric())
 
     def _cofactor_polys(self) -> list[list[Polynomial]]:
         """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
         the scaled rows at the first n shifts x = 0, 1, ... where det(self + x*I) != 0."""
         rows, mults = _integer_rows(self.entries)
-        found = list(islice(_nonsingular(rows, mults, count()), self.n))
+        found = list(islice(_adjugates(rows, mults, self.is_symmetric(), count()), self.n))
         nodes, scale = [x for x, _, _ in found], prod(mults)
         return [
             [Polynomial(_interpolated(nodes, [a[j][i] for _, _, a in found], scale // m)) for j in range(self.n)]

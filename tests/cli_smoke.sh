@@ -126,9 +126,24 @@ for check in "2 3 -2" "3 3 -4" "1 2 -5"; do
   grep -q "\"cofactor\": \"$want\"" zero-pivot.out
 done
 
-echo "accessibility with a zero diagonal pivot: Q = adj W / (-8), taken by Gauss-Jordan"
+echo "accessibility with a zero diagonal pivot: Q = adj W / (-8), taken with a row swap"
 fm accessibility zero-pivot.graph --output tsv > zero-pivot.out
 printf '1/8\t5/8\t1/4\n5/8\t1/8\t1/4\n1/4\t1/4\t1/2\n' | cmp - zero-pivot.out
+
+echo "signed cofactor polynomials of a path, whose shifts x = 1, 2 of xI - L have zero pivots"
+# xI - L = [[x-1, 1, 0], [1, x-2, 1], [0, 1, x-1]]: cofactor (1, 1) is
+# (x-2)(x-1) - 1 = x^2 - 3x + 1, cofactor (1, 3) is 1
+printf 'graph undirected 3\n1 2 1\n2 3 1\n' > path.graph
+fm cofactor-poly path.graph --from 1 --to 1 --signed --output tsv > path.out
+printf '1\t-3\t1\n' | cmp - path.out
+fm cofactor-poly path.graph --from 1 --to 3 --signed --output tsv > path.out
+printf '1\t0\t0\n' | cmp - path.out
+
+echo "charpoly of a digraph whose vertex 1 has in-degree 0, a zero row of L"
+# xI + L is lower triangular: x (x + 1) (x + 5/2) = x^3 + 7/2 x^2 + 5/2 x
+printf 'graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n' > source.graph
+fm charpoly source.graph --output tsv > source.out
+printf '0\t5/2\t7/2\t1\n' | cmp - source.out
 
 echo "exact accessibility of a singular W exits 3: lambda = 0, and the roots -2 and -1/2 of det W"
 for argv in "small.graph --lambda 0" "small-directed.graph --lambda=-2" "small-directed.graph --lambda=-1/2"; do

@@ -29,10 +29,29 @@ def directed_3cycle() -> Multidigraph:
 
 
 @pytest.fixture
-def fallbacks(monkeypatch) -> list:
-    """One entry per call of linalg._nonsingular, the Gauss-Jordan route that
-    inverse takes at a zero diagonal pivot."""
-    calls = []
-    nonsingular = linalg._nonsingular
-    monkeypatch.setattr(linalg, "_nonsingular", lambda *args: calls.append(1) or nonsingular(*args))
-    return calls
+def routes(monkeypatch) -> list:
+    """The route of each linalg._forward run a kernel starts, as a set of tags:
+    "restart" if a symmetric run restarted on full rows at a zero pivot,
+    "swap" if the full rows swapped in a row at a zero pivot, and "singular" if
+    the run ended with result 0 at a zero pivot; empty if no pivot was zero."""
+    runs, open_runs = [], []
+    forward = linalg._forward
+
+    def counted(*args, **kwargs):
+        open_runs.append(set())
+        try:
+            run = forward(*args, **kwargs)
+        finally:
+            tags = open_runs.pop()
+        if run is None:
+            tags.add("singular")
+        elif run[4]:
+            tags.add("swap")
+        if open_runs:  # called from a symmetric run: its restart
+            open_runs[-1] |= tags | {"restart"}
+        else:
+            runs.append(frozenset(tags))
+        return run
+
+    monkeypatch.setattr(linalg, "_forward", counted)
+    return runs

@@ -4,10 +4,10 @@ The checkers and determinants here deliberately avoid the package's own
 algorithms (no parent-choice enumeration, no Bareiss) so that agreement
 between the two sides actually means something: scan_forests and scan_trees
 filter all 2**m instance subsets with their own union-find and in-degree
-test. The exceptions are minor_adjugate, which takes each minor by the
-package's forward determinant to check the adjugate's Gauss-Jordan and
-interpolation route, and adjugate_inverse, which divides that adjugate by the
-determinant to check the inverse's back substitution.
+test, and leibniz_det, leibniz_cofactor and leibniz_adjugate expand
+permutations. The exception is minor_adjugate, which takes each minor by the
+package's determinant to check the adjugate's back substitution and
+interpolation route at sizes Leibniz cannot reach.
 
 Test-side references for operations the package has no caller for: diag and
 matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
@@ -106,7 +106,7 @@ def graph_text(graph) -> str:
 
 def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:
     """Adjugate entry by entry: adj[i][j] is the signed minor of (j, i), each minor
-    a separate forward determinant (no Gauss-Jordan, no interpolation)."""
+    a separate determinant (no back substitution, no interpolation)."""
     n = matrix.n
     rows = matrix.entries
 
@@ -115,15 +115,6 @@ def minor_adjugate(matrix: SquareMatrix) -> SquareMatrix:
         return (-1) ** (i + j) * SquareMatrix(minor).det()
 
     return SquareMatrix(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
-
-
-def adjugate_inverse(matrix: SquareMatrix) -> SquareMatrix:
-    """matrix**-1 as adjugate / det: the Gauss-Jordan route, which inverse takes
-    only at a zero pivot."""
-    if matrix.n == 0:
-        return matrix
-    det = matrix.det()
-    return SquareMatrix(tuple(tuple(x / det for x in row) for row in matrix.adjugate().entries))
 
 
 def min_degree_order(rows, last) -> list[int]:
@@ -172,6 +163,33 @@ def leibniz_det(matrix: SquareMatrix) -> Fraction:
             term *= matrix.entries[row][col]
         total += term
     return total
+
+
+def leibniz_cofactor(matrix: SquareMatrix, i: int, j: int) -> Fraction:
+    """(-1)**(i+j) times the Leibniz determinant of the minor without row i and column j."""
+    minor = SquareMatrix(
+        tuple(tuple(x for c, x in enumerate(row) if c != j)
+              for r, row in enumerate(matrix.entries) if r != i)
+    )
+    return (-1) ** (i + j) * leibniz_det(minor)
+
+
+def leibniz_adjugate(matrix: SquareMatrix) -> SquareMatrix:
+    """Transposed matrix of Leibniz cofactors (usable up to n ~ 6)."""
+    n = matrix.n
+    return SquareMatrix(tuple(tuple(leibniz_cofactor(matrix, j, i) for j in range(n)) for i in range(n)))
+
+
+def is_inverse(matrix: SquareMatrix, q: SquareMatrix) -> bool:
+    """Whether q == matrix**-1: the Leibniz adjugate over the Leibniz determinant
+    up to n = 6, and matrix @ q == I, multiplied out here, beyond."""
+    n = matrix.n
+    if n <= 6:
+        det = leibniz_det(matrix)
+        return q.entries == tuple(tuple(x / det for x in row) for row in leibniz_adjugate(matrix).entries)
+    cols = tuple(zip(*q.entries))
+    return all(sum(a * b for a, b in zip(row, col)) == (r == c)
+               for r, row in enumerate(matrix.entries) for c, col in enumerate(cols))
 
 
 def check_rooted_forest(graph: Multigraph, forest: RootedForest) -> bool:

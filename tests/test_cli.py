@@ -223,6 +223,23 @@ class TestCommands:
         )
         assert code == 0 and payload["coeffs"] == ["-1", "1"] and payload["signed"] is True
 
+    @pytest.mark.parametrize("text, argv, coeffs, route", [
+        # the cases of cli_smoke.sh that reach a zero pivot: xI - L of the path
+        # is zero on the diagonal at x = 1 and x = 2, and the source vertex of
+        # the digraph has a zero row in L, which the order pivots on first
+        ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "1", "--signed"),
+         ["1", "-3", "1"], {"restart", "swap"}),
+        ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "3", "--signed"),
+         ["1", "0", "0"], {"restart", "swap"}),
+        ("graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n", ("charpoly",), ["0", "5/2", "7/2", "1"], {"swap"}),
+    ], ids=["signed-cofactor-poly-1-1", "signed-cofactor-poly-1-3", "charpoly-source"])
+    def test_zero_pivot_shifts_swap(self, capsys, tmp_path, routes, text, argv, coeffs, route):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        code, payload = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and payload["coeffs"] == coeffs
+        assert route in routes
+
     def test_enumerate_default_kind(self, capsys, edge_file):
         code, payload = run_json(capsys, "enumerate", edge_file)
         assert code == 0

@@ -34,8 +34,8 @@ from forestmatrix import (
     weight_of,
 )
 from helpers import (
-    adjugate_inverse,
     diag,
+    is_inverse,
     matrix_sum,
     oracle_cofactor_coeffs,
     pair_weight_table,
@@ -205,41 +205,47 @@ def signed_graph(rng, directed, n):
 
 class TestAccessibilityKernel:
     """Q comes from the diagonal-pivot forward pass and a fraction-free back
-    substitution, or from Gauss-Jordan at a zero pivot; both must give the
-    Fractions of adj W / det W."""
+    substitution; a zero pivot restarts an undirected W's run on full rows, and
+    swaps in a lower row on full rows. Every route must give the Fractions of
+    adj W / det W."""
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_matches_adjugate_over_det(self, directed, fallbacks):
+    def test_matches_adjugate_over_det(self, directed, routes):
         rng = random.Random(113)
-        routes = Counter()  # (singular, fell back)
+        zero_pivot = {"restart", "swap"} if not directed else {"swap"}
+        counts = Counter()  # (singular, route)
         for n in (*range(9), 20):
             for lam in (1, F(1, 3), 2, F(-3, 2)):
                 g = signed_graph(rng, directed, n)
                 w = forest_matrix(graph_matrix(g), lam)
-                fallbacks.clear()
-                if w.det() == 0:
+                det = w.det()
+                routes.clear()
+                if det == 0:
                     with pytest.raises(SingularForestMatrixError):
                         accessibility(g, lam)
-                    routes[True, bool(fallbacks)] += 1
+                    assert "singular" in routes[0]
+                    counts[True, "singular"] += 1
                     continue
                 q = accessibility(g, lam).matrix
-                routes[False, bool(fallbacks)] += 1
-                assert q == adjugate_inverse(w) == w.inverse()
+                counts[False, routes[0]] += 1
+                assert is_inverse(w, q) and q == w.inverse()
                 assert all(type(x) is Fraction for row in q.entries for x in row)
-        assert routes[False, False] and routes[False, True] and routes[True, True]
-        assert not routes[True, False]
+        assert counts[False, frozenset()] and counts[False, frozenset(zero_pivot)] and counts[True, "singular"]
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_zero_markowitz_pivot_takes_the_fallback(self, directed, fallbacks):
+    def test_zero_markowitz_pivot_takes_the_fallback(self, directed, routes):
         # W = [[0, 2, -1], [2, 0, -1], [-1, -1, 3]]: every index costs 4, so
-        # index 0 is pivoted first, and its diagonal entry is 0
+        # index 0 is pivoted first, and its diagonal entry is 0; row 1 is
+        # swapped in, after a restart on full rows if the run is symmetric
         instances = ((0, 1, -2), (1, 2, 1), (0, 2, 1))
         g = Multidigraph(3, instances + tuple((v, u, w) for u, v, w in instances)) if directed else Multigraph(3, instances)
         w = forest_matrix(graph_matrix(g))
         assert w.entries[0][0] == 0 and w.det() == -8
+        routes.clear()
         q = accessibility(g).matrix
-        assert len(fallbacks) == 1
-        assert q == adjugate_inverse(w) == SquareMatrix(((F(1, 8), F(5, 8), F(1, 4)), (F(5, 8), F(1, 8), F(1, 4)), (F(1, 4), F(1, 4), F(1, 2))))
+        assert routes == [{"swap"} if directed else {"restart", "swap"}]
+        assert is_inverse(w, q)
+        assert q == SquareMatrix(((F(1, 8), F(5, 8), F(1, 4)), (F(5, 8), F(1, 8), F(1, 4)), (F(1, 4), F(1, 4), F(1, 2))))
 
     @pytest.mark.parametrize("weight, lam", [(1, 0), (F(-1, 2), 1), (F(-1, 6), "1/3"), (F(1, 4), F(-1, 2))])
     def test_singular_message(self, weight, lam):

@@ -22,9 +22,10 @@ from forestmatrix import (
 from helpers import (
     POSITIVE_POOL,
     WEIGHT_POOL,
-    adjugate_inverse,
     diag,
     fraction_horner,
+    is_inverse,
+    leibniz_cofactor,
     leibniz_det,
     min_degree_order,
     minor_adjugate,
@@ -163,8 +164,8 @@ def adjugate_cases():
 
 
 class TestAdjugateKernel:
-    """adjugate and the cofactor-polynomial grid come from Gauss-Jordan eliminations
-    at nonsingular shifts; each must equal its entry-by-entry route."""
+    """adjugate and the cofactor-polynomial grid come from back substitutions at
+    nonsingular shifts; each must equal its entry-by-entry route."""
 
     def test_cases_cover_singular_and_nonsingular(self):
         dets = [m.det() for m in adjugate_cases()]
@@ -193,7 +194,8 @@ class TestAdjugateKernel:
         nodes = [5, -2, 9, 0]
         values = [7 - 3 * x + 2 * x**3 for x in nodes]
         assert linalg._interpolated(nodes, values, 6) == (F(7, 6), F(-1, 2), 0, F(1, 3))
-        assert linalg._interpolated(nodes, values, 6, terms=1) == (F(7, 6),)
+        weights, q = linalg._weights_at_zero(nodes)
+        assert F(sum(w * v for w, v in zip(weights, values)), 6 * q) == F(7, 6)
         assert linalg._interpolated([3], [12], 4) == (3,)
 
 
@@ -237,14 +239,6 @@ def sparse_matrix(rng, n, density, pool):
     )
 
 
-def leibniz_cofactor(m: SquareMatrix, i: int, j: int) -> Fraction:
-    minor = SquareMatrix(
-        tuple(tuple(x for c, x in enumerate(row) if c != j)
-              for r, row in enumerate(m.entries) if r != i)
-    )
-    return (-1) ** (i + j) * leibniz_det(minor)
-
-
 def forest_w(rng, n, directed):
     make = random_multidigraph if directed else random_multigraph
     return forest_matrix(graph_matrix(make(rng, n, n, 3 * n, POSITIVE_POOL)))
@@ -252,9 +246,9 @@ def forest_w(rng, n, directed):
 
 class TestSparseKernel:
     """The kernel skips rows with a zero pivot-column entry and reorders rows and
-    columns sparsest first; neither may change a value."""
+    columns in a Markowitz order; neither may change a value."""
 
-    # Every row has one zero, so the order is kept. Step 0 leaves a zero in
+    # Every index has Markowitz cost 4, so the order is kept. Step 0 leaves a zero in
     # position (1, 1), and the row swapped in has not been updated since the
     # start, so it is brought up to date as it becomes the pivot row.
     MID_ZERO_PIVOT = SquareMatrix(((2, 2, 0, 1), (2, 2, 1, 0), (0, 1, 3, 1), (1, 0, 2, 2)))
@@ -350,54 +344,71 @@ def symmetric_matrix(rng, n, pool, singular=False):
     return SquareMatrix(tuple(map(tuple, a)))
 
 
-class TestSymmetricKernel:
-    """det and cofactor of a symmetric matrix take linalg._diagonal on the upper
-    triangle, which hands the input to _bareiss when a pivot it needs is zero."""
+def routed(routes, call):
+    """call()'s value and the route (the routes fixture's tags) of the one
+    _forward run it starts; None for an empty minor, which starts none."""
+    routes.clear()
+    value = call()
+    assert len(routes) <= 1
+    return value, routes[0] if routes else None
 
-    def test_matches_leibniz(self):
+
+DIRECT, RESTART, SWAP, SINGULAR = frozenset(), "restart", "swap", "singular"
+
+
+class TestSymmetricKernel:
+    """det and cofactor of a symmetric matrix run linalg._forward on the upper
+    triangle, which restarts on full rows at a zero pivot, or ends with 0 when
+    the pivot row is zero too."""
+
+    def test_matches_leibniz(self, routes):
         rng = random.Random(59)
         pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
-        routes = Counter()  # (det, diagonal or off-diagonal cofactor; fell back)
+        counts = Counter()  # (det, diagonal or off-diagonal cofactor; route)
         for n in range(8):
             for copy in range(8 if n < 6 else 2):
                 m = symmetric_matrix(rng, n, pool, singular=copy % 3 == 1)
                 assert m.is_symmetric()
-                rows, mults = linalg._integer_rows(m.entries)
-                routes["det", linalg._diagonal(rows, mults, True) is None] += 1
-                assert m.det() == leibniz_det(m)
+                det, route = routed(routes, m.det)
+                counts["det", route] += 1
+                assert det == leibniz_det(m)
                 for i, j in product(range(n), repeat=2):
-                    routes[i == j, linalg._diagonal(rows, mults, True, (i, j)) is None] += 1
-                    assert m.cofactor(i, j) == leibniz_cofactor(m, i, j)
-        assert all(routes[kind, fell_back] for kind in ("det", True, False) for fell_back in (False, True))
+                    cofactor, route = routed(routes, lambda: m.cofactor(i, j))
+                    counts[i == j, route] += 1
+                    assert cofactor == leibniz_cofactor(m, i, j)
+        for kind in ("det", True, False):
+            assert counts[kind, DIRECT] and counts[kind, frozenset({SINGULAR})]
+            assert counts[kind, frozenset({RESTART, SWAP})] and counts[kind, frozenset({RESTART, SINGULAR})]
 
 
 class TestDiagonalKernel:
-    """det and cofactor of any other matrix take linalg._diagonal on full rows,
-    in one Markowitz order, with the same fallback to _bareiss."""
+    """det and cofactor of any other matrix run linalg._forward on full rows, in
+    one Markowitz order, which swaps in a lower row at a zero pivot, or ends
+    with 0 when there is none."""
 
-    def test_nonsymmetric_matches_leibniz(self):
+    def test_nonsymmetric_matches_leibniz(self, routes):
         rng = random.Random(67)
         pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
-        routes = Counter()  # (det, diagonal or off-diagonal cofactor; fell back)
+        counts = Counter()  # (det, diagonal or off-diagonal cofactor; route)
         for n in range(8):
             for copy in range(8 if n < 6 else 2):
                 m = sparse_matrix(rng, n, 0.9 if copy % 2 else 0.5, pool)
                 rows, mults = linalg._integer_rows(m.entries)
-                routes["det", linalg._diagonal(rows, mults, False) is None] += 1
-                assert linalg._det(*linalg._integer_rows(m.entries), False) == leibniz_det(m)
+                det, route = routed(routes, lambda: linalg._det(rows, mults, False))
+                counts["det", route] += 1
+                assert det == leibniz_det(m)
                 for i, j in product(range(n), repeat=2):
-                    routes[i == j, linalg._diagonal(rows, mults, False, (i, j)) is None] += 1
-                    cofactor = linalg._cofactor(*linalg._integer_rows(m.entries), i, j, False)
+                    cofactor, route = routed(routes, lambda: linalg._cofactor(rows, mults, i, j, False))
+                    counts[i == j, route] += 1
                     assert cofactor == leibniz_cofactor(m, i, j)
-        assert all(routes[kind, fell_back] for kind in ("det", True, False) for fell_back in (False, True))
+        for kind in ("det", True, False):
+            assert counts[kind, DIRECT] and counts[kind, frozenset({SWAP})] and counts[kind, frozenset({SINGULAR})]
+        assert not any(RESTART in route for _, route in counts if route)
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_positive_w_takes_no_general_kernel(self, monkeypatch, directed):
+    def test_positive_w_takes_no_general_kernel(self, routes, directed):
         # W = I + L with positive weights is strictly diagonally dominant, so no
-        # diagonal pivot is zero, in any order
-        calls = []
-        bareiss = linalg._bareiss
-        monkeypatch.setattr(linalg, "_bareiss", lambda *args, **kw: calls.append(1) or bareiss(*args, **kw))
+        # diagonal pivot is zero, in any order: no run swaps, restarts or ends early
         make = random_multidigraph if directed else random_multigraph
         g = make(random.Random(61), 12, 12, 36, POSITIVE_POOL)
         forest_det(g)
@@ -405,29 +416,33 @@ class TestDiagonalKernel:
         forest_cofactor(g, 3, 3)
         accessibility(g, F(1, 3))
         forest_matrix(graph_matrix(g), 2).inverse()
-        assert not calls
+        assert routes == [DIRECT] * 5
 
-    def test_inverse_matches_adjugate_over_det(self, fallbacks):
-        # inverse takes the forward pass and back substitution, or Gauss-Jordan
-        # at a zero pivot; both must give adj / det, symmetric or not
+    def test_inverse_matches_adjugate_over_det(self, routes):
+        # inverse takes the forward pass and back substitution, with a restart
+        # or row swaps at a zero pivot; every route must give adj / det,
+        # symmetric or not, and a singular matrix ends its run at a zero pivot
         rng = random.Random(131)
         pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
-        routes = Counter()  # (symmetric, fell back)
+        counts = Counter()  # (symmetric, route)
         for n in range(1, 9):
             for copy in range(8):
                 symmetric = copy % 2 == 0
                 m = symmetric_matrix(rng, n, pool) if symmetric else sparse_matrix(rng, n, 0.6, pool)
-                fallbacks.clear()
-                if m.det() == 0:
+                det = m.det()
+                routes.clear()
+                if det == 0:
                     with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                         m.inverse()
-                    assert fallbacks
-                    continue
-                inv = m.inverse()
-                routes[symmetric, bool(fallbacks)] += 1
-                assert inv == adjugate_inverse(m)
-                assert inv.is_symmetric() or not symmetric
-        assert all(routes[symmetric, fell_back] for symmetric in (False, True) for fell_back in (False, True))
+                    assert SINGULAR in routes[0]
+                else:
+                    inv = m.inverse()
+                    assert is_inverse(m, inv)
+                    assert inv.is_symmetric() or not symmetric
+                counts[symmetric, routes[0]] += 1
+        assert counts[True, DIRECT] and counts[True, frozenset({RESTART, SWAP})]
+        assert counts[False, DIRECT] and counts[False, frozenset({SWAP})]
+        assert counts[True, frozenset({SINGULAR})] and counts[False, frozenset({SINGULAR})]
 
     def test_order_on_a_symmetric_pattern_is_minimum_degree(self):
         rng = random.Random(71)

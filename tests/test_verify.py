@@ -20,7 +20,6 @@ from forestmatrix import (
     enum_rooted_forests,
     forest_matrix,
     graph_matrix,
-    linalg,
     merge_parallel,
     oracle,
     run_all_checks,
@@ -223,35 +222,27 @@ class TestWorkCounts:
         assert len(built) == 2**n + sum(comb(n, k) for k in range(n - 1)) == 27
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_eliminations_per_adjugate(self, monkeypatch, n):
-        # one Gauss-Jordan per nonsingular adjugate, at most 2n + 1 per singular
-        # adjugate, n plus the skipped singular shifts for the grid of cofactor
-        # polynomials; entry-by-entry minors would take n**2 each. An inverse
-        # takes none unless a diagonal pivot is zero, and then one
-        calls = []
-        original = linalg._bareiss
-
-        def counted(rows, jordan=False):
-            calls.append(jordan)
-            return original(rows, jordan)
-
+    def test_eliminations_per_adjugate(self, routes, n):
+        # one forward elimination per nonsingular adjugate or inverse, at most
+        # 2n per singular adjugate, n plus the skipped singular shifts for the
+        # grid of cofactor polynomials; entry-by-entry minors would take n**2
+        # each. A zero pivot restarts a symmetric run or swaps rows within its
+        # elimination, and every singular shift ends its run at a zero pivot
         def eliminations(method):
-            calls.clear()
+            routes.clear()
             method()
-            return len(calls)
+            return [sorted(route) for route in routes]
 
-        monkeypatch.setattr(linalg, "_bareiss", counted)
         regular = forest_matrix(SquareMatrix(((1,) * n,) * n), n)
         lap = graph_matrix(Multigraph(n, tuple((v, v + 1, 1) for v in range(n - 1))))
         stair = SquareMatrix(tuple(tuple(-r if r == c else int(c > r) for c in range(n)) for r in range(n)))
         hollow = SquareMatrix(tuple(tuple(int(r != c) for c in range(n)) for r in range(n)))  # det = (n - 1) * (-1)**(n - 1)
-        assert eliminations(regular.adjugate) == eliminations(hollow.inverse) == 1
-        assert eliminations(regular.inverse) == 0
-        assert eliminations(lap.adjugate) == n + 1  # only x = 0 is singular
-        assert eliminations(stair.adjugate) == 2 * n  # x = 0, 1, ..., n - 1 are singular
-        assert eliminations(regular._cofactor_polys) == n
-        assert eliminations(stair._cofactor_polys) == 2 * n
-        assert all(calls)
+        assert eliminations(regular.adjugate) == eliminations(regular.inverse) == [[]]
+        assert eliminations(hollow.inverse) == [["restart", "swap"]]
+        assert eliminations(lap.adjugate) == [["singular"]] + [[]] * n  # only x = 0 is singular
+        assert eliminations(stair.adjugate) == [["singular"]] * n + [[]] * n  # x = 0, 1, ..., n - 1 are singular
+        assert eliminations(regular._cofactor_polys) == [[]] * n
+        assert eliminations(stair._cofactor_polys) == [["singular"]] * n + [[]] * n
 
     def test_merge_invariance_counts_merged_forests(self, graph):
         merged = merge_parallel(graph)
