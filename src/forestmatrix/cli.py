@@ -5,8 +5,9 @@ or TSV document. Exact mode serializes every value, at any length, as an
 integer or "p/q" string; float mode emits binary64 numbers and exists for
 large instances only, it never backs `verify`. The six float commands call the
 same function names in either mode: `_backend` picks `forest` or its binary64
-mirror `floatops`, and `_out` renders what comes back. numpy is imported by
-float-mode commands only.
+mirror `floatops`, and `_out` renders what comes back. A run imports only the
+layers it uses: numpy in float mode, `oracle` and `verify` in the commands
+that enumerate, and `json` for JSON output.
 
 Exit codes: 0 success, 1 file parse error, 2 validation error, 3 singular
 forest matrix, 4 enumeration guard exceeded, 5 verify found a failing check,
@@ -17,7 +18,6 @@ is written to stdout).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from dataclasses import asdict
@@ -27,22 +27,15 @@ from pathlib import Path
 from . import forest
 from .forest import cofactor_poly, signed_cofactor_poly
 from .graphfile import GraphParseError, parse_graph
-from .graphs import AnyGraph, GraphValidationError, Multidigraph
-from .linalg import Polynomial, SingularMatrixError, SquareMatrix, _literal
-from .oracle import (
+from .graphs import (
     DEFAULT_GUARD,
+    AnyGraph,
+    GraphValidationError,
     Guard,
     GuardExceededError,
-    enum_diverging_forests,
-    enum_diverging_trees,
-    enum_rooted_forests,
-    enum_spanning_trees,
-    filter_rooted,
-    filter_roots,
-    tree_roots,
-    weight_of,
+    Multidigraph,
 )
-from .verify import run_all_checks
+from .linalg import Polynomial, SingularMatrixError, SquareMatrix, _literal
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -112,6 +105,8 @@ def _run(argv) -> int:
         return EXIT_NONFINITE
     payload = {"command": args.command, "n": graph.n, "mode": args.mode, **payload}
     if args.output == "json":
+        import json
+
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for line in _tsv_lines(payload):
@@ -303,6 +298,17 @@ def _cmd_cofactor_poly(args, graph: AnyGraph):
 
 
 def _cmd_enumerate(args, graph: AnyGraph):
+    from .oracle import (
+        enum_diverging_forests,
+        enum_diverging_trees,
+        enum_rooted_forests,
+        enum_spanning_trees,
+        filter_rooted,
+        filter_roots,
+        tree_roots,
+        weight_of,
+    )
+
     guard = _guard(args)
     directed = isinstance(graph, Multidigraph)
     kind = args.kind or ("diverging-forests" if directed else "rooted-forests")
@@ -351,6 +357,8 @@ def _cmd_enumerate(args, graph: AnyGraph):
 
 
 def _cmd_verify(args, graph: AnyGraph):
+    from .verify import run_all_checks
+
     checks = run_all_checks(graph, _guard(args))
     all_pass = all(c.passed for c in checks)
     report = {"all_pass": all_pass, "checks": [asdict(c) for c in checks]}
@@ -360,11 +368,10 @@ def _cmd_verify(args, graph: AnyGraph):
 # -- TSV rendering -----------------------------------------------------------
 
 
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _tsv_lines(payload: dict):
+    # a float payload holds floats only, printed as repr (the shortest exact
+    # round trip); an exact one holds strings
+    cell = repr if payload["mode"] == "float" else str
     if "report" in payload:
         for c in payload["report"]["checks"]:
             state = "skip" if c["skipped"] else ("pass" if c["passed"] else "fail")
@@ -377,15 +384,15 @@ def _tsv_lines(payload: dict):
         yield f"total\t{payload['total']}"
     elif "matrix" in payload:
         for row in payload["matrix"]:
-            yield "\t".join(_cell(x) for x in row)
+            yield "\t".join(map(cell, row))
         if "detW" in payload:
-            yield f"detW\t{_cell(payload['detW'])}"
+            yield f"detW\t{cell(payload['detW'])}"
     elif "coeffs" in payload:
-        yield "\t".join(_cell(c) for c in payload["coeffs"])
+        yield "\t".join(map(cell, payload["coeffs"]))
     elif "cofactor" in payload:
-        yield _cell(payload["cofactor"])
+        yield cell(payload["cofactor"])
     elif "detW" in payload:
-        yield _cell(payload["detW"])
+        yield cell(payload["detW"])
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ or Kirchhoff (directed) matrix. det W at lambda = 1 is the total weight of
 spanning rooted / diverging forests, the (i, j) cofactor is the weight of the
 forests joining j into i's tree, and Q = W**-1 is the relative
 forest-accessibility matrix. Everything here is exact; the enumeration-based
-counterparts live in `oracle`. The functions of a graph run the `linalg`
-kernels on the integer rows of W that `graphs` sums from the arc list, so no
-matrix of Fractions is built for L or W; the results are the values the
-SquareMatrix methods give on forest_matrix(graph_matrix(graph), lam).
+counterparts live in `oracle`, which the two functions here that enumerate
+import when called, so a process that never enumerates does not load it.
+The functions of a graph run the `linalg` kernels on the integer rows of W
+that `graphs` sums from the arc list, so no matrix of Fractions is built for
+L or W; the results are the values the SquareMatrix methods give on
+forest_matrix(graph_matrix(graph), lam).
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle
-from .graphs import AnyGraph, Multidigraph, Multigraph, _graph_matrix, _scaled_rows
+from .graphs import (
+    DEFAULT_GUARD,
+    AnyGraph,
+    Guard,
+    Multidigraph,
+    Multigraph,
+    _graph_matrix,
+    _scaled_rows,
+)
 from .linalg import (
     Polynomial,
     SingularMatrixError,
@@ -29,7 +38,6 @@ from .linalg import (
     _inverse,
     as_rational,
 )
-from .oracle import DEFAULT_GUARD, Guard
 
 __all__ = [
     "SingularForestMatrixError",
@@ -131,9 +139,10 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
 
     Coefficient k is the total weight of spanning forests with exactly k
     trees (summed over every k-subset of root vertices); the constant term is
-    det L (always zero for a graph matrix) and the leading coefficient is 1.
+    det L, zero for every graph matrix (its rows sum to zero), so it is taken
+    as known rather than eliminated, and the leading coefficient is 1.
     """
-    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph))
+    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph), singular=True)
 
 
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -152,9 +161,14 @@ def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     cofactor_poly, each weighted by (-1)**(number of arcs); verify checks this
     against the enumeration. Arranged as a matrix (transposed), these
     polynomials form the adjugate of the characteristic matrix of L.
+
+    lambda*I - L = -((-lambda)*I + L), and a cofactor is a determinant of order
+    n - 1, so this cofactor is (-1)**(n-1) times the cofactor_poly p evaluated
+    at -lambda: coefficient k is (-1)**(n-1+k) * p_k.
     """
-    rows, mults = _scaled_rows(graph)
-    return _cofactor_poly([[-x for x in row] for row in rows], mults, i, j, isinstance(graph, Multigraph))
+    n = graph.n
+    plain = cofactor_poly(graph, i, j).coeffs
+    return Polynomial(tuple(-c if (n - 1 + k) % 2 else c for k, c in enumerate(plain)))
 
 
 def path_expansion_cofactor(
@@ -174,6 +188,8 @@ def path_expansion_cofactor(
         raise IndexError(f"index ({i}, {j}) out of range for n={n}")
     if i == j:
         raise ValueError("path expansion is only valid for i != j")
+    from .oracle import _path_sum
+
     return _path_sum(_companion(matrix), i, j, lambda vs: matrix.delete_rows_cols(vs).det(), guard)
 
 
@@ -187,18 +203,6 @@ def _companion(matrix: SquareMatrix) -> Multidigraph:
         if r != c and matrix.entries[r][c] != 0
     ]
     return Multidigraph(n, tuple(arcs))
-
-
-def _path_sum(companion: Multidigraph, i: int, j: int, minor, guard: Guard) -> Fraction:
-    """Sum over simple paths i -> j of the path weight times minor(path vertices).
-
-    minor(vs) must return the determinant of the companion's matrix with the
-    rows and columns vs deleted.
-    """
-    total = Fraction(0)
-    for p in oracle.enum_paths(companion, i, j, guard):
-        total += oracle.weight_of(p.arcs, companion) * minor(p.vertices)
-    return total
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,8 @@ class MatrixTreeReport:
 
 def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTreeReport:
     """Check every cofactor of L against the brute-force spanning-tree weights."""
+    from . import oracle
+
     m = graph_matrix(graph)
     if m.n == 0:
         raise ValueError("matrix-tree check needs at least one vertex")

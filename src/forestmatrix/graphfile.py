@@ -45,8 +45,16 @@ def _number(token: str, what: str, line_no: int, integer: bool = True):
         raise GraphParseError(line_no, f"{what} {exc}") from None
 
 
+# Plain ASCII digits are in the grammar as they stand, and int() reads them
+# under any int/str digit limit while they are shorter than the least one (640).
+_PLAIN_DIGITS = 639
+
+
 def _parse_vertex(token: str, n: int, line_no: int) -> int:
-    v = _number(token, "vertex label", line_no)
+    if len(token) <= _PLAIN_DIGITS and token.isascii() and token.isdigit():
+        v = int(token)
+    else:
+        v = _number(token, "vertex label", line_no)
     if not (1 <= v <= n):
         raise GraphValidationError(f"line {line_no}: vertex {v} out of range 1..{n}")
     return v - 1
@@ -68,6 +76,7 @@ def parse_graph(text: str) -> AnyGraph:
 
     directed = tokens[1] == "directed"
     instances = []
+    weights = {}  # token -> its Fraction: a file repeats few distinct weights
     for line_no, line in lines:
         parts = line.split()
         if len(parts) != 3:
@@ -76,7 +85,11 @@ def parse_graph(text: str) -> AnyGraph:
         v = _parse_vertex(parts[1], n, line_no)
         if u == v:
             raise GraphValidationError(f"line {line_no}: self-loop at vertex {u + 1}")
-        instances.append((u, v, _number(parts[2], "weight", line_no, integer=False)))
+        token = parts[2]
+        w = weights.get(token)
+        if w is None:
+            w = weights[token] = _number(token, "weight", line_no, integer=False)
+        instances.append((u, v, w))
     if directed:
         return Multidigraph(n, tuple(instances))
     return Multigraph(n, tuple(instances))

@@ -20,6 +20,9 @@ from .linalg import SquareMatrix, as_rational
 
 __all__ = [
     "GraphValidationError",
+    "Guard",
+    "DEFAULT_GUARD",
+    "GuardExceededError",
     "Edge",
     "Arc",
     "Multigraph",
@@ -35,6 +38,22 @@ __all__ = [
 
 class GraphValidationError(ValueError):
     """Structurally invalid graph: self-loop or vertex out of range."""
+
+
+@dataclass(frozen=True)
+class Guard:
+    """Size cap on exhaustive enumeration: at most prod(indeg + 1) <= 2**arcs parent
+    choices, where an undirected graph is walked as its twin of 2 arcs per edge."""
+
+    max_vertices: int = 8
+    max_instances: int = 16
+
+
+DEFAULT_GUARD = Guard()
+
+
+class GuardExceededError(ValueError):
+    """The graph is too large for exhaustive enumeration under the active guard."""
 
 
 class Edge(NamedTuple):

@@ -386,11 +386,18 @@ def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "Squar
     raise SingularMatrixError("matrix is singular")
 
 
-def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool) -> "Polynomial":
+def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool, singular: bool = False) -> "Polynomial":
     """det(x*I + M), interpolated through the n + 1 determinants at x = 0, 1, ..., n
-    of the scaled rows with x times the row scale added to the diagonal."""
-    nodes = range(len(rows) + 1)
-    return Polynomial(_interpolated(nodes, _diagonal(rows, mults, symmetric, shifts=nodes), prod(mults)))
+    of the scaled rows with x times the row scale added to the diagonal. For a
+    `singular` M the value 0 at x = 0 is known, and only x = 1, ..., n are
+    eliminated."""
+    n = len(rows)
+    nodes = range(n + 1)
+    if singular and n:
+        values = [0, *_diagonal(rows, mults, symmetric, shifts=nodes[1:])]
+    else:
+        values = _diagonal(rows, mults, symmetric, shifts=nodes)
+    return Polynomial(_interpolated(nodes, values, prod(mults)))
 
 
 def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> "Polynomial":

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .graphs import Multidigraph, Multigraph, to_bidirected
+# The guard lives in graphs, so a process that only checks it need not load this
+# module; it is exported from here too.
+from .graphs import (
+    DEFAULT_GUARD,
+    Guard,
+    GuardExceededError,
+    Multidigraph,
+    Multigraph,
+    to_bidirected,
+)
 
 __all__ = [
     "Guard",
@@ -42,22 +51,6 @@ __all__ = [
     "filter_roots",
     "tree_roots",
 ]
-
-
-@dataclass(frozen=True)
-class Guard:
-    """Size cap on exhaustive enumeration: at most prod(indeg + 1) <= 2**arcs parent
-    choices, where an undirected graph is walked as its twin of 2 arcs per edge."""
-
-    max_vertices: int = 8
-    max_instances: int = 16
-
-
-DEFAULT_GUARD = Guard()
-
-
-class GuardExceededError(ValueError):
-    """The graph is too large for exhaustive enumeration under the active guard."""
 
 
 @dataclass(frozen=True)
@@ -318,6 +311,18 @@ def enum_paths(
 
     walk(start)
     return tuple(sorted(out, key=lambda p: (len(p.arcs), p.arcs)))
+
+
+def _path_sum(companion: Multidigraph, i: int, j: int, minor, guard: Guard) -> Fraction:
+    """Sum over simple paths i -> j of the path weight times minor(path vertices).
+
+    minor(vs) must return the determinant of the companion's matrix with the
+    rows and columns vs deleted.
+    """
+    total = Fraction(0)
+    for p in enum_paths(companion, i, j, guard):
+        total += weight_of(p.arcs, companion) * minor(p.vertices)
+    return total
 
 
 def _rooted_key(f: RootedForest):

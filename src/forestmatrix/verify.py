@@ -18,7 +18,6 @@ from math import lcm, prod
 from . import oracle
 from .forest import (
     _companion,
-    _path_sum,
     accessibility,
     charpoly_forest_coeffs,
     forest_det,
@@ -36,7 +35,7 @@ from .graphs import (
     to_bidirected,
 )
 from .linalg import SquareMatrix
-from .oracle import DEFAULT_GUARD, Guard, GuardExceededError
+from .oracle import DEFAULT_GUARD, Guard, GuardExceededError, _path_sum
 
 __all__ = ["CheckResult", "run_all_checks"]
 

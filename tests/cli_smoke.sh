@@ -151,6 +151,15 @@ for argv in "small.graph --lambda 0" "small-directed.graph --lambda=-2" "small-d
   grep -q '^error: W = lambda\*I + L is singular at lambda = ' singular.err
 done
 
+echo "det imports neither enumeration module: oracle and verify load on first use"
+PYTHONPATH="$root/src" "${PYTHON:-python}" -X importtime -m forestmatrix.cli det small.graph \
+  > /dev/null 2> importtime.err
+grep -q ' forestmatrix\.forest$' importtime.err
+if grep -Eq ' forestmatrix\.(oracle|verify)$' importtime.err; then
+  echo "FAIL: det imported an enumeration module" >&2
+  exit 1
+fi
+
 echo "an undirected cofactor is the same from i to j as from j to i"
 for file in small.graph zero-pivot.graph; do
   fm cofactor "$file" --from 1 --to 3 | grep '"cofactor"' > forward.out
@@ -178,6 +187,11 @@ if [ "$part" = all ]; then
   printf 'graph undirected 3\n1 2 -1/3\n2 3 -1/3\n1 3 -1/3\n' > singular-triangle.graph
   expect 6 det huge.graph --mode float
   expect 3 accessibility singular-triangle.graph --mode float
+
+  echo "float tsv prints each entry as Python's repr of the float"
+  fm accessibility small-directed.graph --mode float --output tsv > float-q.out
+  PYTHONPATH="$root/src" "${PYTHON:-python}" -c 'import sys; from forestmatrix import floatops, parse_graph; q = floatops.accessibility(parse_graph(open(sys.argv[1]).read())).matrix; print("\n".join("\t".join(repr(float(x)) for x in row) for row in q))' small-directed.graph \
+    | cmp - float-q.out
 fi
 
 echo "cli smoke checks ($part): ok"

@@ -2,13 +2,18 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import forestmatrix
 from forestmatrix import Multigraph, SingularForestMatrixError, SquareMatrix, forest
 
+SRC = str(Path(forestmatrix.__file__).resolve().parents[1])
 MODULES = ("graphfile", "graphs", "linalg", "forest", "oracle", "verify", "floatops", "cli")
 
 # The functions the CLI calls through its backend switch, one per float command.
@@ -29,6 +34,41 @@ def test_star_import_names_exist(module):
     if module == "floatops":
         pytest.importorskip("numpy")
     exec(f"from forestmatrix.{module} import *", {})  # a stale __all__ entry raises AttributeError
+
+
+def test_package_star_import_binds_all():
+    namespace = {}
+    exec("from forestmatrix import *", namespace)
+    for name in forestmatrix.__all__:
+        assert namespace[name] is getattr(forestmatrix, name)
+
+
+def test_enumeration_modules_resolve_as_attributes():
+    assert forestmatrix.oracle is importlib.import_module("forestmatrix.oracle")
+    assert forestmatrix.verify is importlib.import_module("forestmatrix.verify")
+    assert forestmatrix.run_all_checks is forestmatrix.verify.run_all_checks
+    assert forestmatrix.enum_paths is forestmatrix.oracle.enum_paths
+    with pytest.raises(AttributeError):
+        forestmatrix.no_such_name
+
+
+def test_package_public_names():
+    # the names of __all__ and the six modules the package imports, eagerly or
+    # on first access; dir() lists them before any is loaded
+    code = "import forestmatrix; print(*(n for n in dir(forestmatrix) if n[0] != '_'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    modules = {"forest", "graphfile", "graphs", "linalg", "oracle", "verify"}
+    assert set(out.stdout.split()) == {*forestmatrix.__all__, *modules}
+    assert len(forestmatrix.__all__) == len(set(forestmatrix.__all__)) == 50
+
+
+def test_guard_is_one_object_in_graphs_and_oracle():
+    from forestmatrix import graphs, oracle
+
+    for name in ("Guard", "DEFAULT_GUARD", "GuardExceededError"):
+        assert getattr(oracle, name) is getattr(graphs, name) is getattr(forestmatrix, name)
 
 
 def test_unused_names_are_gone():

@@ -143,6 +143,71 @@ class TestParseGraph:
             assert parse_graph(graph_text(dg)) == dg
 
 
+class TestParseEdgeCases:
+    """Vertex labels of plain ASCII digits skip the grammar and each distinct
+    weight token is parsed once per file; every value, error and line number
+    is the one the grammar gives token by token."""
+
+    @pytest.mark.parametrize("label, head", [("3", 2), ("+3", 2), ("03", 2), ("003", 2)])
+    def test_vertex_label_value(self, label, head):
+        assert parse_graph(f"graph directed 3\n1 {label} 1\n").arcs == ((0, head, F(1)),)
+
+    @pytest.mark.parametrize("label", ["\u0663", "1_0", "1.0", "0x3", "1" * 4301])
+    def test_vertex_label_out_of_grammar(self, label):
+        with pytest.raises(GraphParseError) as raised:
+            parse_graph(f"graph directed 3\n1 {label} 1\n")
+        assert str(raised.value) == f"line 2: vertex label {label!r} is not an integer"
+
+    @pytest.mark.parametrize("digits", [639, 640, 4300])
+    def test_long_vertex_label_is_out_of_range(self, digits):
+        with pytest.raises(GraphValidationError) as raised:
+            parse_graph(f"graph directed 3\n{'1' * digits} 2 1\n")
+        assert str(raised.value) == f"line 2: vertex {'1' * digits} out of range 1..3"
+
+    def test_repeated_weight_token(self):
+        lines = "".join(f"{1 + k % 3} {1 + (k + 1) % 3} 3/7\n" for k in range(300))
+        g = parse_graph(f"graph undirected 3\n{lines}")
+        assert len(g.edges) == 300 and {e.w for e in g.edges} == {F(3, 7)}
+
+    def test_equal_values_spelled_differently(self):
+        g = parse_graph("graph directed 2\n1 2 0.5\n1 2 1/2\n1 2 5e-1\n1 2 0.5\n")
+        assert [a.w for a in g.arcs] == [F(1, 2)] * 4
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", GraphParseError, "line 1: missing 'graph <directed|undirected> <n>' header"),
+        ("# only a comment\n\n", GraphParseError,
+         "line 1: missing 'graph <directed|undirected> <n>' header"),
+        ("graph mixed 3\n", GraphParseError, "line 1: bad header 'graph mixed 3'"),
+        ("graph undirected\n", GraphParseError, "line 1: bad header 'graph undirected'"),
+        ("graph undirected -1\n", GraphValidationError, "line 1: vertex count must be >= 0, got -1"),
+        ("graph undirected x\n", GraphParseError, "line 1: vertex count 'x' is not an integer"),
+        ("graph undirected 3\n1 2\n", GraphParseError, "line 2: expected '<u> <v> <w>', got '1 2'"),
+        ("graph undirected 3\n1 2 1 4\n", GraphParseError,
+         "line 2: expected '<u> <v> <w>', got '1 2 1 4'"),
+        ("graph undirected 3\n1 2 1\n2 2 1\n", GraphValidationError, "line 3: self-loop at vertex 2"),
+        ("graph directed 3\n1 4 1\n", GraphValidationError, "line 2: vertex 4 out of range 1..3"),
+        ("graph directed 3\n0 2 1\n", GraphValidationError, "line 2: vertex 0 out of range 1..3"),
+        ("graph directed 3\n-1 2 1\n", GraphValidationError, "line 2: vertex -1 out of range 1..3"),
+        ("graph undirected 3\n1 2 1/0\n", GraphParseError, "line 2: weight '1/0' is not a rational literal"),
+        ("graph undirected 3\n1 2 2\n2 3 2\n# c\n1 3 abc\n", GraphParseError,
+         "line 5: weight 'abc' is not a rational literal"),
+        ("graph undirected 3\n1 2 1/0\n2 3 1/0\n", GraphParseError,
+         "line 2: weight '1/0' is not a rational literal"),
+        ("graph undirected 3\n1 2 2\n2 3 2_0\n", GraphParseError,
+         "line 3: weight '2_0' is not a rational literal"),
+        ("graph undirected 3\n1 2 1e4301\n", GraphParseError,
+         "line 2: weight '1e4301' is not a rational literal"),
+        ("graph undirected 3\r\n1 2 1\r\n2 3 \u0661\r\n", GraphParseError,
+         "line 3: weight '\u0661' is not a rational literal"),
+    ])
+    def test_malformed_message_and_line(self, text, error, message):
+        with pytest.raises(error) as raised:
+            parse_graph(text)
+        assert type(raised.value) is error and str(raised.value) == message
+        if error is GraphParseError:
+            assert raised.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+
 @pytest.fixture
 def edge_file(tmp_path):
     p = tmp_path / "edge.graph"
@@ -223,22 +288,24 @@ class TestCommands:
         )
         assert code == 0 and payload["coeffs"] == ["-1", "1"] and payload["signed"] is True
 
-    @pytest.mark.parametrize("text, argv, coeffs, route", [
-        # the cases of cli_smoke.sh that reach a zero pivot: xI - L of the path
-        # is zero on the diagonal at x = 1 and x = 2, and the source vertex of
-        # the digraph has a zero row in L, which the order pivots on first
+    @pytest.mark.parametrize("text, argv, coeffs", [
+        # the cases of cli_smoke.sh that once reached a zero pivot: xI - L of the
+        # path is zero on the diagonal at x = 1 and x = 2, but the signed
+        # polynomial is now the sign flip of the plain one, taken on xI + L; the
+        # source vertex of the digraph has a zero row in L, which the order
+        # pivots on first, but x = 0 is no longer eliminated
         ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "1", "--signed"),
-         ["1", "-3", "1"], {"restart", "swap"}),
+         ["1", "-3", "1"]),
         ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "3", "--signed"),
-         ["1", "0", "0"], {"restart", "swap"}),
-        ("graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n", ("charpoly",), ["0", "5/2", "7/2", "1"], {"swap"}),
+         ["1", "0", "0"]),
+        ("graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n", ("charpoly",), ["0", "5/2", "7/2", "1"]),
     ], ids=["signed-cofactor-poly-1-1", "signed-cofactor-poly-1-3", "charpoly-source"])
-    def test_zero_pivot_shifts_swap(self, capsys, tmp_path, routes, text, argv, coeffs, route):
+    def test_former_zero_pivot_cases_meet_none(self, capsys, tmp_path, routes, text, argv, coeffs):
         path = tmp_path / "g.graph"
         path.write_text(text)
         code, payload = run_json(capsys, argv[0], str(path), *argv[1:])
         assert code == 0 and payload["coeffs"] == coeffs
-        assert route in routes
+        assert routes and set(routes) == {frozenset()}
 
     def test_enumerate_default_kind(self, capsys, edge_file):
         code, payload = run_json(capsys, "enumerate", edge_file)
@@ -418,8 +485,8 @@ class TestExitCodes:
         def no_enumeration(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(forestmatrix.cli, "enum_rooted_forests", no_enumeration)
-        monkeypatch.setattr(forestmatrix.cli, "run_all_checks", no_enumeration)
+        monkeypatch.setattr(forestmatrix.oracle, "enum_rooted_forests", no_enumeration)
+        monkeypatch.setattr(forestmatrix.verify, "run_all_checks", no_enumeration)
         assert main([command, k3_file, "--max-enum", "40"]) == 4
         assert "ceiling of 24" in capsys.readouterr().err
 
@@ -689,3 +756,25 @@ def test_exact_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+PATH3 = "graph undirected 3\n1 2 1\n2 3 1/2\n"
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["det"], PATH3, 0),
+    (["accessibility"], PATH3, 0),
+    (["charpoly"], PATH3, 0),
+    (["cofactor-poly", "--from", "1", "--to", "2"], PATH3, 0),
+    (["det"], PATH3 + "1 3 x\n", 1),
+], ids=["det", "accessibility", "charpoly", "cofactor-poly", "malformed"])
+def test_matrix_commands_leave_the_enumeration_modules_unloaded(tmp_path, argv, text, code):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    command = [sys.executable, "-X", "importtime", "-m", "forestmatrix.cli", argv[0], str(path)]
+    done = subprocess.run(command + argv[1:], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == code, done.stderr[-300:]
+    # -X importtime writes one "import time: self | cumulative | module" line per import
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
+    assert "forestmatrix.forest" in loaded
+    assert not loaded & {"forestmatrix.oracle", "forestmatrix.verify"}

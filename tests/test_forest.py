@@ -26,6 +26,7 @@ from forestmatrix import (
     forest_minor,
     graph_matrix,
     laplacian,
+    linalg,
     matrix_tree_check,
     merge_parallel,
     path_expansion_cofactor,
@@ -33,7 +34,10 @@ from forestmatrix import (
     signed_cofactor_poly,
     weight_of,
 )
+from forestmatrix.graphs import _scaled_rows
 from helpers import (
+    POSITIVE_POOL,
+    WEIGHT_POOL,
     diag,
     is_inverse,
     matrix_sum,
@@ -257,9 +261,35 @@ class TestAccessibilityKernel:
         assert str(raised.value) == f"W = lambda*I + L is singular at lambda = {lam}; the accessibility matrix does not exist"
 
 
+def kernel_inputs(graph):
+    return (*_scaled_rows(graph), isinstance(graph, Multigraph))
+
+
+def random_graphs(seed, count):
+    """`count` graphs of each kind, with positive and with signed weights."""
+    rng = random.Random(seed)
+    for pool in (POSITIVE_POOL, WEIGHT_POOL):
+        for _ in range(count):
+            yield random_multigraph(rng, 2, 6, 10, pool)
+            yield random_multidigraph(rng, 2, 5, 10, pool)
+
+
 class TestCharpolyForestCoeffs:
     def test_unit_k3(self, unit_k3):
         assert charpoly_forest_coeffs(unit_k3).coeffs == (0, 9, 6, 1)
+
+    def test_equals_the_elimination_at_zero(self):
+        # det L = 0 is taken as known; eliminating at x = 0 as well gives the same coefficients
+        for g in random_graphs(117, 40):
+            assert charpoly_forest_coeffs(g) == linalg._char_poly(*kernel_inputs(g))
+
+    def test_source_vertex_runs_no_swap(self, routes):
+        # vertex 0 has no entering arc, so L has a zero row, which the Markowitz
+        # order pivots on first: at x = 0 that pivot is zero, at x >= 1 it is x
+        dg = Multidigraph(4, ((0, 1, 1), (0, 2, 2), (1, 2, F(1, 2)), (2, 3, 3), (3, 1, F(1, 3))))
+        poly = charpoly_forest_coeffs(dg)
+        assert routes == [frozenset()] * dg.n
+        assert poly.evaluate(1) == forest_det(dg)
 
     def test_edgeless(self):
         assert charpoly_forest_coeffs(Multigraph(2)).coeffs == (0, 0, 1)
@@ -423,6 +453,16 @@ class TestSignedCofactorPoly:
                         plain = cofactor_poly(g, i, j).coeffs
                         flipped = tuple(-c if (n - 1 - k) % 2 else c for k, c in enumerate(plain))
                         assert signed_cofactor_poly(g, i, j).coeffs == flipped
+
+    def test_equals_the_negated_rows_elimination(self):
+        # the route this sign flip replaced: the cofactor polynomial of -L
+        for g in random_graphs(118, 25):
+            rows, mults, symmetric = kernel_inputs(g)
+            negated = [[-x for x in row] for row in rows]
+            for i in range(g.n):
+                for j in range(g.n):
+                    want = linalg._cofactor_poly(negated, mults, i, j, symmetric)
+                    assert signed_cofactor_poly(g, i, j) == want
 
     def test_edgeless_equals_plain(self):
         g = Multigraph(3)
