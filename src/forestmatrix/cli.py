@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,7 +360,7 @@ def _cmd_verify(args, graph: AnyGraph):
 
     checks = run_all_checks(graph, _guard(args))
     all_pass = all(c.passed for c in checks)
-    report = {"all_pass": all_pass, "checks": [asdict(c) for c in checks]}
+    report = {"all_pass": all_pass, "checks": [c._asdict() for c in checks]}
     return (EXIT_OK if all_pass else EXIT_CHECK_FAILED), {"report": report}
 
 

@@ -15,8 +15,8 @@ forest_matrix(graph_matrix(graph), lam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     DEFAULT_GUARD,
@@ -81,8 +81,7 @@ def forest_matrix(matrix: SquareMatrix, lam=1) -> SquareMatrix:
     return SquareMatrix(tuple(map(tuple, rows)))
 
 
-@dataclass(frozen=True)
-class ForestMatrixReport:
+class ForestMatrixReport(NamedTuple):
     """W at a given lambda together with its determinant."""
 
     matrix: SquareMatrix
@@ -111,8 +110,7 @@ def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> Fraction:
     return _cofactor(*_scaled_rows(graph, lam), i, j, isinstance(graph, Multigraph))
 
 
-@dataclass(frozen=True)
-class AccessibilityMatrix:
+class AccessibilityMatrix(NamedTuple):
     """Q = W**-1; row sums are exactly 1, and Q is symmetric for undirected input."""
 
     matrix: SquareMatrix
@@ -205,8 +203,7 @@ def _companion(matrix: SquareMatrix) -> Multidigraph:
     return Multidigraph(n, tuple(arcs))
 
 
-@dataclass(frozen=True)
-class MatrixTreeReport:
+class MatrixTreeReport(NamedTuple):
     """Cofactor grid of L against the enumerated spanning-tree weights.
 
     Undirected: all n**2 cofactors must equal the total spanning-tree weight.
@@ -244,6 +241,7 @@ def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTr
     """Check every cofactor of L against the brute-force spanning-tree weights."""
     from . import oracle
 
+    oracle._check_guard(graph, guard)  # before the n + 1 eliminations of adj L
     m = graph_matrix(graph)
     if m.n == 0:
         raise ValueError("matrix-tree check needs at least one vertex")

@@ -11,12 +11,11 @@ bidirected twin (to_bidirected), in exact and in float mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Union
 
-from .linalg import SquareMatrix, as_rational
+from .linalg import SquareMatrix, _Value, as_rational
 
 __all__ = [
     "GraphValidationError",
@@ -40,8 +39,7 @@ class GraphValidationError(ValueError):
     """Structurally invalid graph: self-loop or vertex out of range."""
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """Size cap on exhaustive enumeration: at most prod(indeg + 1) <= 2**arcs parent
     choices, where an undirected graph is walked as its twin of 2 arcs per edge."""
 
@@ -79,20 +77,17 @@ def _checked(kind: str, a: int, b: int, w, n: int):
     return a, b, as_rational(w)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(_Value):
     """Undirected weighted multigraph on vertices 0..n-1."""
 
-    n: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphValidationError(f"vertex count must be >= 0, got {self.n}")
+    def __init__(self, n: int, edges: tuple[Edge, ...] = ()) -> None:
+        if n < 0:
+            raise GraphValidationError(f"vertex count must be >= 0, got {n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(
-            self,
-            "edges",
-            tuple(Edge(*_checked("edge", e[0], e[1], e[2], self.n)) for e in self.edges),
+            self, "edges", tuple(Edge(*_checked("edge", e[0], e[1], e[2], n)) for e in edges)
         )
 
     @property
@@ -100,20 +95,17 @@ class Multigraph:
         return self.edges
 
 
-@dataclass(frozen=True)
-class Multidigraph:
+class Multidigraph(_Value):
     """Directed weighted multidigraph on vertices 0..n-1."""
 
-    n: int
-    arcs: tuple[Arc, ...] = ()
+    __slots__ = ("n", "arcs")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphValidationError(f"vertex count must be >= 0, got {self.n}")
+    def __init__(self, n: int, arcs: tuple[Arc, ...] = ()) -> None:
+        if n < 0:
+            raise GraphValidationError(f"vertex count must be >= 0, got {n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(
-            self,
-            "arcs",
-            tuple(Arc(*_checked("arc", a[0], a[1], a[2], self.n)) for a in self.arcs),
+            self, "arcs", tuple(Arc(*_checked("arc", a[0], a[1], a[2], n)) for a in arcs)
         )
 
     @property

@@ -20,7 +20,6 @@ shifts x = 0, 1, 2, ..., singular shifts skipped where an adjugate is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count, islice
 from math import lcm, prod
@@ -409,14 +408,48 @@ def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int, symm
     return Polynomial(_interpolated(range(n), values, prod(mults) // mults[i]))
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class _Value:
+    """Base of the immutable value types. A subclass names its fields in
+    __slots__, in constructor order, and its __init__ validates them and sets
+    them with object.__setattr__. Values are equal when they are of the same
+    type with equal fields, hash and print over those fields, and refuse
+    assignment."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment is refused
+        return type(self), self._key()
+
+
+class SquareMatrix(_Value):
     """Immutable dense n-by-n matrix of exact rationals (n = 0 permitted)."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(as_rational(x) for x in row) for row in self.entries)
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        rows = tuple(tuple(as_rational(x) for x in row) for row in entries)
         for row in rows:
             if len(row) != len(rows):
                 raise ValueError(f"matrix is not square: {len(row)} != {len(rows)}")
@@ -425,7 +458,7 @@ class SquareMatrix:
     @classmethod
     def _of(cls, entries: tuple[tuple[Fraction, ...], ...]) -> "SquareMatrix":
         """The matrix of square rows of Fractions that a kernel has just built,
-        without __post_init__'s check of every entry."""
+        without __init__'s check of every entry."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)
         return matrix
@@ -561,19 +594,18 @@ class SquareMatrix:
         return total
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Value):
     """Coefficient sequence, low degree first: coeffs[k] multiplies x**k.
 
     Trailing zeros are kept; the declared degree is always len(coeffs) - 1.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        if len(coeffs) == 0:
             raise ValueError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in coeffs))
 
     @property
     def degree(self) -> int:

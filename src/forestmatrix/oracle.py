@@ -18,9 +18,8 @@ parallel-instance identities testable instead of assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 # The guard lives in graphs, so a process that only checks it need not load this
 # module; it is exported from here too.
@@ -53,16 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(NamedTuple):
     """Spanning acyclic edge-instance subset plus one chosen root per component."""
 
     edges: frozenset[int]
     roots: frozenset[int]
 
 
-@dataclass(frozen=True)
-class DivergingForest:
+class DivergingForest(NamedTuple):
     """Arc-instance subset in which every vertex has in-degree <= 1 and no cycle exists.
 
     Roots are implicit: exactly the vertices of in-degree zero. Every
@@ -73,8 +70,7 @@ class DivergingForest:
     arcs: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """Simple directed path as alternating distinct vertices and arc instances."""
 
     vertices: tuple[int, ...]

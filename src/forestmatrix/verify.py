@@ -10,10 +10,10 @@ parallel-instance merging. All comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from typing import NamedTuple
 
 from . import oracle
 from .forest import (
@@ -44,8 +44,7 @@ __all__ = ["CheckResult", "run_all_checks"]
 EVAL_POINTS = (-1, -2, Fraction(1, 2), Fraction(-3, 2))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     skipped: bool = False
@@ -62,8 +61,7 @@ def _enum_forests(graph: AnyGraph, guard: Guard):
     return oracle.enum_rooted_forests(graph, guard)
 
 
-@dataclass(frozen=True)
-class _ForestTable:
+class _ForestTable(NamedTuple):
     """Enumeration totals from one pass over a graph's spanning forests.
 
     pair[(i, j)] is the weight of the forests in which j's tree is rooted at
@@ -245,7 +243,7 @@ def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
     merged_table = _tabulate(merged, _enum_forests(merged, guard))
     # a forest holds at most one instance of each parallel class, so merging
     # keeps every root structure and instance count; only the forest count drops
-    ok = ok and replace(merged_table, count=table.count) == table
+    ok = ok and merged_table._replace(count=table.count) == table
     return CheckResult(
         "parallel-merge-invariance",
         ok,

@@ -160,6 +160,15 @@ if grep -Eq ' forestmatrix\.(oracle|verify)$' importtime.err; then
   exit 1
 fi
 
+echo "det imports neither dataclasses nor inspect beyond what interpreter start-up loads"
+PYTHONPATH="$root/src" "${PYTHON:-python}" -X importtime -c pass 2> startup.err
+for module in dataclasses inspect; do
+  if grep -q " $module\$" importtime.err && ! grep -q " $module\$" startup.err; then
+    echo "FAIL: det imported $module" >&2
+    exit 1
+  fi
+done
+
 echo "an undirected cofactor is the same from i to j as from j to i"
 for file in small.graph zero-pivot.graph; do
   fm cofactor "$file" --from 1 --to 3 | grep '"cofactor"' > forward.out

@@ -1,8 +1,10 @@
 """The package's public surface: module exports and the float backend's mirror of `forest`."""
 
+import copy
 import importlib
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,16 @@ from pathlib import Path
 import pytest
 
 import forestmatrix
-from forestmatrix import Multigraph, SingularForestMatrixError, SquareMatrix, forest
+from forestmatrix import (
+    CheckResult,
+    Guard,
+    Multidigraph,
+    Multigraph,
+    Polynomial,
+    SingularForestMatrixError,
+    SquareMatrix,
+    forest,
+)
 
 SRC = str(Path(forestmatrix.__file__).resolve().parents[1])
 MODULES = ("graphfile", "graphs", "linalg", "forest", "oracle", "verify", "floatops", "cli")
@@ -94,3 +105,76 @@ def test_float_accessibility_of_a_singular_w_raises_singular_forest_matrix_error
     triangle = Multigraph(3, ((0, 1, third), (1, 2, third), (0, 2, third)))
     with pytest.raises(SingularForestMatrixError, match="numerically singular at lambda = 1;"):
         floatops.accessibility(triangle)
+
+
+# One value of each validated value type, with each field name and the repr it prints.
+VALUES = [
+    (SquareMatrix(((1, 2), (3, "1/2"))), ("entries",),
+     "SquareMatrix(entries=((Fraction(1, 1), Fraction(2, 1)), (Fraction(3, 1), Fraction(1, 2))))"),
+    (Polynomial((0, 1)), ("coeffs",), "Polynomial(coeffs=(Fraction(0, 1), Fraction(1, 1)))"),
+    (Multigraph(2, ((0, 1, 1),)), ("n", "edges"),
+     "Multigraph(n=2, edges=(Edge(u=0, v=1, w=Fraction(1, 1)),))"),
+    (Multidigraph(2, ((0, 1, "1/2"),)), ("n", "arcs"),
+     "Multidigraph(n=2, arcs=(Arc(tail=0, head=1, w=Fraction(1, 2)),))"),
+]
+VALUE_IDS = ["SquareMatrix", "Polynomial", "Multigraph", "Multidigraph"]
+
+
+class TestValueTypes:
+    """SquareMatrix, Polynomial, Multigraph and Multidigraph are immutable values:
+    equal only to a value of the same type with equal fields."""
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_repr(self, value, fields, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_assignment_and_deletion_raise(self, value, fields, text):
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_IDS)
+    def test_keyword_construction_and_copies_are_equal(self, value, fields, text):
+        cls = type(value)
+        keyword = cls(**{name: getattr(value, name) for name in fields})
+        for twin in (keyword, copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+    def test_equal_values_hash_equal(self):
+        pairs = [
+            (SquareMatrix(((1, 0), (0, 1))), SquareMatrix.identity(2)),
+            (Polynomial((Fraction(1, 2), 3)), Polynomial(("1/2", "3"))),
+            (Multigraph(3, ((0, 1, 2),)), Multigraph(3, [(0, 1, "2")])),
+            (Multidigraph(3, ((2, 0, Fraction(1, 3)),)), Multidigraph(3, [[2, 0, "1/3"]])),
+        ]
+        for a, b in pairs:
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_equality_is_type_strict(self):
+        assert Multigraph(2) != Multidigraph(2)
+        assert Multigraph(2, ((0, 1, 1),)).instances == Multidigraph(2, ((0, 1, 1),)).instances
+        assert Multigraph(2, ((0, 1, 1),)) != Multidigraph(2, ((0, 1, 1),))
+        assert SquareMatrix(((1,),)) != Polynomial((1,))
+        assert Multigraph(2) != (2, ())
+        assert SquareMatrix(((1,),)) != ((Fraction(1),),)
+        assert Multigraph(2, ((0, 1, 1),)) != Multigraph(2, ((0, 1, 2),))
+        assert Multigraph(2) != Multigraph(3)
+
+    def test_positional_and_keyword_defaults(self):
+        for cls, field in ((Multigraph, "edges"), (Multidigraph, "arcs")):
+            default = cls(2)
+            assert getattr(default, field) == ()
+            assert default == cls(n=2) == cls(2, ()) == cls(n=2, **{field: ()})
+        assert SquareMatrix(((1,),)) == SquareMatrix(entries=((1,),))
+        assert Polynomial((1, 2)) == Polynomial(coeffs=(1, 2))
+        assert Guard() == Guard(8, 16) == Guard(max_vertices=8, max_instances=16)
+        assert Guard(10) == Guard(max_vertices=10) and Guard(10).max_instances == 16
+        check = CheckResult("name", True)
+        assert (check.skipped, check.detail) == (False, "")
+        assert check == CheckResult(name="name", passed=True, skipped=False, detail="")

@@ -1,5 +1,6 @@
 """Graph-file parsing, CLI behavior, exit codes and output determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -356,6 +357,20 @@ class TestCommands:
         names = [c["name"] for c in report["checks"]]
         assert len(names) == 12 and len(set(names)) == 12
         assert all(c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("text, digest", [
+        ("graph undirected 2\n1 2 -1/2\n",
+         "e79a6ca070ecee153d7e7f7c98cf117ec8ded8ac132b3468463c0823c77ddf50"),
+        ("graph directed 3\n1 2 1\n2 3 -1/2\n3 1 2\n1 2 1/3\n",
+         "20c50f6e8e29145122498294135f497d7902f11bc866d84004581552d7dd477d"),
+    ], ids=["undirected-singular", "directed-parallel"])
+    def test_verify_json_bytes_are_pinned(self, capsys, tmp_path, text, digest):
+        # every report field, in field order, with a skipped check among them
+        p = tmp_path / "g.graph"
+        p.write_text(text, encoding="utf-8")
+        code, out = run_cli(capsys, "verify", str(p), "--output", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_verify_skips_accessibility_when_singular(self, capsys, tmp_path):
         p = tmp_path / "singular.graph"
@@ -759,6 +774,24 @@ def test_exact_cli_import_leaves_numpy_unloaded():
 
 
 PATH3 = "graph undirected 3\n1 2 1\n2 3 1/2\n"
+
+
+def test_exact_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # both cost milliseconds of start-up in every CLI process; the names are
+    # compared with what the interpreter had loaded before the import
+    path = tmp_path / "g.graph"
+    path.write_text(PATH3)
+    code = (
+        "import sys; before = set(sys.modules); heavy = {'dataclasses', 'inspect'}\n"
+        "import forestmatrix.cli\n"
+        "on_import = sorted(heavy & (set(sys.modules) - before))\n"
+        "status = forestmatrix.cli.main(['det', sys.argv[1]])\n"
+        "print(status, on_import, sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-300:]
+    assert done.stdout.splitlines()[-1] == "0 [] []"
 
 
 @pytest.mark.parametrize("argv, text, code", [

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from forestmatrix import (
+    GuardExceededError,
     Multidigraph,
     Multigraph,
     SingularForestMatrixError,
@@ -506,6 +507,13 @@ class TestMatrixTreeCheck:
         assert not undirected.passed
         wrong_oracle = MatrixTreeReport(True, grid, (F(1), F(3)))
         assert wrong_oracle.cofactors_constant and not wrong_oracle.matches_enumeration
+
+    @pytest.mark.parametrize("kind", [Multigraph, Multidigraph])
+    def test_over_guard_graph_is_refused_before_any_elimination(self, kind, routes):
+        path = kind(40, tuple((v, v + 1, 1) for v in range(39)))
+        with pytest.raises(GuardExceededError, match="40 vertices / 39 instances exceed"):
+            matrix_tree_check(path)
+        assert routes == []
 
 
 class TestForestMinor:

@@ -3,7 +3,6 @@ oracle side is perturbed, and the oracle table must match independent totals."""
 
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -148,7 +147,7 @@ class TestMutations:
                 totals = {**totals, key: bump(totals[key])}
             else:
                 totals = bump(totals)
-            return replace(table, **{field: totals})
+            return table._replace(**{field: totals})
 
         monkeypatch.setattr(verify, "_tabulate", perturbed)
         assert failing(graph) == {"parallel-merge-invariance"}
