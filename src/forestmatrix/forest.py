@@ -241,7 +241,7 @@ def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTr
     """Check every cofactor of L against the brute-force spanning-tree weights."""
     from . import oracle
 
-    oracle._check_guard(graph, guard)  # before the n + 1 eliminations of adj L
+    oracle._check_guard(graph, guard)  # before the elimination of adj L
     m = graph_matrix(graph)
     if m.n == 0:
         raise ValueError("matrix-tree check needs at least one vertex")

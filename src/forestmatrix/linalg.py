@@ -10,20 +10,19 @@ pivot restarts it on full rows, where a zero pivot swaps in a lower row. The
 kernels are functions of those rows and their multipliers, so `forest` runs
 them on rows built straight from an arc list, and the SquareMatrix methods on
 the rows of their entries. Determinants and cofactors are entries of the
-eliminated rows; the inverse and the adjugate are solved from the pivot rows
-(and, unless symmetric, the pivot columns) by fraction-free back
-substitution, with no identity block carried along. Polynomials in x are
-interpolated exactly, in Newton form, through the kernel's values at integer
-shifts x = 0, 1, 2, ..., singular shifts skipped where an adjugate is needed.
+eliminated rows; the inverse and the adjugate, singular or not, are solved
+from the pivot rows (and, unless symmetric, the pivot columns) by
+fraction-free back substitution, with no identity block carried along.
+Polynomials in x are interpolated exactly, in Newton form, through the
+kernel's values at integer shifts x = 0, 1, 2, ....
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, compress, count, islice
+from itertools import combinations, compress
 from math import lcm, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -138,14 +137,15 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     scaled rows B = D * (W + shift * I) of a matrix W, D = diag(mults), rows and
     columns permuted by `order`. `rows` is left unchanged.
 
-    Returns (b, d, pivots, level, swaps), or None when the leading
-    (steps + 1)-block (all of B if steps == n) is singular: b the permuted
-    rows, eliminated in place; d the permuted row scales; pivots = [1, p_0,
-    ..., p_(steps-1)]; level[r] the pivot of the step that last updated row r.
-    Row k < steps of b holds, from column k on, the pivot row U_k as it stood
-    at step k, so U_kk = p_k. With `lower`, each entry below a pivot is
-    brought up to date at its step, so column k below row k holds the pivot
-    column L_rk. Rows past `steps` are not updated.
+    Returns the step k at which it stopped, p_k = 0 with column k zero in rows
+    k..steps, so column k of the leading (steps + 1)-block depends on columns
+    0..k-1 (after a symmetric run's restart, the restarted run's k); or (b, d,
+    pivots, level, swaps): b the permuted rows, eliminated in place; d the
+    permuted row scales; pivots = [1, p_0, ..., p_(steps-1)]; level[r] the pivot
+    of the step that last updated row r. Row k < steps of b holds, from column k
+    on, the pivot row U_k as it stood at step k, so U_kk = p_k. With `lower`,
+    each entry below a pivot is brought up to date at its step, so column k
+    below row k holds the pivot column L_rk. Rows past `steps` are not updated.
 
     Lazy rows: a row with a zero in the pivot column is not touched at that
     step, so its up-to-date value is stored * p_(k-1) // level[r]; a later
@@ -178,10 +178,10 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
         if not rk[k]:
             if symmetric:
                 # column k below the pivot is zero exactly where row k right of it is
-                return _forward(rows, mults, order, False, steps, lower, shift) if any(rk[k + 1:end]) else None
+                return _forward(rows, mults, order, False, steps, lower, shift) if any(rk[k + 1:end]) else k
             r = next((r for r in range(k + 1, end) if b[r][k]), None)
             if r is None:
-                return None
+                return k
             b[k], b[r] = [-x for x in b[r]], rk
             rk = b[k]
             level[k], level[r] = level[r], level[k]
@@ -237,7 +237,7 @@ def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tu
     values = []
     for x in shifts:
         run = _forward(rows, mults, order, symmetric, r, shift=x)
-        if run is None:
+        if isinstance(run, int):  # stopped: the block is singular
             values.append(0)
             continue
         b, _, pivots, level, _ = run
@@ -255,9 +255,10 @@ def _substituted(coeffs: list[tuple[int, int]], rows: list[list[int]], k: int, p
     return [0] * (len(rows) - k - 1) if acc is None else [-a // p for a in acc]
 
 
-def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric: bool) -> list[list[int]]:
-    """X = adj B of the permuted scaled rows B = D * W after _forward's n steps,
-    by fraction-free back substitution (Nakos, Turner & Williams 1997).
+def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], det: int, symmetric: bool) -> list[list[int]]:
+    """X = adj B of the permuted scaled rows B = D * W, det B = det, after
+    _forward's n - 1 steps, by fraction-free back substitution (Nakos, Turner &
+    Williams 1997).
 
     With L the pivot columns and U the pivot rows, B = L * diag(p_(k-1) * p_k)**-1
     * U, so U * X = det * diag(p_(k-1) * p_k) * L**-1, which is lower
@@ -267,6 +268,11 @@ def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric:
         p_k * X_kc = -sum(U_kj * X_jc for j > k)              (c > k)
         p_k * X_kk = det * p_(k-1) - sum(U_kj * X_jk for j > k)
 
+    p_(n-1) would be det, so the corner X_(n-1,n-1) = det * p_(n-2) / det is
+    set to p_(n-2), and every division is by one of p_0, ..., p_(n-2), nonzero
+    in a completed run. Only det involves the corner entry t of B, linearly,
+    so X is a polynomial in t equal to adj B wherever det != 0: also at 0.
+
     X is an integer matrix, so every division is exact. Column k below the
     diagonal is filled in before X_kk: for a `symmetric` W, adj B = adj W *
     adj D with adj W symmetric, so X_jk = X_kj * d_j // d_k and only the
@@ -275,10 +281,11 @@ def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric:
     gives p_k * X_jk = -sum(X_ji * L_ik for i > k) from the columns of X.
     """
     n = len(b)
-    det = pivots[-1]
     x = [[0] * n for _ in range(n)]
     xt = x if symmetric else [[0] * n for _ in range(n)]  # xt[c] is column c of X
-    for k in range(n - 1, -1, -1):
+    if n:
+        x[-1][-1] = xt[-1][-1] = pivots[-1]
+    for k in range(n - 2, -1, -1):
         p, uk = pivots[k + 1], b[k]
         right = [(j, uk[j]) for j in range(k + 1, n) if uk[j]]
         row = x[k][k + 1:] = _substituted(right, x, k, p)
@@ -295,25 +302,35 @@ def _adjugate_lu(b: list[list[int]], d: list[int], pivots: list[int], symmetric:
     return x
 
 
-def _adjugates(rows: list[list[int]], mults: list[int], symmetric: bool, shifts: Iterable[int]):
-    """(x, det, adj) for each shift x at which the scaled rows B of M + x*I are
-    nonsingular: _forward's n steps in one _pivot_order, taken once, then
-    _adjugate_lu. Its X = adj(P B) of the permuted rows, P the signed
-    permutation of the row swaps, goes back through adj B = X * P, each swap
-    (k, r) undone last to first, and then to the original index order."""
+def _adjugate_run(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, shift: int):
+    """(det B, adj B) of the scaled rows B of M + shift*I in `order`, or the step
+    at which _forward stopped. _adjugate_lu's X = adj(P B') of the permuted rows
+    B' goes back through adj B' = X * P, swap by swap, then to index order."""
     n = len(rows)
-    order = _pivot_order(rows, (), symmetric)
+    run = _forward(rows, mults, order, symmetric, n - 1, lower=True, shift=shift)
+    if isinstance(run, int):
+        return run
+    b, d, pivots, level, swaps = run
+    det = b[-1][-1] * pivots[-1] // level[-1] if n else 1
+    adj = _adjugate_lu(b, d, pivots, det, swaps is None)
+    for k, r in reversed(swaps or ()):
+        for row in adj:
+            row[k], row[r] = row[r], -row[k]
     place = sorted(range(n), key=order.__getitem__)  # order[place[v]] == v
+    return det, [list(map(adj[v].__getitem__, place)) for v in place]
+
+
+def _adjugates(rows: list[list[int]], mults: list[int], symmetric: bool, shifts: Iterable[int]):
+    """adj B of the scaled rows B of M + x*I at each shift x, singular or not.
+    A run that stops at step k found column order[k] dependent on those before
+    it, and reruns once with order[k] pivoted last. If that stops too, a second
+    column is dependent: rank B <= n - 2 and adj B = 0."""
+    order = _pivot_order(rows, (), symmetric)
     for x in shifts:
-        run = _forward(rows, mults, order, symmetric, n, lower=True, shift=x)
-        if run is None:
-            continue
-        b, d, pivots, _, swaps = run
-        adj = _adjugate_lu(b, d, pivots, swaps is None)
-        for k, r in reversed(swaps or ()):
-            for row in adj:
-                row[k], row[r] = row[r], -row[k]
-        yield x, pivots[-1], [list(map(adj[v].__getitem__, place)) for v in place]
+        run = _adjugate_run(rows, mults, order, symmetric, x)
+        if isinstance(run, int):
+            run = _adjugate_run(rows, mults, [*order[:run], *order[run + 1:], order[run]], symmetric, x)
+        yield [[0] * len(rows) for _ in rows] if isinstance(run, int) else run[1]
 
 
 def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[Fraction, ...]:
@@ -333,17 +350,6 @@ def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[
         for e in range(len(coeffs) - 1):
             coeffs[e] -= node * coeffs[e + 1]
     return tuple(Fraction(c, scale) for c in coeffs)
-
-
-def _weights_at_zero(nodes: Sequence[int]) -> tuple[list[int], int]:
-    """Integer Lagrange weights w and a common denominator q > 0 with
-    p(0) = sum(w[k] * p(nodes[k])) / q for every p of degree below len(nodes):
-    the basis polynomial of node k is 1 at it and 0 at the others, so its value
-    at 0 is prod(nodes[m]) / prod(nodes[m] - nodes[k]) over m != k."""
-    nums = [prod(y for y in nodes if y != x) for x in nodes]
-    dens = [prod(y - x for y in nodes if y != x) for x in nodes]
-    q = lcm(*dens)
-    return [a * (q // b) for a, b in zip(nums, dens)], q
 
 
 def _check_index(n: int, i: int, j: int) -> None:
@@ -370,19 +376,21 @@ def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric
 
 def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "SquareMatrix":
     """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, so entry (r, c) is
-    adj(B)_rc * d_c / det, with adj B from _adjugates at x = 0; a `symmetric` M
+    adj(B)_rc * d_c / det, with adj B from one _adjugate_run; a `symmetric` M
     makes each Fraction once per unordered pair. Raises SingularMatrixError
-    when det == 0."""
-    for _, det, adj in _adjugates(rows, mults, symmetric, (0,)):
-        if not symmetric:
-            return SquareMatrix._of(tuple(tuple(Fraction(a * m, det) for a, m in zip(row, mults)) for row in adj))
-        n = len(adj)
-        q = [[None] * n for _ in range(n)]
-        for r, row in enumerate(adj):
-            for c in range(r, n):
-                q[r][c] = q[c][r] = Fraction(row[c] * mults[c], det)
-        return SquareMatrix._of(tuple(map(tuple, q)))
-    raise SingularMatrixError("matrix is singular")
+    when the run stops or det == 0."""
+    run = _adjugate_run(rows, mults, _pivot_order(rows, (), symmetric), symmetric, 0)
+    if isinstance(run, int) or not run[0]:
+        raise SingularMatrixError("matrix is singular")
+    det, adj = run
+    if not symmetric:
+        return SquareMatrix._of(tuple(tuple(Fraction(a * m, det) for a, m in zip(row, mults)) for row in adj))
+    n = len(adj)
+    q = [[None] * n for _ in range(n)]
+    for r, row in enumerate(adj):
+        for c in range(r, n):
+            q[r][c] = q[c][r] = Fraction(row[c] * mults[c], det)
+    return SquareMatrix._of(tuple(map(tuple, q)))
 
 
 def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool, singular: bool = False) -> "Polynomial":
@@ -517,25 +525,16 @@ class SquareMatrix(_Value):
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
 
-        adj B of the scaled rows B = D * self comes from one forward elimination
-        and back substitution if det B != 0. Otherwise each entry of
-        adj(B + x*D) is an integer polynomial of degree below n, taken at the
-        first n shifts x = 1, 2, ... with det(B + x*D) != 0 (at most n are
-        skipped: that determinant has degree n) and read at x = 0 with one set
-        of integer Lagrange weights for every entry.
+        adj B of the scaled rows B = D * self, singular or not, comes from one
+        forward elimination and back substitution, whose corner is the leading
+        (n - 1)-minor; a run that stops at a dependent column is run once more
+        with that column pivoted last (see _adjugates).
         """
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
         rows, mults = _integer_rows(self.entries)
         scales = [prod(mults) // m for m in mults]
-        found = _adjugates(rows, mults, self.is_symmetric(), count())
-        shift, det, adj = next(found)
-        if shift:
-            nodes, _, adjs = zip((shift, det, adj), *islice(found, n - 1))
-            weights, q = _weights_at_zero(nodes)
-            adj = [[sum(map(mul, weights, values)) for values in zip(*row)] for row in zip(*adjs)]
-            scales = [s * q for s in scales]
+        (adj,) = _adjugates(rows, mults, self.is_symmetric(), (0,))
         return SquareMatrix._of(tuple(tuple(Fraction(a, s) for a, s in zip(row, scales)) for row in adj))
 
     def inverse(self) -> "SquareMatrix":
@@ -570,12 +569,12 @@ class SquareMatrix(_Value):
 
     def _cofactor_polys(self) -> list[list[Polynomial]]:
         """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
-        the scaled rows at the first n shifts x = 0, 1, ... where det(self + x*I) != 0."""
+        the scaled rows at the n shifts x = 0, 1, ..., n - 1, singular or not."""
         rows, mults = _integer_rows(self.entries)
-        found = list(islice(_adjugates(rows, mults, self.is_symmetric(), count()), self.n))
-        nodes, scale = [x for x, _, _ in found], prod(mults)
+        nodes, scale = range(self.n), prod(mults)
+        adjs = list(_adjugates(rows, mults, self.is_symmetric(), nodes))
         return [
-            [Polynomial(_interpolated(nodes, [a[j][i] for _, _, a in found], scale // m)) for j in range(self.n)]
+            [Polynomial(_interpolated(nodes, [a[j][i] for a in adjs], scale // m)) for j in nodes]
             for i, m in enumerate(mults)
         ]
 

@@ -33,7 +33,8 @@ def routes(monkeypatch) -> list:
     """The route of each linalg._forward run a kernel starts, as a set of tags:
     "restart" if a symmetric run restarted on full rows at a zero pivot,
     "swap" if the full rows swapped in a row at a zero pivot, and "singular" if
-    the run ended with result 0 at a zero pivot; empty if no pivot was zero."""
+    the run stopped at a zero pivot with a zero column below it (the block is
+    singular); empty if no pivot was zero."""
     runs, open_runs = [], []
     forward = linalg._forward
 
@@ -43,7 +44,7 @@ def routes(monkeypatch) -> list:
             run = forward(*args, **kwargs)
         finally:
             tags = open_runs.pop()
-        if run is None:
+        if isinstance(run, int):
             tags.add("singular")
         elif run[4]:
             tags.add("swap")

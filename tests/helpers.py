@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
+from math import prod
 from random import Random
 
 from forestmatrix import (
@@ -150,19 +151,18 @@ def fraction_horner(coeffs, x: Fraction) -> Fraction:
 
 
 def leibniz_det(matrix: SquareMatrix) -> Fraction:
-    """Determinant by signed permutation expansion (usable up to n ~ 6)."""
+    """Determinant by signed permutation expansion (usable up to n ~ 7), summed
+    in integers over the rows scaled by the product of their denominators."""
     n = matrix.n
-    total = Fraction(0)
+    scales = [prod(x.denominator for x in row) for row in matrix.entries]
+    rows = [[int(x * s) for x in row] for row, s in zip(matrix.entries, scales)]
+    total = 0
     for perm in permutations(range(n)):
-        sign = 1
-        for a, b in combinations(range(n), 2):
-            if perm[a] > perm[b]:
-                sign = -sign
-        term = Fraction(sign)
-        for row, col in enumerate(perm):
-            term *= matrix.entries[row][col]
-        total += term
-    return total
+        term = prod(row[col] for row, col in zip(rows, perm))
+        if term:
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+            total += -term if inversions % 2 else term
+    return Fraction(total, prod(scales))
 
 
 def leibniz_cofactor(matrix: SquareMatrix, i: int, j: int) -> Fraction:
@@ -175,7 +175,7 @@ def leibniz_cofactor(matrix: SquareMatrix, i: int, j: int) -> Fraction:
 
 
 def leibniz_adjugate(matrix: SquareMatrix) -> SquareMatrix:
-    """Transposed matrix of Leibniz cofactors (usable up to n ~ 6)."""
+    """Transposed matrix of Leibniz cofactors (usable up to n ~ 7)."""
     n = matrix.n
     return SquareMatrix(tuple(tuple(leibniz_cofactor(matrix, j, i) for j in range(n)) for i in range(n)))
 

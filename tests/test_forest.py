@@ -228,7 +228,7 @@ class TestAccessibilityKernel:
                 if det == 0:
                     with pytest.raises(SingularForestMatrixError):
                         accessibility(g, lam)
-                    assert "singular" in routes[0]
+                    assert len(routes) == 1  # completed with det 0, or stopped at a zero column
                     counts[True, "singular"] += 1
                     continue
                 q = accessibility(g, lam).matrix

@@ -12,7 +12,6 @@ from forestmatrix import (
     Multigraph,
     SquareMatrix,
     contract,
-    floatops,
     forest_matrix,
     kirchhoff,
     laplacian,
@@ -72,6 +71,9 @@ def test_scaled_rows_match_the_matrix_route(directed):
 
 @pytest.mark.parametrize("directed", [False, True], ids=["laplacian", "kirchhoff"])
 def test_float_builder_equals_exact_builder(directed):
+    pytest.importorskip("numpy")
+    from forestmatrix import floatops
+
     build = kirchhoff if directed else laplacian
     for g in cancelling_graphs(directed, seed=9, pool=DYADIC_POOL):
         array = floatops.graph_matrix(g)

@@ -8,6 +8,8 @@ from itertools import product
 import pytest
 
 from forestmatrix import (
+    Multidigraph,
+    Multigraph,
     Polynomial,
     SingularMatrixError,
     SquareMatrix,
@@ -25,6 +27,7 @@ from helpers import (
     diag,
     fraction_horner,
     is_inverse,
+    leibniz_adjugate,
     leibniz_cofactor,
     leibniz_det,
     min_degree_order,
@@ -163,9 +166,48 @@ def adjugate_cases():
     return cases
 
 
+def rank_cases(rng, n, symmetric):
+    """(kind, matrix): an n-by-n matrix, symmetric or not, of each of four kinds:
+    "full" of rank n; "laplacian", the Laplacian of a connected graph with
+    positive weights, of rank n - 1 with every proper principal minor nonzero;
+    "zero", rank n - 1 from a zero column (a zero row and column if symmetric,
+    like an isolated vertex); "low", rank at most n - 2 from two rows (and
+    columns) that copy a third, or the zero matrix at n = 2."""
+
+    def full(k):
+        while True:
+            m = symmetric_matrix(rng, k, WEIGHT_POOL) if symmetric else random_matrix(rng, k)
+            if m.det():
+                return [list(row) for row in m.entries]
+
+    if symmetric:
+        graph = Multigraph(n, tuple((v, v + 1, 1) for v in range(n - 1)) + tuple(
+            (*rng.sample(range(n), 2), rng.choice(POSITIVE_POOL)) for _ in range(n if n > 1 else 0)))
+    else:  # a directed cycle makes the digraph strongly connected
+        graph = Multidigraph(n, tuple((v, (v + 1) % n, 1) for v in range(n) if n > 1) + tuple(
+            (*rng.sample(range(n), 2), rng.choice(POSITIVE_POOL)) for _ in range(n if n > 1 else 0)))
+    j = rng.randrange(n)
+    if symmetric:
+        zero = full(n - 1)
+        zero = [row[:j] + [0] + row[j:] for row in zero[:j] + [[0] * (n - 1)] + zero[j:]]
+    else:
+        zero = [row[:j] + [0] + row[j + 1:] for row in full(n)]
+    cases = [("full", full(n)), ("laplacian", graph_matrix(graph).entries), ("zero", zero)]
+    if n == 2:
+        cases.append(("low", [[0, 0], [0, 0]]))
+    elif n > 2:
+        i, j, k = rng.sample(range(n), 3)
+        copy = [i if r in (j, k) else r for r in range(n)]
+        base = full(n)
+        cases.append(("low", [[base[copy[r]][copy[c] if symmetric else c] for c in range(n)] for r in range(n)]))
+    return [(kind, SquareMatrix(tuple(map(tuple, m)))) for kind, m in cases]
+
+
 class TestAdjugateKernel:
-    """adjugate and the cofactor-polynomial grid come from back substitutions at
-    nonsingular shifts; each must equal its entry-by-entry route."""
+    """adjugate and the cofactor-polynomial grid come from one back substitution
+    at each shift, singular or not, after a second forward run in another order
+    if the first stops at a dependent column; each must equal its entry-by-entry
+    route."""
 
     def test_cases_cover_singular_and_nonsingular(self):
         dets = [m.det() for m in adjugate_cases()]
@@ -180,10 +222,41 @@ class TestAdjugateKernel:
             grid = [[m.cofactor_poly(i, j) for j in range(m.n)] for i in range(m.n)]
             assert m._cofactor_polys() == grid
 
-    def test_first_shifts_singular(self):
-        # shifts 0, 1 and 2 are singular, so the nodes start at 3
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_every_rank_takes_at_most_two_runs(self, routes, symmetric):
+        rng = random.Random(137 + symmetric)
+        for n in range(1, 8):
+            for kind, m in rank_cases(rng, n, symmetric):
+                assert m.is_symmetric() or not symmetric
+                routes.clear()
+                adj = m.adjugate()
+                stopped = SINGULAR in routes[0]
+                assert len(routes) == 1 + stopped
+                assert SINGULAR not in routes[-1] or kind == "low"  # rank n - 1: the retry completes
+                assert routes == [DIRECT] or kind != "laplacian"
+                # a nonsingular run cannot stop, and a run of rank n - 2 cannot
+                # complete: its last pivot is an (n - 1)-minor. A zero column
+                # costs 0, so it is pivoted first, not last, once n > 2
+                if kind != "zero" or n > 2:
+                    assert stopped == (kind in ("zero", "low"))
+                routes.clear()
+                grid = m._cofactor_polys()
+                assert n <= len(routes) <= 2 * n
+                assert len(routes) == n or any(SINGULAR in route for route in routes)
+                assert adj == leibniz_adjugate(m)
+                nonzero = any(any(row) for row in adj.entries)
+                assert (m.det() != 0, nonzero) == {"full": (True, True), "low": (False, False)}.get(kind, (False, True))
+                assert grid == [[m.cofactor_poly(i, j) for j in range(n)] for i in range(n)]
+
+    def test_first_shifts_singular(self, routes):
+        # shifts 0, 1 and 2 are singular; at x = 0 column 0 is zero, so the
+        # first run stops at its first pivot and the retry, with column 0
+        # pivoted last, completes with det 0
         m = SquareMatrix(((0, 1, F(1, 2)), (0, -1, 2), (0, 0, -2)))
-        assert m.adjugate() == minor_adjugate(m) == SquareMatrix(((2, 2, F(5, 2)), (0, 0, 0), (0, 0, 0)))
+        routes.clear()
+        adj = m.adjugate()
+        assert routes == [{"singular"}, set()]
+        assert adj == minor_adjugate(m) == SquareMatrix(((2, 2, F(5, 2)), (0, 0, 0), (0, 0, 0)))
         assert m._cofactor_polys()[0][0].coeffs == (2, -3, 1)
 
     def test_empty_grid(self):
@@ -194,8 +267,6 @@ class TestAdjugateKernel:
         nodes = [5, -2, 9, 0]
         values = [7 - 3 * x + 2 * x**3 for x in nodes]
         assert linalg._interpolated(nodes, values, 6) == (F(7, 6), F(-1, 2), 0, F(1, 3))
-        weights, q = linalg._weights_at_zero(nodes)
-        assert F(sum(w * v for w, v in zip(weights, values)), 6 * q) == F(7, 6)
         assert linalg._interpolated([3], [12], 4) == (3,)
 
 
@@ -421,10 +492,11 @@ class TestDiagonalKernel:
     def test_inverse_matches_adjugate_over_det(self, routes):
         # inverse takes the forward pass and back substitution, with a restart
         # or row swaps at a zero pivot; every route must give adj / det,
-        # symmetric or not, and a singular matrix ends its run at a zero pivot
+        # symmetric or not. A singular matrix takes one run, which completes
+        # with det 0 at the last pivot or stops at a zero column
         rng = random.Random(131)
         pool = (0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(1, 3))
-        counts = Counter()  # (symmetric, route)
+        counts = Counter()  # (symmetric, singular, route)
         for n in range(1, 9):
             for copy in range(8):
                 symmetric = copy % 2 == 0
@@ -434,15 +506,15 @@ class TestDiagonalKernel:
                 if det == 0:
                     with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                         m.inverse()
-                    assert SINGULAR in routes[0]
+                    assert len(routes) == 1
                 else:
                     inv = m.inverse()
                     assert is_inverse(m, inv)
                     assert inv.is_symmetric() or not symmetric
-                counts[symmetric, routes[0]] += 1
-        assert counts[True, DIRECT] and counts[True, frozenset({RESTART, SWAP})]
-        assert counts[False, DIRECT] and counts[False, frozenset({SWAP})]
-        assert counts[True, frozenset({SINGULAR})] and counts[False, frozenset({SINGULAR})]
+                counts[symmetric, det == 0, routes[0]] += 1
+        assert counts[True, False, DIRECT] and counts[True, False, frozenset({RESTART, SWAP})]
+        assert counts[False, False, DIRECT] and counts[False, False, frozenset({SWAP})]
+        assert counts[True, True, DIRECT] and counts[False, True, frozenset({SINGULAR})]
 
     def test_order_on_a_symmetric_pattern_is_minimum_degree(self):
         rng = random.Random(71)

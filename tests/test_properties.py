@@ -20,7 +20,7 @@ from forestmatrix import (
     merge_parallel,
     to_bidirected,
 )
-from helpers import diag, is_inverse, leibniz_det
+from helpers import diag, is_inverse, leibniz_adjugate, leibniz_det
 
 F = Fraction
 
@@ -61,10 +61,32 @@ def test_det_matches_permutation_expansion(m):
     assert m.det() == leibniz_det(m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(min_n=1))
+@st.composite
+def rank_deficient_matrices(draw, max_n=5):
+    """Symmetric or not, with up to two defects, each a row that copies another
+    row or a zeroed row and column (in a symmetric matrix, the row and column
+    copy theirs): one defect leaves rank at most n - 1, two at most n - 2."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        rows = [[rows[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        j, source = draw(st.integers(0, n - 1)), draw(st.none() | st.integers(0, n - 1))
+        rows[j] = [F(0)] * n if source is None else list(rows[source])
+        for r in range(n):
+            if symmetric or source is None:
+                rows[r][j] = F(0) if source is None else rows[r][source]
+    return SquareMatrix(tuple(map(tuple, rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient_matrices())
 def test_adjugate_identity_holds_even_when_singular(m):
-    assert m @ m.adjugate() == diag(m.n, m.det())
+    adj, det_i = m.adjugate(), diag(m.n, m.det())
+    assert m @ adj == det_i == adj @ m
+    if m.n <= 4:
+        assert adj == leibniz_adjugate(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -222,11 +222,12 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_eliminations_per_adjugate(self, routes, n):
-        # one forward elimination per nonsingular adjugate or inverse, at most
-        # 2n per singular adjugate, n plus the skipped singular shifts for the
-        # grid of cofactor polynomials; entry-by-entry minors would take n**2
-        # each. A zero pivot restarts a symmetric run or swaps rows within its
-        # elimination, and every singular shift ends its run at a zero pivot
+        # one forward elimination per adjugate or inverse, singular or not, and
+        # one per shift for the grid of cofactor polynomials; entry-by-entry
+        # minors would take n**2 each. A zero pivot restarts a symmetric run
+        # or swaps rows within its elimination. A singular shift either ends
+        # its run with det 0 at the last diagonal entry, or stops at a zero
+        # column and takes one retry with that column pivoted last
         def eliminations(method):
             routes.clear()
             method()
@@ -238,10 +239,11 @@ class TestWorkCounts:
         hollow = SquareMatrix(tuple(tuple(int(r != c) for c in range(n)) for r in range(n)))  # det = (n - 1) * (-1)**(n - 1)
         assert eliminations(regular.adjugate) == eliminations(regular.inverse) == [[]]
         assert eliminations(hollow.inverse) == [["restart", "swap"]]
-        assert eliminations(lap.adjugate) == [["singular"]] + [[]] * n  # only x = 0 is singular
-        assert eliminations(stair.adjugate) == [["singular"]] * n + [[]] * n  # x = 0, 1, ..., n - 1 are singular
+        assert eliminations(lap.adjugate) == [[]]  # det 0 at the last pivot
+        assert eliminations(stair.adjugate) == [["singular"], []]  # column 0 is zero
         assert eliminations(regular._cofactor_polys) == [[]] * n
-        assert eliminations(stair._cofactor_polys) == [["singular"]] * n + [[]] * n
+        # at x < n - 1 column x of the stage is zero; at x = n - 1 the last pivot is
+        assert eliminations(stair._cofactor_polys) == [["singular"], []] * (n - 1) + [[]]
 
     def test_merge_invariance_counts_merged_forests(self, graph):
         merged = merge_parallel(graph)
