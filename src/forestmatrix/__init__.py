@@ -11,6 +11,7 @@ computes matrix quantities never compiles them.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .forest import (
     AccessibilityMatrix,
@@ -76,42 +77,10 @@ _LAZY = {
     "run_all_checks": "verify",
 }
 
+# the public names the imports above bind (not the submodules), then the lazy ones
 __all__ = [
-    "AccessibilityMatrix",
-    "ForestMatrixReport",
-    "MatrixTreeReport",
-    "SingularForestMatrixError",
-    "accessibility",
-    "charpoly_forest_coeffs",
-    "cofactor_poly",
-    "forest_cofactor",
-    "forest_det",
-    "forest_matrix",
-    "forest_matrix_report",
-    "forest_minor",
-    "graph_matrix",
-    "matrix_tree_check",
-    "path_expansion_cofactor",
-    "signed_cofactor_poly",
-    "GraphParseError",
-    "parse_graph",
-    "DEFAULT_GUARD",
-    "Arc",
-    "Edge",
-    "GraphValidationError",
-    "Guard",
-    "GuardExceededError",
-    "Multidigraph",
-    "Multigraph",
-    "contract",
-    "kirchhoff",
-    "laplacian",
-    "merge_parallel",
-    "to_bidirected",
-    "Polynomial",
-    "SingularMatrixError",
-    "SquareMatrix",
-    "as_rational",
+    *(name for name, value in globals().items()
+      if name[0] != "_" and not isinstance(value, _ModuleType)),
     *(name for name, module in _LAZY.items() if name != module),
 ]
 

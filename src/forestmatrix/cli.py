@@ -224,9 +224,16 @@ def _guard(args) -> Guard:
 
 def _backend(args):
     """The module that computes a float command: `forest`, or in float mode its
-    binary64 mirror `floatops`, imported only then so exact mode never loads numpy."""
+    binary64 mirror `floatops`, imported only then so exact mode never loads numpy.
+    Without numpy, float mode is refused like any other invalid request."""
     if args.mode == "float":
-        from . import floatops
+        try:
+            from . import floatops
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            raise GraphValidationError("--mode float needs numpy, which is not installed; "
+                                       "use --mode exact") from None
         return floatops
     return forest
 

@@ -137,10 +137,10 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
 
     Coefficient k is the total weight of spanning forests with exactly k
     trees (summed over every k-subset of root vertices); the constant term is
-    det L, zero for every graph matrix (its rows sum to zero), so it is taken
-    as known rather than eliminated, and the leading coefficient is 1.
+    det L, zero for every graph matrix (its rows sum to zero), so _char_poly
+    takes it as known rather than eliminated, and the leading coefficient is 1.
     """
-    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph), singular=True)
+    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph))
 
 
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -186,9 +186,11 @@ def path_expansion_cofactor(
         raise IndexError(f"index ({i}, {j}) out of range for n={n}")
     if i == j:
         raise ValueError("path expansion is only valid for i != j")
-    from .oracle import _path_sum
+    from .oracle import _path_sum, enum_paths
 
-    return _path_sum(_companion(matrix), i, j, lambda vs: matrix.delete_rows_cols(vs).det(), guard)
+    companion = _companion(matrix)
+    paths = enum_paths(companion, i, j, guard)
+    return _path_sum(companion, paths, lambda vs: matrix.delete_rows_cols(vs).det())
 
 
 def _companion(matrix: SquareMatrix) -> Multidigraph:

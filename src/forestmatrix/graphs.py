@@ -183,17 +183,12 @@ def merge_parallel(graph: AnyGraph) -> AnyGraph:
 
     Idempotent; output instances are sorted by endpoint pair for determinism.
     """
-    if isinstance(graph, Multigraph):
-        sums: dict[tuple[int, int], Fraction] = {}
-        for u, v, w in graph.edges:
-            key = (u, v) if u < v else (v, u)
-            sums[key] = sums.get(key, Fraction(0)) + w
-        return Multigraph(graph.n, tuple(Edge(u, v, w) for (u, v), w in sorted(sums.items())))
-    sums = {}
-    for tail, head, w in graph.arcs:
-        key = (tail, head)
+    directed = isinstance(graph, Multidigraph)
+    sums: dict[tuple[int, int], Fraction] = {}
+    for u, v, w in graph.instances:
+        key = (u, v) if directed or u < v else (v, u)
         sums[key] = sums.get(key, Fraction(0)) + w
-    return Multidigraph(graph.n, tuple(Arc(t, h, w) for (t, h), w in sorted(sums.items())))
+    return type(graph)(graph.n, tuple((u, v, w) for (u, v), w in sorted(sums.items())))
 
 
 def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigraph, int]:

@@ -374,33 +374,38 @@ def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric
     return Fraction(_diagonal(rows, mults, symmetric, (i, j))[0], prod(mults) // mults[i])
 
 
+def _unscaled(x: list[list[int]], mults: list[int], den: int, symmetric: bool) -> "SquareMatrix":
+    """The matrix with entry (r, c) = x_rc * d_c / den, for X an adjugate of the
+    scaled rows B = D * M: adj B = adj M * adj D, so den = det D gives adj M and
+    den = det B gives M**-1. A `symmetric` M makes each Fraction once per
+    unordered pair and shares it between (r, c) and (c, r)."""
+    if not symmetric:
+        return SquareMatrix._of(tuple(tuple(Fraction(a * m, den) for a, m in zip(row, mults)) for row in x))
+    n = len(x)
+    q = [[None] * n for _ in range(n)]
+    for r, row in enumerate(x):
+        for c in range(r, n):
+            q[r][c] = q[c][r] = Fraction(row[c] * mults[c], den)
+    return SquareMatrix._of(tuple(map(tuple, q)))
+
+
 def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "SquareMatrix":
-    """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, so entry (r, c) is
-    adj(B)_rc * d_c / det, with adj B from one _adjugate_run; a `symmetric` M
-    makes each Fraction once per unordered pair. Raises SingularMatrixError
-    when the run stops or det == 0."""
+    """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, with adj B from one
+    _adjugate_run. Raises SingularMatrixError when the run stops or det == 0."""
     run = _adjugate_run(rows, mults, _pivot_order(rows, (), symmetric), symmetric, 0)
     if isinstance(run, int) or not run[0]:
         raise SingularMatrixError("matrix is singular")
     det, adj = run
-    if not symmetric:
-        return SquareMatrix._of(tuple(tuple(Fraction(a * m, det) for a, m in zip(row, mults)) for row in adj))
-    n = len(adj)
-    q = [[None] * n for _ in range(n)]
-    for r, row in enumerate(adj):
-        for c in range(r, n):
-            q[r][c] = q[c][r] = Fraction(row[c] * mults[c], det)
-    return SquareMatrix._of(tuple(map(tuple, q)))
+    return _unscaled(adj, mults, det, symmetric)
 
 
-def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool, singular: bool = False) -> "Polynomial":
+def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool) -> "Polynomial":
     """det(x*I + M), interpolated through the n + 1 determinants at x = 0, 1, ..., n
-    of the scaled rows with x times the row scale added to the diagonal. For a
-    `singular` M the value 0 at x = 0 is known, and only x = 1, ..., n are
-    eliminated."""
-    n = len(rows)
-    nodes = range(n + 1)
-    if singular and n:
+    of the scaled rows with x times the row scale added to the diagonal. When
+    every row of M sums to zero (every graph matrix), M * 1 = 0, so the value 0
+    at x = 0 is known, and only x = 1, ..., n are eliminated."""
+    nodes = range(len(rows) + 1)
+    if rows and not any(map(sum, rows)):
         values = [0, *_diagonal(rows, mults, symmetric, shifts=nodes[1:])]
     else:
         values = _diagonal(rows, mults, symmetric, shifts=nodes)
@@ -533,9 +538,9 @@ class SquareMatrix(_Value):
         if self.n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
         rows, mults = _integer_rows(self.entries)
-        scales = [prod(mults) // m for m in mults]
-        (adj,) = _adjugates(rows, mults, self.is_symmetric(), (0,))
-        return SquareMatrix._of(tuple(tuple(Fraction(a, s) for a, s in zip(row, scales)) for row in adj))
+        symmetric = self.is_symmetric()
+        (adj,) = _adjugates(rows, mults, symmetric, (0,))
+        return _unscaled(adj, mults, prod(mults), symmetric)
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse from one fraction-free forward elimination of the scaled

@@ -309,15 +309,22 @@ def enum_paths(
     return tuple(sorted(out, key=lambda p: (len(p.arcs), p.arcs)))
 
 
-def _path_sum(companion: Multidigraph, i: int, j: int, minor, guard: Guard) -> Fraction:
-    """Sum over simple paths i -> j of the path weight times minor(path vertices).
+def _path_sum(companion: Multidigraph, paths: Iterable[Path], minor) -> Fraction:
+    """Sum over `paths` of the path weight in `companion` times
+    minor(path vertices); a path whose minor is 0 is not weighed.
 
-    minor(vs) must return the determinant of the companion's matrix with the
-    rows and columns vs deleted.
+    For the (i, j) cofactor of a matrix M, `paths` are the simple i -> j paths
+    of M's companion digraph, which the caller enumerates (enum_paths), and
+    minor(vs) is det(M with the rows and columns vs deleted). The companion
+    digraph of a principal submatrix of M is M's restricted to the kept
+    vertices, so `paths` may also be M's, with minor(vs) = 0 for each path
+    through a deleted vertex.
     """
     total = Fraction(0)
-    for p in enum_paths(companion, i, j, guard):
-        total += weight_of(p.arcs, companion) * minor(p.vertices)
+    for p in paths:
+        m = minor(p.vertices)
+        if m:
+            total += weight_of(p.arcs, companion) * m
     return total
 
 

@@ -11,7 +11,7 @@ parallel-instance merging. All comparisons are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -93,7 +93,6 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
         w = oracle.weight_of(inst, graph)
         groups[key] = groups.get(key, 0) + w.numerator * (den // w.denominator)
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    pair = dict.fromkeys(pairs, 0)
     coeffs = {p: [0] * n for p in pairs}
     signed = {p: [0] * n for p in pairs}
     by_roots: dict[frozenset[int], int] = {}
@@ -105,12 +104,11 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
         by_roots[roots] = by_roots.get(roots, 0) + w
         by_count[k] += w
         for j, i in enumerate(root_of):
-            pair[(i, j)] += w
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
     return _ForestTable(
         len(forests),
-        {p: Fraction(w, den) for p, w in pair.items()},
+        {p: Fraction(sum(ws), den) for p, ws in coeffs.items()},
         {p: [Fraction(w, den) for w in ws] for p, ws in coeffs.items()},
         {p: [Fraction(w, den) for w in ws] for p, ws in signed.items()},
         {roots: Fraction(w, den) for roots, w in by_roots.items()},
@@ -134,7 +132,8 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     """Run the whole checklist; raises GuardExceededError when the bidirected
     twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
-    The forests are enumerated once and each principal minor det(L minus phi) once.
+    The forests are enumerated once, and each principal submatrix L minus phi
+    is built once and its determinant taken once.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
     _check_budget(twin, guard)
@@ -145,11 +144,9 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     adj = w.adjugate()
     forests = _enum_forests(graph, guard)
     table = _tabulate(graph, forests)
-    minors = {
-        phi: lap.delete_rows_cols(phi).det()
-        for size in range(n + 1)
-        for phi in combinations(range(n), size)
-    }
+    phis = [phi for size in range(n + 1) for phi in combinations(range(n), size)]
+    subs = {phi: lap.delete_rows_cols(phi) for phi in phis}
+    minors = {phi: sub.det() for phi, sub in subs.items()}
     return [
         _check_matrix_tree(graph, guard),
         _check_forest_det(graph, det_w, forests),
@@ -165,7 +162,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
-        _check_path_expansion(graph, lap, minors, guard),
+        _check_path_expansion(lap, subs, minors, guard),
         # n+1 points, none of them a node, pin every coefficient of a degree n-1 polynomial
         _check_polys(
             "signed-cofactor-polynomials", -lap, range(-1, -n - 2, -1), table.signed,
@@ -314,26 +311,29 @@ def _check_polys(name, matrix, points, column, detail) -> CheckResult:
     return CheckResult(name, ok, detail=detail)
 
 
-def _check_path_expansion(graph, lap, minors, guard) -> CheckResult:
-    n = graph.n
-    ok = True
-    count = 0
-    for size in range(0, n - 1):
-        for phi in combinations(range(n), size):
-            sub = lap.delete_rows_cols(phi)
-            adj = sub.adjugate()
-            companion = _companion(sub)
-            kept = [v for v in range(n) if v not in phi]
+def _check_path_expansion(lap, subs, minors, guard) -> CheckResult:
+    """Each off-diagonal cofactor of L minus phi, for every phi that leaves at
+    least 2 vertices, against its path expansion. The companion digraph of L
+    minus phi is L's restricted to the kept vertices, so the paths of L's
+    companion are enumerated once per ordered pair: a path through phi is not
+    one of L minus phi's and counts 0, and any other path P weighs its minor
+    det(L minus phi minus P) = minors[phi + V(P)]."""
+    n = lap.n
+    companion = _companion(lap)
+    paths = {ij: oracle.enum_paths(companion, *ij, guard) for ij in permutations(range(n), 2)}
+    ok, count = True, 0
+    for phi, sub in subs.items():
+        if sub.n < 2:
+            continue
+        adj = sub.adjugate()
+        kept = [v for v in range(n) if v not in phi]
 
-            # det(sub minus vs) is the table's det(L minus (phi + vs)), vs relabelled
-            def minor(vs, phi=phi, kept=kept):
-                return minors[tuple(sorted([*phi, *map(kept.__getitem__, vs)]))]
+        def minor(vs, phi=frozenset(phi)):
+            return minors[tuple(sorted(phi.union(vs)))] if phi.isdisjoint(vs) else 0
 
-            for i in range(sub.n):
-                for j in range(sub.n):
-                    if i != j:
-                        ok = ok and _path_sum(companion, i, j, minor, guard) == adj.entries[j][i]
-                        count += 1
+        for (a, i), (b, j) in permutations(enumerate(kept), 2):
+            ok = ok and _path_sum(companion, paths[(i, j)], minor) == adj.entries[b][a]
+            count += 1
     return CheckResult(
         "path-expansion-cofactors",
         ok,

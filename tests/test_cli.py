@@ -461,6 +461,8 @@ class TestExitCodes:
         ("graph undirected 2\n1 2 1\n", "0"),  # W = L
     ])
     def test_singular_accessibility_is_3_and_names_lambda(self, capsys, tmp_path, mode, text, lam):
+        if mode == "float":
+            pytest.importorskip("numpy")
         p = tmp_path / "singular.graph"
         p.write_text(text, encoding="utf-8")
         code = main(["accessibility", str(p), "--lambda", lam, "--mode", mode])
@@ -470,6 +472,7 @@ class TestExitCodes:
         assert f"W = lambda*I + L is {numerically}singular at lambda = {lam};" in captured.err
 
     def test_ill_conditioned_float_accessibility_is_0(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
         # nonsingular, condition number about 1e7: the probe reads about 5e-11
         p = tmp_path / "ill.graph"
         p.write_text("graph undirected 2\n1 2 -0.4999999\n", encoding="utf-8")
@@ -624,6 +627,7 @@ class TestFloatMode:
         return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
     def test_matrix_outputs_agree_with_exact(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
         rng = random.Random(300)
         g = random_multigraph(rng, n_min=50, n_max=50, max_edges=150, pool=POSITIVE_POOL)
         path = write_graph(tmp_path, g)
@@ -635,6 +639,7 @@ class TestFloatMode:
                     assert self.rel_close(float(Fraction(e)), f)
 
     def test_det_and_charpoly_agree(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
         rng = random.Random(301)
         g = random_multigraph(rng, n_min=8, n_max=8, max_edges=20, pool=POSITIVE_POOL)
         path = write_graph(tmp_path, g)
@@ -647,6 +652,7 @@ class TestFloatMode:
             assert self.rel_close(float(Fraction(e)), f, tol=1e-8)
 
     def test_directed_agrees(self, capsys, tmp_path):
+        pytest.importorskip("numpy")
         rng = random.Random(302)
         dg = random_multidigraph(rng, n_min=20, n_max=20, max_arcs=60, pool=POSITIVE_POOL)
         path = write_graph(tmp_path, dg)
@@ -657,6 +663,7 @@ class TestFloatMode:
                 assert self.rel_close(float(Fraction(e)), f)
 
     def test_float_cofactor(self, capsys, tmp_path, unit_k3):
+        pytest.importorskip("numpy")
         path = write_graph(tmp_path, unit_k3)
         _, payload = run_json(capsys, "cofactor", path, "--from", "1", "--to", "2",
                               "--mode", "float")
@@ -672,6 +679,7 @@ class TestFloatMode:
         ("forest-matrix",),
     ])
     def test_overflow_is_6_with_empty_stdout(self, capsys, tmp_path, argv, output):
+        pytest.importorskip("numpy")
         # det W is about 5e611 and the end-to-end cofactor 100**299, far beyond binary64
         path = tmp_path / "path.graph"
         lines = [f"{v} {v + 1} 100" for v in range(1, 300)]
@@ -687,6 +695,7 @@ class TestFloatMode:
         *((command, "lambda") for command in ("forest-matrix", "det", "cofactor", "accessibility")),
     ])
     def test_input_beyond_binary64_is_6(self, capsys, tmp_path, edge_file, command, beyond):
+        pytest.importorskip("numpy")
         path = tmp_path / "huge.graph"
         path.write_text("graph undirected 2\n1 2 1e400\n", encoding="utf-8")
         argv = [command, str(path) if beyond == "weight" else edge_file,
@@ -713,6 +722,36 @@ def _child_env(**extra):
 def _cli_child(argv, **extra):
     cmd = [sys.executable, "-m", "forestmatrix.cli", *argv]
     return subprocess.run(cmd, env=_child_env(**extra), capture_output=True)
+
+
+class TestWithoutNumpy:
+    """A numpy.py first on the path that fails to import stands in for an absent numpy."""
+
+    @staticmethod
+    def path_with_stub(tmp_path, missing):
+        stub = tmp_path / "stub"
+        stub.mkdir()
+        (stub / "numpy.py").write_text(
+            f'raise ModuleNotFoundError("No module named {missing!r}", name={missing!r})\n',
+            encoding="utf-8",
+        )
+        return os.pathsep.join([str(stub), str(Path(forestmatrix.__file__).resolve().parents[1])])
+
+    def test_float_mode_is_2_and_exact_mode_runs(self, tmp_path, edge_file):
+        path = self.path_with_stub(tmp_path, "numpy")
+        run = _cli_child(["det", edge_file, "--mode", "float"], PYTHONPATH=path)
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr == b"error: --mode float needs numpy, which is not installed; use --mode exact\n"
+        run = _cli_child(["det", edge_file], PYTHONPATH=path)
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["detW"] == "3"
+
+    def test_other_import_errors_propagate(self, tmp_path, edge_file):
+        # numpy is there but one of its own modules is missing: not a missing numpy
+        path = self.path_with_stub(tmp_path, "numpy.core._multiarray_umath")
+        run = _cli_child(["det", edge_file, "--mode", "float"], PYTHONPATH=path)
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert b"Traceback" in run.stderr and b"_multiarray_umath" in run.stderr
 
 
 class TestDigitLimit:

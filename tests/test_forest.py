@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -282,7 +283,27 @@ class TestCharpolyForestCoeffs:
     def test_equals_the_elimination_at_zero(self):
         # det L = 0 is taken as known; eliminating at x = 0 as well gives the same coefficients
         for g in random_graphs(117, 40):
-            assert charpoly_forest_coeffs(g) == linalg._char_poly(*kernel_inputs(g))
+            rows, mults, symmetric = kernel_inputs(g)
+            nodes = range(g.n + 1)
+            values = linalg._diagonal(rows, mults, symmetric, shifts=nodes)
+            assert values[0] == 0
+            expected = linalg._interpolated(nodes, values, prod(mults))
+            assert charpoly_forest_coeffs(g).coeffs == expected
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_zero_row_sums_skip_the_elimination_at_zero(self, directed, routes):
+        # every graph matrix has zero row sums, so its char_poly eliminates only
+        # at x = 1..n; W = I + L does not, and takes x = 0 as well
+        rng = random.Random(119)
+        for _ in range(10):
+            g = random_multidigraph(rng, 2, 5, 8) if directed else random_multigraph(rng, 2, 6, 8)
+            lap = graph_matrix(g)
+            routes.clear()
+            lap.char_poly()
+            assert len(routes) == g.n
+            routes.clear()
+            forest_matrix(lap).char_poly()
+            assert len(routes) == g.n + 1
 
     def test_source_vertex_runs_no_swap(self, routes):
         # vertex 0 has no entering arc, so L has a zero row, which the Markowitz

@@ -142,6 +142,18 @@ class TestAdjugate:
         m = forest_matrix(random_matrix(rng, 13, pool=(F(0), F(1))), 5)
         assert m @ m.adjugate() == diag(13, m.det())
 
+    def test_symmetric_input_shares_each_pair(self):
+        # adj and the inverse of a symmetric matrix are symmetric, so each
+        # unordered pair of positions holds one Fraction, singular or not
+        rng = random.Random(7)
+        for n in range(1, 6):
+            lap = graph_matrix(random_multigraph(rng, n, n, 2 * n))
+            for m in (symmetric_matrix(rng, n, WEIGHT_POOL), lap, forest_matrix(lap)):
+                results = [m.adjugate()] + ([m.inverse()] if m.det() else [])
+                for x in results:
+                    assert all(x.entries[r][c] is x.entries[c][r] for r in range(n) for c in range(r))
+                assert m @ results[0] == diag(n, m.det())
+
 
 def staircase(rng, n):
     """diag(0, -1, ..., 1 - n) plus a random strict upper part: det(x*I + m) has

@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import prod
 
 import pytest
 
@@ -117,8 +117,8 @@ class TestMutations:
         assert failing(graph) == TABLE_CHECKS | {"forest-determinant"}
 
     def test_one_path_dropped(self, graph, monkeypatch):
-        # the shortest 0 -> 1 path goes missing from every companion digraph;
-        # on the whole of L its term (an arc weight times a positive minor) is nonzero
+        # the shortest 0 -> 1 path of L's companion digraph goes missing; on
+        # the whole of L its term (an arc weight times a positive minor) is nonzero
         original = oracle.enum_paths
 
         def perturbed(digraph, start, goal, guard):
@@ -206,8 +206,8 @@ class TestWorkCounts:
         assert f"({expected} parent choices scanned)" in text
 
     def test_each_submatrix_built_once(self, graph, monkeypatch):
-        # 2**n for the principal-minor table, plus one per subset of at most
-        # n - 2 vertices for path expansion, whose minors come from the table
+        # one per subset: path expansion takes its submatrices and minors from
+        # the table the principal minors are taken from
         n = graph.n
         built = []
         original = SquareMatrix.delete_rows_cols
@@ -218,7 +218,30 @@ class TestWorkCounts:
 
         monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted)
         run_all_checks(graph)
-        assert len(built) == 2**n + sum(comb(n, k) for k in range(n - 1)) == 27
+        assert len(built) == 2**n == 16
+        assert len(set(built)) == len(built)
+
+    def test_paths_enumerated_once_on_one_companion(self, graph, monkeypatch):
+        # the companion digraph of L minus phi is L's restricted to the kept
+        # vertices, so one digraph and one enumeration per ordered pair serve
+        # every phi
+        companions, pairs = [], []
+        companion, enum_paths = verify._companion, oracle.enum_paths
+
+        def counted_companion(matrix):
+            companions.append(matrix)
+            return companion(matrix)
+
+        def counted_paths(digraph, start, goal, guard):
+            pairs.append((start, goal))
+            return enum_paths(digraph, start, goal, guard)
+
+        monkeypatch.setattr(verify, "_companion", counted_companion)
+        monkeypatch.setattr(oracle, "enum_paths", counted_paths)
+        run_all_checks(graph)
+        n = graph.n
+        assert companions == [graph_matrix(graph)]
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n) if i != j]
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_eliminations_per_adjugate(self, routes, n):
