@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True, metavar="command")
 
-    def add(name: str, help_text: str, *, lam=False, pair=False, enum=False):
+    def add(name: str, help_text: str, handler, *, lam=False, pair=False, enum=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="graph file")
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
@@ -142,39 +142,26 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-enum", metavar="N",
                            help="raise the vertex and instance caps of the enumeration "
                            f"guard (8 and 16) to N, at most {MAX_ENUM}; a cap above N is kept")
-        p.set_defaults(command=name)
+        p.set_defaults(command=name, handler=handler)
         return p
 
-    add("laplacian", "Laplacian / Kirchhoff matrix").set_defaults(handler=_cmd_laplacian)
-    add("forest-matrix", "forest matrix W = lambda*I + L and det W", lam=True).set_defaults(
-        handler=_cmd_forest_matrix
-    )
-    add("det", "determinant of W (total spanning-forest weight)", lam=True).set_defaults(
-        handler=_cmd_det
-    )
-    add("cofactor", "cofactor of one entry of W", lam=True, pair=True).set_defaults(
-        handler=_cmd_cofactor
-    )
-    add("accessibility", "relative forest-accessibility matrix Q = W**-1", lam=True).set_defaults(
-        handler=_cmd_accessibility
-    )
-    add("charpoly", "coefficients of det(lambda*I + L), constant first").set_defaults(
-        handler=_cmd_charpoly
-    )
-    p = add("cofactor-poly", "cofactor of W as a polynomial in lambda", pair=True)
+    add("laplacian", "Laplacian / Kirchhoff matrix", _cmd_laplacian)
+    add("forest-matrix", "forest matrix W = lambda*I + L and det W", _cmd_forest_matrix, lam=True)
+    add("det", "determinant of W (total spanning-forest weight)", _cmd_det, lam=True)
+    add("cofactor", "cofactor of one entry of W", _cmd_cofactor, lam=True, pair=True)
+    add("accessibility", "relative forest-accessibility matrix Q = W**-1", _cmd_accessibility, lam=True)
+    add("charpoly", "coefficients of det(lambda*I + L), constant first", _cmd_charpoly)
+    p = add("cofactor-poly", "cofactor of W as a polynomial in lambda", _cmd_cofactor_poly, pair=True)
     p.add_argument("--signed", action="store_true",
                    help="cofactor of lambda*I - L instead (arc-parity signs)")
-    p.set_defaults(handler=_cmd_cofactor_poly)
 
-    p = add("enumerate", "list spanning trees or forests with weights", pair=True, enum=True)
+    p = add("enumerate", "list spanning trees or forests with weights", _cmd_enumerate, pair=True, enum=True)
     p.add_argument("--kind", choices=("trees", "rooted-forests", "diverging-forests"),
                    help="default: the forest kind matching the graph")
     p.add_argument("--roots", metavar="LIST",
                    help="keep only forests rooted exactly at this comma-separated 1-based vertex list")
-    p.set_defaults(handler=_cmd_enumerate)
 
-    add("verify", "run every identity check against brute-force enumeration",
-        enum=True).set_defaults(handler=_cmd_verify)
+    add("verify", "run every identity check against brute-force enumeration", _cmd_verify, enum=True)
     return parser
 
 

@@ -23,7 +23,6 @@ from .graphs import (
     AnyGraph,
     Guard,
     Multidigraph,
-    Multigraph,
     _graph_matrix,
     _scaled_rows,
 )
@@ -32,6 +31,7 @@ from .linalg import (
     SingularMatrixError,
     SquareMatrix,
     _char_poly,
+    _check_index,
     _cofactor,
     _cofactor_poly,
     _det,
@@ -97,7 +97,7 @@ def forest_matrix_report(graph: AnyGraph, lam=1) -> ForestMatrixReport:
 
 def forest_det(graph: AnyGraph, lam=1) -> Fraction:
     """det(lambda*I + L); at lambda = 1 this is the total spanning-forest weight."""
-    return _det(*_scaled_rows(graph, lam), isinstance(graph, Multigraph))
+    return _det(*_scaled_rows(graph, lam))
 
 
 def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> Fraction:
@@ -107,7 +107,7 @@ def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> Fraction:
     tree rooted at / diverging from i. Symmetric in i and j for undirected
     input.
     """
-    return _cofactor(*_scaled_rows(graph, lam), i, j, isinstance(graph, Multigraph))
+    return _cofactor(*_scaled_rows(graph, lam), i, j)
 
 
 class AccessibilityMatrix(NamedTuple):
@@ -124,7 +124,7 @@ def accessibility(graph: AnyGraph, lam=1) -> AccessibilityMatrix:
     SingularForestMatrixError when W is singular.
     """
     try:
-        return AccessibilityMatrix(_inverse(*_scaled_rows(graph, lam), isinstance(graph, Multigraph)))
+        return AccessibilityMatrix(_inverse(*_scaled_rows(graph, lam)))
     except SingularMatrixError:
         raise SingularForestMatrixError(
             f"W = lambda*I + L is singular at lambda = {lam}; "
@@ -140,7 +140,7 @@ def charpoly_forest_coeffs(graph: AnyGraph) -> Polynomial:
     det L, zero for every graph matrix (its rows sum to zero), so _char_poly
     takes it as known rather than eliminated, and the leading coefficient is 1.
     """
-    return _char_poly(*_scaled_rows(graph), isinstance(graph, Multigraph))
+    return _char_poly(*_scaled_rows(graph))
 
 
 def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
@@ -149,16 +149,17 @@ def cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     Evaluating at 1 gives forest_cofactor; coefficient k is the weight of the
     forests with k+1 trees that join j into i's tree (i among the roots).
     """
-    return _cofactor_poly(*_scaled_rows(graph), i, j, isinstance(graph, Multigraph))
+    return _cofactor_poly(*_scaled_rows(graph), i, j)
 
 
 def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     """The cofactor of (i, j) in lambda*I - L as a polynomial in lambda.
 
     Coefficient k is the weight of the forests counted in coefficient k of
-    cofactor_poly, each weighted by (-1)**(number of arcs); verify checks this
-    against the enumeration. Arranged as a matrix (transposed), these
-    polynomials form the adjugate of the characteristic matrix of L.
+    cofactor_poly, each weighted by (-1)**(number of arcs). Arranged as a
+    matrix (transposed), these polynomials form the adjugate of the
+    characteristic matrix of L; verify checks the enumeration against those
+    adjugates, which it eliminates from -L itself, not against this function.
 
     lambda*I - L = -((-lambda)*I + L), and a cofactor is a determinant of order
     n - 1, so this cofactor is (-1)**(n-1) times the cofactor_poly p evaluated
@@ -181,9 +182,7 @@ def path_expansion_cofactor(
     from the caller, because the required correspondence is easy to violate
     silently. Undefined (and rejected) for i == j.
     """
-    n = matrix.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"index ({i}, {j}) out of range for n={n}")
+    _check_index(matrix.n, i, j)
     if i == j:
         raise ValueError("path expansion is only valid for i != j")
     from .oracle import _path_sum, enum_paths

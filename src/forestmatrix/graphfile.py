@@ -90,6 +90,4 @@ def parse_graph(text: str) -> AnyGraph:
         if w is None:
             w = weights[token] = _number(token, "weight", line_no, integer=False)
         instances.append((u, v, w))
-    if directed:
-        return Multidigraph(n, tuple(instances))
-    return Multigraph(n, tuple(instances))
+    return (Multidigraph if directed else Multigraph)(n, tuple(instances))

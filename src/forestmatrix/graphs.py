@@ -116,6 +116,11 @@ class Multidigraph(_Value):
 AnyGraph = Union[Multigraph, Multidigraph]
 
 
+def _require(graph, kind: type) -> None:
+    if not isinstance(graph, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(graph).__name__}")
+
+
 def _arcs(graph: AnyGraph):
     """Arcs (tail, head, w) of the bidirected twin: a digraph's own; for a graph,
     each edge (u, v, w) as (u, v, w) and then (v, u, w), in edge order."""
@@ -201,6 +206,7 @@ def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigra
     position, so deleting its row/column from the result's Kirchhoff matrix
     reproduces the minor of the original with all merged rows/columns deleted.
     """
+    _require(digraph, Multidigraph)
     merged = sorted(set(vertices))
     if not merged:
         raise GraphValidationError("cannot contract an empty vertex set")
@@ -229,4 +235,5 @@ def to_bidirected(graph: Multigraph) -> Multidigraph:
     the graph's Laplacian, and its diverging forests correspond one-to-one to
     the graph's rooted forests.
     """
+    _require(graph, Multigraph)
     return Multidigraph(graph.n, tuple(_arcs(graph)))

@@ -4,17 +4,18 @@ Every scalar is a `fractions.Fraction`, so results are exact and canonical.
 All determinant-derived quantities are taken on the same integer rows: the
 matrix is scaled to integers once (each row by the lcm of its denominators)
 and reduced by one fraction-free elimination (Bareiss 1968) with diagonal
-pivots in a Markowitz order (Markowitz 1957). For a symmetric matrix (W =
-I + L of an undirected graph) it updates the upper triangle only; a zero
-pivot restarts it on full rows, where a zero pivot swaps in a lower row. The
-kernels are functions of those rows and their multipliers, so `forest` runs
-them on rows built straight from an arc list, and the SquareMatrix methods on
-the rows of their entries. Determinants and cofactors are entries of the
-eliminated rows; the inverse and the adjugate, singular or not, are solved
-from the pivot rows (and, unless symmetric, the pivot columns) by
-fraction-free back substitution, with no identity block carried along.
-Polynomials in x are interpolated exactly, in Newton form, through the
-kernel's values at integer shifts x = 0, 1, 2, ....
+pivots in a Markowitz order (Markowitz 1957). For a matrix equal to its
+transpose, which the kernel finds from the scaled rows whatever the graph
+kind, it updates the upper triangle only; a zero pivot restarts it on full
+rows, where a zero pivot swaps in a lower row. The kernels are functions of
+those rows and their multipliers, so `forest` runs them on rows built
+straight from an arc list, and the SquareMatrix methods on the rows of their
+entries. Determinants and cofactors are entries of the eliminated rows; the
+inverse and the adjugate, singular or not, are solved from the pivot rows
+(and, unless symmetric, the pivot columns) by fraction-free back
+substitution, with no identity block carried along. Polynomials in x are
+interpolated exactly, in Newton form, through the kernel's values at integer
+shifts x = 0, 1, 2, ....
 """
 
 from __future__ import annotations
@@ -88,9 +89,11 @@ def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
     return rows, mults
 
 
-def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) -> list[int]:
-    """A greedy Markowitz order (Markowitz 1957) of diagonal pivots on the nonzero
-    pattern of `rows`, ending with the indices of `last`.
+def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...]) -> tuple[list[int], bool]:
+    """(order, symmetric): a greedy Markowitz order (Markowitz 1957) of diagonal
+    pivots on the nonzero pattern of the scaled rows B = D * M, ending with the
+    indices of `last`, and whether M equals its transpose, which holds when
+    B_rc * d_c == B_cr * d_r at every nonzero of B (D = diag(mults)).
 
     Each step takes, of the indices not yet ordered and not in `last`, one whose
     pivot has the least Markowitz cost (r - 1) * (c - 1), r and c the nonzeros
@@ -98,12 +101,13 @@ def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) 
     elimination fills each row with a nonzero in its column with its row's
     pattern. On a symmetric pattern the cost is the square of the degree, so
     this is the greedy minimum-degree order (Tinney & Walker 1967) and the
-    fill joins the neighbours into a clique; `symmetric` says the pattern is,
-    and then the column patterns are the row patterns and are not kept twice.
-    The diagonal is not read, so one order serves every shift M + x*I.
+    fill joins the neighbours into a clique; for a symmetric M the column
+    patterns are the row patterns and are not kept twice. The diagonal does not
+    change the order or the symmetry, so one call serves every shift M + x*I.
     """
     n = len(rows)
     out = [set(compress(range(n), row)) for row in rows]
+    symmetric = all(rows[c][r] * mults[r] == rows[r][c] * mults[c] for r in range(n) for c in out[r])
     into = out if symmetric else [set(compress(range(n), col)) for col in zip(*rows)]
     for r in range(n):
         out[r].discard(r)
@@ -129,7 +133,7 @@ def _pivot_order(rows: list[list[int]], last: tuple[int, ...], symmetric: bool) 
                 joined.discard(c)
                 joined.discard(v)
                 cost[c] = len(out[c]) * len(joined)
-    return order + list(last)
+    return order + list(last), symmetric
 
 
 def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, steps: int, lower: bool = False, shift: int = 0):
@@ -213,7 +217,7 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     return b, d, pivots, level, swaps
 
 
-def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tuple[int, int] | None = None, shifts: Iterable[int] = (0,)) -> list[int]:
+def _diagonal(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | None = None, shifts: Iterable[int] = (0,)) -> list[int]:
     """det B if pair is None, else the signed minor (-1)**(i+j) * det(B without
     row i and column j) for pair = (i, j), of the scaled rows B = D * (W + x * I)
     of a matrix W, D = diag(mults), at each shift x. `rows` is left unchanged.
@@ -232,7 +236,7 @@ def _diagonal(rows: list[list[int]], mults: list[int], symmetric: bool, pair: tu
     size = n if pair is None else n - 1
     if size == 0:
         return [1 for _ in shifts]
-    order = _pivot_order(rows, last, symmetric)
+    order, symmetric = _pivot_order(rows, mults, last)
     r = size - 1
     values = []
     for x in shifts:
@@ -320,12 +324,12 @@ def _adjugate_run(rows: list[list[int]], mults: list[int], order: list[int], sym
     return det, [list(map(adj[v].__getitem__, place)) for v in place]
 
 
-def _adjugates(rows: list[list[int]], mults: list[int], symmetric: bool, shifts: Iterable[int]):
+def _adjugates(rows: list[list[int]], mults: list[int], shifts: Iterable[int]):
     """adj B of the scaled rows B of M + x*I at each shift x, singular or not.
     A run that stops at step k found column order[k] dependent on those before
     it, and reruns once with order[k] pivoted last. If that stops too, a second
     column is dependent: rank B <= n - 2 and adj B = 0."""
-    order = _pivot_order(rows, (), symmetric)
+    order, symmetric = _pivot_order(rows, mults, ())
     for x in shifts:
         run = _adjugate_run(rows, mults, order, symmetric, x)
         if isinstance(run, int):
@@ -359,65 +363,64 @@ def _check_index(n: int, i: int, j: int) -> None:
 
 # The kernels below take the scaled rows and row multipliers of a matrix M, as
 # _integer_rows makes them (and graphs._scaled_rows, straight from an arc list),
-# leave them unchanged, and return exact results; `symmetric` says M equals its
-# transpose.
+# leave them unchanged, and return exact results; each finds out from the rows,
+# through _pivot_order, whether M equals its transpose.
 
 
-def _det(rows: list[list[int]], mults: list[int], symmetric: bool) -> Fraction:
+def _det(rows: list[list[int]], mults: list[int]) -> Fraction:
     """det M; the empty matrix has determinant 1."""
-    return Fraction(_diagonal(rows, mults, symmetric)[0], prod(mults))
+    return Fraction(_diagonal(rows, mults)[0], prod(mults))
 
 
-def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> Fraction:
+def _cofactor(rows: list[list[int]], mults: list[int], i: int, j: int) -> Fraction:
     """Signed minor (-1)**(i+j) * det(M without row i and column j)."""
     _check_index(len(rows), i, j)
-    return Fraction(_diagonal(rows, mults, symmetric, (i, j))[0], prod(mults) // mults[i])
+    return Fraction(_diagonal(rows, mults, (i, j))[0], prod(mults) // mults[i])
 
 
-def _unscaled(x: list[list[int]], mults: list[int], den: int, symmetric: bool) -> "SquareMatrix":
+def _unscaled(x: list[list[int]], mults: list[int], den: int) -> "SquareMatrix":
     """The matrix with entry (r, c) = x_rc * d_c / den, for X an adjugate of the
     scaled rows B = D * M: adj B = adj M * adj D, so den = det D gives adj M and
-    den = det B gives M**-1. A `symmetric` M makes each Fraction once per
-    unordered pair and shares it between (r, c) and (c, r)."""
-    if not symmetric:
-        return SquareMatrix._of(tuple(tuple(Fraction(a * m, den) for a, m in zip(row, mults)) for row in x))
+    den = det B gives M**-1. Where the numerators x_rc * d_c and x_cr * d_r are
+    equal, one Fraction is made and shared between (r, c) and (c, r): at every
+    pair when M is symmetric, as then its adjugate and inverse are."""
     n = len(x)
     q = [[None] * n for _ in range(n)]
     for r, row in enumerate(x):
         for c in range(r, n):
-            q[r][c] = q[c][r] = Fraction(row[c] * mults[c], den)
+            a, b = row[c] * mults[c], x[c][r] * mults[r]
+            q[r][c] = Fraction(a, den)
+            q[c][r] = q[r][c] if a == b else Fraction(b, den)
     return SquareMatrix._of(tuple(map(tuple, q)))
 
 
-def _inverse(rows: list[list[int]], mults: list[int], symmetric: bool) -> "SquareMatrix":
+def _inverse(rows: list[list[int]], mults: list[int]) -> "SquareMatrix":
     """M**-1 = adj(B) * D / det(B), B = D * M the scaled rows, with adj B from one
     _adjugate_run. Raises SingularMatrixError when the run stops or det == 0."""
-    run = _adjugate_run(rows, mults, _pivot_order(rows, (), symmetric), symmetric, 0)
+    run = _adjugate_run(rows, mults, *_pivot_order(rows, mults, ()), 0)
     if isinstance(run, int) or not run[0]:
         raise SingularMatrixError("matrix is singular")
     det, adj = run
-    return _unscaled(adj, mults, det, symmetric)
+    return _unscaled(adj, mults, det)
 
 
-def _char_poly(rows: list[list[int]], mults: list[int], symmetric: bool) -> "Polynomial":
+def _char_poly(rows: list[list[int]], mults: list[int]) -> "Polynomial":
     """det(x*I + M), interpolated through the n + 1 determinants at x = 0, 1, ..., n
     of the scaled rows with x times the row scale added to the diagonal. When
     every row of M sums to zero (every graph matrix), M * 1 = 0, so the value 0
     at x = 0 is known, and only x = 1, ..., n are eliminated."""
     nodes = range(len(rows) + 1)
-    if rows and not any(map(sum, rows)):
-        values = [0, *_diagonal(rows, mults, symmetric, shifts=nodes[1:])]
-    else:
-        values = _diagonal(rows, mults, symmetric, shifts=nodes)
+    known = bool(rows) and not any(map(sum, rows))
+    values = [0] * known + _diagonal(rows, mults, shifts=nodes[known:])
     return Polynomial(_interpolated(nodes, values, prod(mults)))
 
 
-def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int, symmetric: bool) -> "Polynomial":
+def _cofactor_poly(rows: list[list[int]], mults: list[int], i: int, j: int) -> "Polynomial":
     """The (i, j) cofactor of x*I + M, interpolated through its values at
     x = 0, 1, ..., n - 1, each shift taken like _char_poly's."""
     n = len(rows)
     _check_index(n, i, j)
-    values = _diagonal(rows, mults, symmetric, (i, j), range(n))
+    values = _diagonal(rows, mults, (i, j), range(n))
     return Polynomial(_interpolated(range(n), values, prod(mults) // mults[i]))
 
 
@@ -518,14 +521,14 @@ class SquareMatrix(_Value):
 
     def det(self) -> Fraction:
         """Exact determinant; the empty matrix has determinant 1."""
-        return _det(*_integer_rows(self.entries), self.is_symmetric())
+        return _det(*_integer_rows(self.entries))
 
     def cofactor(self, i: int, j: int) -> Fraction:
         """Signed minor (-1)**(i+j) * det(self without row i and column j).
 
         A 1-by-1 matrix has cofactor 1 (the minor is the empty matrix).
         """
-        return _cofactor(*_integer_rows(self.entries), i, j, self.is_symmetric())
+        return _cofactor(*_integer_rows(self.entries), i, j)
 
     def adjugate(self) -> "SquareMatrix":
         """Transposed cofactor matrix; satisfies self @ adjugate == det * I.
@@ -538,15 +541,14 @@ class SquareMatrix(_Value):
         if self.n == 0:
             raise ValueError("adjugate is undefined for the empty matrix")
         rows, mults = _integer_rows(self.entries)
-        symmetric = self.is_symmetric()
-        (adj,) = _adjugates(rows, mults, symmetric, (0,))
-        return _unscaled(adj, mults, prod(mults), symmetric)
+        (adj,) = _adjugates(rows, mults, (0,))
+        return _unscaled(adj, mults, prod(mults))
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse from one fraction-free forward elimination of the scaled
         rows with diagonal pivots (a row swap at a zero pivot) and a
         fraction-free back substitution; raises SingularMatrixError when det == 0."""
-        return _inverse(*_integer_rows(self.entries), self.is_symmetric())
+        return _inverse(*_integer_rows(self.entries))
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""
@@ -555,9 +557,7 @@ class SquareMatrix(_Value):
             if not (0 <= r < self.n):
                 raise IndexError(f"index {r} out of range for n={self.n}")
         kept = [i for i in range(self.n) if i not in removed]
-        return SquareMatrix(
-            tuple(tuple(self.entries[r][c] for c in kept) for r in kept)
-        )
+        return SquareMatrix._of(tuple(tuple(self.entries[r][c] for c in kept) for r in kept))
 
     def char_poly(self) -> Polynomial:
         """Coefficients of det(x*I + self), constant term first; leading coefficient 1.
@@ -565,19 +565,19 @@ class SquareMatrix(_Value):
         principal_minor_sum is the independent subset-minor route to the same
         coefficients.
         """
-        return _char_poly(*_integer_rows(self.entries), self.is_symmetric())
+        return _char_poly(*_integer_rows(self.entries))
 
     def cofactor_poly(self, i: int, j: int) -> Polynomial:
         """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term
         first; for i != j the top coefficient is 0."""
-        return _cofactor_poly(*_integer_rows(self.entries), i, j, self.is_symmetric())
+        return _cofactor_poly(*_integer_rows(self.entries), i, j)
 
     def _cofactor_polys(self) -> list[list[Polynomial]]:
         """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
         the scaled rows at the n shifts x = 0, 1, ..., n - 1, singular or not."""
         rows, mults = _integer_rows(self.entries)
         nodes, scale = range(self.n), prod(mults)
-        adjs = list(_adjugates(rows, mults, self.is_symmetric(), nodes))
+        adjs = list(_adjugates(rows, mults, nodes))
         return [
             [Polynomial(_interpolated(nodes, [a[j][i] for a in adjs], scale // m)) for j in nodes]
             for i, m in enumerate(mults)
@@ -592,10 +592,7 @@ class SquareMatrix(_Value):
         n = self.n
         if not (0 <= k <= n):
             raise ValueError(f"k={k} out of range 0..{n}")
-        total = Fraction(0)
-        for gone in combinations(range(n), k):
-            total += self.delete_rows_cols(gone).det()
-        return total
+        return sum((self.delete_rows_cols(gone).det() for gone in combinations(range(n), k)), Fraction(0))
 
 
 class Polynomial(_Value):

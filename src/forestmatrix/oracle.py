@@ -29,6 +29,7 @@ from .graphs import (
     GuardExceededError,
     Multidigraph,
     Multigraph,
+    _require,
     to_bidirected,
 )
 
@@ -96,10 +97,7 @@ def weight_of(instances: Iterable[int], host: Union[Multigraph, Multidigraph]) -
 
 def set_weight(members: Iterable[Iterable[int]], host: Union[Multigraph, Multidigraph]) -> Fraction:
     """Total weight of a family of subgraphs: sum of member weights, empty family -> 0."""
-    total = Fraction(0)
-    for member in members:
-        total += weight_of(member, host)
-    return total
+    return sum((weight_of(member, host) for member in members), Fraction(0))
 
 
 def _check_guard(graph, guard: Guard) -> None:
@@ -150,9 +148,10 @@ def _choices(digraph: Multidigraph, root: int | None = None):
 def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[RootedForest, ...]:
     """All spanning rooted forests: the diverging forests of the bidirected twin,
     edge e being twin arcs 2e and 2e + 1 and the roots the vertices no arc enters."""
+    twin = to_bidirected(graph)
     _check_guard(graph, guard)
     out = []
-    for c in _choices(to_bidirected(graph)):
+    for c in _choices(twin):
         roots = frozenset(v for v, idx in enumerate(c) if idx is None)
         out.append(RootedForest(frozenset(idx >> 1 for idx in c if idx is not None), roots))
     return tuple(sorted(out, key=_rooted_key))
@@ -160,6 +159,7 @@ def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tupl
 
 def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) -> tuple[DivergingForest, ...]:
     """All spanning diverging forests (arc subsets with in-degree <= 1 and no cycle)."""
+    _require(digraph, Multidigraph)
     _check_guard(digraph, guard)
     out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c in _choices(digraph)]
     return tuple(sorted(out, key=_diverging_key))
@@ -168,10 +168,11 @@ def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) 
 def enum_spanning_trees(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[frozenset[int], ...]:
     """All spanning trees as edge-instance subsets: the bidirected twin's trees
     diverging from vertex 0, each arc mapped back to its edge."""
+    twin = to_bidirected(graph)
     _check_guard(graph, guard)
     if graph.n == 0:
         return ()
-    out = [frozenset(idx >> 1 for idx in c if idx is not None) for c in _choices(to_bidirected(graph), 0)]
+    out = [frozenset(idx >> 1 for idx in c if idx is not None) for c in _choices(twin, 0)]
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
@@ -179,6 +180,7 @@ def enum_diverging_trees(
     digraph: Multidigraph, root: int, guard: Guard = DEFAULT_GUARD
 ) -> tuple[DivergingForest, ...]:
     """All spanning trees diverging from `root` (single-component diverging forests)."""
+    _require(digraph, Multidigraph)
     if not (0 <= root < digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
@@ -193,11 +195,13 @@ def tree_roots(
 
     A diverging forest's root is found by following the unique in-arcs
     upward; a rooted forest's by a walk out from each chosen root. Raises
-    ValueError on a malformed forest: two arcs entering one vertex, or,
+    IndexError, as weight_of does, on an instance index or root out of range,
+    and ValueError on a malformed forest: two arcs entering one vertex, or,
     naming a vertex, a cycle, a tree with two roots or one without a root.
     """
     n = host.n
     if isinstance(host, Multidigraph):
+        _check_instances(host, forest.arcs)
         parent = {host.arcs[i].head: host.arcs[i].tail for i in forest.arcs}
         if len(parent) < len(forest.arcs):
             raise ValueError("two arcs of the forest enter one vertex")
@@ -211,6 +215,8 @@ def tree_roots(
                     raise ValueError(f"vertex {v} is on a cycle of the forest or below one")
             out.append(u)
         return tuple(out)
+    _check_instances(host, forest.edges)
+    _check_vertices(host, forest.roots)
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for e in forest.edges:
         u, v, _ = host.edges[e]
@@ -236,6 +242,12 @@ def _check_vertices(host, vertices: Iterable[int]) -> None:
     for v in vertices:
         if not (0 <= v < host.n):
             raise IndexError(f"vertex {v} out of range for n={host.n}")
+
+
+def _check_instances(host, instances: Iterable[int]) -> None:
+    for idx in instances:
+        if not (0 <= idx < len(host.instances)):
+            raise IndexError(f"instance index {idx} out of range")
 
 
 def filter_rooted(
@@ -273,9 +285,8 @@ def enum_paths(
     simple-path length, not by the 2**instances subset scan the instance cap
     protects against.
     """
-    for v in (start, goal):
-        if not (0 <= v < digraph.n):
-            raise IndexError(f"vertex {v} out of range for n={digraph.n}")
+    _require(digraph, Multidigraph)
+    _check_vertices(digraph, (start, goal))
     if digraph.n > guard.max_vertices:
         raise GuardExceededError(
             f"{digraph.n} vertices exceed the path-enumeration guard ({guard.max_vertices})"

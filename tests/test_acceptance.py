@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from forestmatrix import (
@@ -24,7 +23,6 @@ from forestmatrix import (
     enum_diverging_forests,
     enum_diverging_trees,
     enum_rooted_forests,
-    floatops,
     forest_cofactor,
     forest_det,
     forest_matrix,
@@ -351,6 +349,9 @@ def random_positive_graph(rng, n, edge_count):
 
 
 def test_criterion_8_float_mode_performance():
+    np = pytest.importorskip("numpy")
+    from forestmatrix import floatops
+
     rng = random.Random(0xF10A7)
     n = 2000
     g = random_positive_graph(rng, n, 6000)  # average degree 6

@@ -178,3 +178,20 @@ class TestValueTypes:
         check = CheckResult("name", True)
         assert (check.skipped, check.detail) == (False, "")
         assert check == CheckResult(name="name", passed=True, skipped=False, detail="")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda f: f.forest_cofactor(Multigraph(2, ((0, 1, 1),)), 0, 2),
+     IndexError("cofactor index (0, 2) out of range for n=2")),
+    (lambda f: f.forest_cofactor(Multigraph(2, ((0, 1, 1),)), -1, 0),
+     IndexError("cofactor index (-1, 0) out of range for n=2")),
+    (lambda f: f.forest_cofactor(Multigraph(1), 0, 0, 5), 1.0),  # the minor is the empty matrix
+    (lambda f: f.charpoly_forest_coeffs(Multigraph(0)).tolist(), [1.0]),  # det of the empty matrix
+], ids=["cofactor-2", "cofactor-minus-1", "cofactor-n1", "charpoly-n0"])
+def test_float_edge_cases(floatops, call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            call(floatops)
+        assert str(raised.value) == str(expected)
+    else:
+        assert call(floatops) == expected

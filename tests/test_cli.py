@@ -850,3 +850,26 @@ def test_matrix_commands_leave_the_enumeration_modules_unloaded(tmp_path, argv, 
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if "|" in line}
     assert "forestmatrix.forest" in loaded
     assert not loaded & {"forestmatrix.oracle", "forestmatrix.verify"}
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["cofactor", "edge_file", "--from", "0", "--to", "1"], 2, "error: --from 0 out of range 1..2\n"),
+    (["cofactor", "edge_file", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
+    (["cofactor-poly", "edge_file", "--from", "3", "--to", "1"], 2, "error: --from 3 out of range 1..2\n"),
+    (["enumerate", "edge_file", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
+    (["enumerate", "edge_file", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
+    (["verify", "edge_file", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
+    (["enumerate", "edge_file", "--kind", "diverging-forests"], 2,
+     "error: diverging-forests enumeration needs a directed graph\n"),
+    (["forest-matrix", "edge_file", "--output", "tsv"], 0, "2\t-1\n-1\t2\ndetW\t3\n"),
+    (["forest-matrix", "arc_file", "--lambda", "1/2", "--output", "tsv"], 0, "1/2\t0\n-1\t3/2\ndetW\t3/4\n"),
+    (["cofactor", "k3_file", "--from", "1", "--to", "2", "--lambda", "1/2", "--output", "tsv"], 0, "7/2\n"),
+], ids=["from-0", "to-3", "poly-from-3", "enumerate-to-3", "max-enum-0", "verify-max-enum-0",
+        "diverging-kind-undirected", "forest-matrix-tsv", "forest-matrix-tsv-lambda", "cofactor-tsv"])
+def test_exit_code_and_bytes(capsys, request, argv, code, out):
+    # exit 2 writes one error line to stderr and nothing to stdout; exit 0 writes
+    # the TSV rows, then detW for forest-matrix
+    argv = [argv[0], request.getfixturevalue(argv[1]), *argv[2:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((out, "") if code == 0 else ("", out))

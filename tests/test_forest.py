@@ -34,6 +34,7 @@ from forestmatrix import (
     path_expansion_cofactor,
     set_weight,
     signed_cofactor_poly,
+    to_bidirected,
     weight_of,
 )
 from forestmatrix.graphs import _scaled_rows
@@ -211,7 +212,7 @@ def signed_graph(rng, directed, n):
 
 class TestAccessibilityKernel:
     """Q comes from the diagonal-pivot forward pass and a fraction-free back
-    substitution; a zero pivot restarts an undirected W's run on full rows, and
+    substitution; a zero pivot restarts a symmetric W's run on full rows, and
     swaps in a lower row on full rows. Every route must give the Fractions of
     adj W / det W."""
 
@@ -241,15 +242,16 @@ class TestAccessibilityKernel:
     @pytest.mark.parametrize("directed", [False, True])
     def test_zero_markowitz_pivot_takes_the_fallback(self, directed, routes):
         # W = [[0, 2, -1], [2, 0, -1], [-1, -1, 3]]: every index costs 4, so
-        # index 0 is pivoted first, and its diagonal entry is 0; row 1 is
-        # swapped in, after a restart on full rows if the run is symmetric
+        # index 0 is pivoted first, and its diagonal entry is 0; the symmetric
+        # run restarts on full rows, which swap in row 1. The digraph is the
+        # bidirected twin, whose W is the same symmetric matrix
         instances = ((0, 1, -2), (1, 2, 1), (0, 2, 1))
         g = Multidigraph(3, instances + tuple((v, u, w) for u, v, w in instances)) if directed else Multigraph(3, instances)
         w = forest_matrix(graph_matrix(g))
         assert w.entries[0][0] == 0 and w.det() == -8
         routes.clear()
         q = accessibility(g).matrix
-        assert routes == [{"swap"} if directed else {"restart", "swap"}]
+        assert routes == [{"restart", "swap"}]
         assert is_inverse(w, q)
         assert q == SquareMatrix(((F(1, 8), F(5, 8), F(1, 4)), (F(5, 8), F(1, 8), F(1, 4)), (F(1, 4), F(1, 4), F(1, 2))))
 
@@ -263,8 +265,35 @@ class TestAccessibilityKernel:
         assert str(raised.value) == f"W = lambda*I + L is singular at lambda = {lam}; the accessibility matrix does not exist"
 
 
-def kernel_inputs(graph):
-    return (*_scaled_rows(graph), isinstance(graph, Multigraph))
+class TestBidirectedTwin:
+    """The bidirected twin of a graph has the graph's symmetric W, so the
+    kernels find from its rows that it is symmetric, and take the graph's
+    upper-triangle runs for it, with the graph's values."""
+
+    def test_twin_takes_the_graphs_runs(self, routes):
+        rng = random.Random(139)
+        restarts = 0
+
+        def results(h):
+            routes.clear()
+            try:
+                q = accessibility(h)
+            except SingularForestMatrixError:
+                q = None
+            n = h.n
+            values = (forest_det(h), q, charpoly_forest_coeffs(h),
+                      [[(forest_cofactor(h, i, j), cofactor_poly(h, i, j)) for j in range(n)] for i in range(n)])
+            return values, list(routes)
+
+        for n in range(1, 8):
+            for _ in range(4):
+                g = signed_graph(rng, False, n)
+                twin = to_bidirected(g)
+                assert linalg._pivot_order(*_scaled_rows(twin), ())[1]
+                values, runs = results(g)
+                assert results(twin) == (values, runs)
+                restarts += sum("restart" in run for run in runs)
+        assert restarts
 
 
 def random_graphs(seed, count):
@@ -283,9 +312,9 @@ class TestCharpolyForestCoeffs:
     def test_equals_the_elimination_at_zero(self):
         # det L = 0 is taken as known; eliminating at x = 0 as well gives the same coefficients
         for g in random_graphs(117, 40):
-            rows, mults, symmetric = kernel_inputs(g)
+            rows, mults = _scaled_rows(g)
             nodes = range(g.n + 1)
-            values = linalg._diagonal(rows, mults, symmetric, shifts=nodes)
+            values = linalg._diagonal(rows, mults, shifts=nodes)
             assert values[0] == 0
             expected = linalg._interpolated(nodes, values, prod(mults))
             assert charpoly_forest_coeffs(g).coeffs == expected
@@ -479,11 +508,11 @@ class TestSignedCofactorPoly:
     def test_equals_the_negated_rows_elimination(self):
         # the route this sign flip replaced: the cofactor polynomial of -L
         for g in random_graphs(118, 25):
-            rows, mults, symmetric = kernel_inputs(g)
+            rows, mults = _scaled_rows(g)
             negated = [[-x for x in row] for row in rows]
             for i in range(g.n):
                 for j in range(g.n):
-                    want = linalg._cofactor_poly(negated, mults, i, j, symmetric)
+                    want = linalg._cofactor_poly(negated, mults, i, j)
                     assert signed_cofactor_poly(g, i, j) == want
 
     def test_edgeless_equals_plain(self):
@@ -634,3 +663,18 @@ class TestConvergingDuality:
                         if v == i:
                             total += weight_of(f.arcs, dg)
                     assert value == total
+
+
+PATH_LAPLACIAN = SquareMatrix(((1, -1), (-1, 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: path_expansion_cofactor(PATH_LAPLACIAN, 0, 2), IndexError, "cofactor index (0, 2) out of range for n=2"),
+    (lambda: path_expansion_cofactor(PATH_LAPLACIAN, -1, 0), IndexError, "cofactor index (-1, 0) out of range for n=2"),
+    (lambda: matrix_tree_check(Multigraph(0)), ValueError, "matrix-tree check needs at least one vertex"),
+    (lambda: matrix_tree_check(Multidigraph(0)), ValueError, "matrix-tree check needs at least one vertex"),
+], ids=["path-expansion-2", "path-expansion-minus-1", "matrix-tree-graph", "matrix-tree-digraph"])
+def test_refused_input(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

@@ -259,3 +259,14 @@ class TestToBidirected:
 
     def test_edgeless(self):
         assert to_bidirected(Multigraph(3)).arcs == ()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: contract(Multidigraph(3, ((0, 1, 1),)), [0, 3]), "vertex 3 out of range for n=3"),
+    (lambda: contract(Multidigraph(3, ((0, 1, 1),)), [-1]), "vertex -1 out of range for n=3"),
+    (lambda: Multidigraph(-1), "vertex count must be >= 0, got -1"),
+], ids=["contract-3", "contract-minus-1", "negative-vertex-count"])
+def test_refused_input_is_a_validation_error(call, message):
+    with pytest.raises(GraphValidationError) as raised:
+        call()
+    assert str(raised.value) == message

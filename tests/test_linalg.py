@@ -476,12 +476,13 @@ class TestDiagonalKernel:
         for n in range(8):
             for copy in range(8 if n < 6 else 2):
                 m = sparse_matrix(rng, n, 0.9 if copy % 2 else 0.5, pool)
-                rows, mults = linalg._integer_rows(m.entries)
-                det, route = routed(routes, lambda: linalg._det(rows, mults, False))
+                if m.is_symmetric():  # by chance: it takes the upper-triangle route
+                    continue
+                det, route = routed(routes, m.det)
                 counts["det", route] += 1
                 assert det == leibniz_det(m)
                 for i, j in product(range(n), repeat=2):
-                    cofactor, route = routed(routes, lambda: linalg._cofactor(rows, mults, i, j, False))
+                    cofactor, route = routed(routes, lambda: m.cofactor(i, j))
                     counts[i == j, route] += 1
                     assert cofactor == leibniz_cofactor(m, i, j)
         for kind in ("det", True, False):
@@ -538,11 +539,16 @@ class TestDiagonalKernel:
                     for c in range(r + 1, n):
                         if rng.random() < 0.3:
                             rows[r][c] = rows[c][r] = rng.choice((1, -2, 3))
+                # the same pattern with values that are not symmetric: the upper
+                # entries doubled, or the rows of B read with distinct multipliers
+                skewed = [[2 * x if c > r else x for c, x in enumerate(row)] for r, row in enumerate(rows)]
+                diagonal = skewed == rows  # no entry off the diagonal
                 lasts = [()] + [(i,) for i in range(n)] + [(j, i) for i in range(n) for j in range(n) if i != j]
                 for last in lasts:
                     expected = min_degree_order(rows, last)
-                    assert linalg._pivot_order(rows, last, True) == expected
-                    assert linalg._pivot_order(rows, last, False) == expected
+                    assert linalg._pivot_order(rows, [1] * n, last) == (expected, True)
+                    assert linalg._pivot_order(skewed, [1] * n, last) == (expected, diagonal)
+                    assert linalg._pivot_order(rows, list(range(1, n + 1)), last) == (expected, diagonal)
 
 
 class TestDeleteRowsCols:
@@ -673,3 +679,14 @@ class TestPolynomial:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SquareMatrix(((1,),)) @ SquareMatrix(()), "size mismatch: 1 vs 0"),
+    (lambda: M2 @ M3, "size mismatch: 2 vs 3"),
+    (lambda: SquareMatrix(()).adjugate(), "adjugate is undefined for the empty matrix"),
+], ids=["matmul-1-0", "matmul-2-3", "empty-adjugate"])
+def test_refused_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -258,6 +258,23 @@ class TestTreeRoots:
         with pytest.raises(ValueError, match="vertex 2 is in a tree without a root"):
             tree_roots(g, RootedForest(frozenset({0, 1}), frozenset({1})))
 
+    @pytest.mark.parametrize("directed, forest, message", [
+        (True, DivergingForest(frozenset({-1})), "instance index -1 out of range"),
+        (True, DivergingForest(frozenset({0, 3})), "instance index 3 out of range"),
+        (False, RootedForest(frozenset({-1}), frozenset({0, 1})), "instance index -1 out of range"),
+        (False, RootedForest(frozenset({3}), frozenset({0, 1})), "instance index 3 out of range"),
+        (False, RootedForest(frozenset(), frozenset({0, 1, -1})), "vertex -1 out of range for n=3"),
+        (False, RootedForest(frozenset(), frozenset({0, 1, 2, 3})), "vertex 3 out of range for n=3"),
+    ], ids=["arc-minus-1", "arc-3", "edge-minus-1", "edge-3", "root-minus-1", "root-3"])
+    def test_index_out_of_range_is_an_index_error(self, unit_k3, directed_3cycle, directed, forest, message):
+        # a negative index would read an instance or a root from the end
+        g = directed_3cycle if directed else unit_k3
+        with pytest.raises(IndexError) as raised:
+            tree_roots(g, forest)
+        assert str(raised.value) == message
+        with pytest.raises(IndexError):
+            filter_roots(g, [forest], {0, 1})
+
     def test_matches_independent_walk(self):
         for g in TestTreeScansMatchOneTreeForests.CASES:
             forests = enum_diverging_forests(g) if isinstance(g, Multidigraph) else enum_rooted_forests(g)
@@ -374,6 +391,40 @@ class TestEnumPaths:
     def test_parallel_arcs_give_distinct_paths(self):
         dg = Multidigraph(2, ((0, 1, 1), (0, 1, 2)))
         assert len(enum_paths(dg, 0, 1)) == 2
+
+
+class TestGraphKind:
+    """Each function of one graph kind refuses the other with a TypeError naming
+    the kind it needs: a digraph's arcs are not twin arcs, and a graph has no arcs."""
+
+    @pytest.mark.parametrize("call, kind", [
+        (lambda g, dg: to_bidirected(dg), "Multigraph"),
+        (lambda g, dg: enum_rooted_forests(dg), "Multigraph"),
+        (lambda g, dg: enum_spanning_trees(dg), "Multigraph"),
+        (lambda g, dg: enum_spanning_trees(Multidigraph(0)), "Multigraph"),
+        (lambda g, dg: enum_diverging_forests(g), "Multidigraph"),
+        (lambda g, dg: enum_diverging_trees(g, 0), "Multidigraph"),
+        (lambda g, dg: enum_paths(g, 0, 1), "Multidigraph"),
+        (lambda g, dg: contract(g, [0, 1]), "Multidigraph"),
+    ], ids=["to_bidirected", "rooted-forests", "spanning-trees", "spanning-trees-n0",
+            "diverging-forests", "diverging-trees", "paths", "contract"])
+    def test_other_kind_is_a_type_error(self, unit_k3, directed_3cycle, call, kind):
+        other = "Multidigraph" if kind == "Multigraph" else "Multigraph"
+        with pytest.raises(TypeError) as raised:
+            call(unit_k3, directed_3cycle)
+        assert str(raised.value) == f"expected a {kind}, got {other}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda dg: enum_diverging_trees(dg, 3), "root 3 out of range for n=3"),
+    (lambda dg: enum_diverging_trees(dg, -1), "root -1 out of range for n=3"),
+    (lambda dg: enum_paths(dg, 0, 3), "vertex 3 out of range for n=3"),
+    (lambda dg: enum_paths(dg, -1, 0), "vertex -1 out of range for n=3"),
+], ids=["trees-root-3", "trees-root-minus-1", "paths-goal-3", "paths-start-minus-1"])
+def test_vertex_out_of_range_is_an_index_error(directed_3cycle, call, message):
+    with pytest.raises(IndexError) as raised:
+        call(directed_3cycle)
+    assert str(raised.value) == message
 
 
 class TestGuard:
