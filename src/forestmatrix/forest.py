@@ -158,16 +158,16 @@ def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     Coefficient k is the weight of the forests counted in coefficient k of
     cofactor_poly, each weighted by (-1)**(number of arcs). Arranged as a
     matrix (transposed), these polynomials form the adjugate of the
-    characteristic matrix of L; verify checks the enumeration against those
-    adjugates, which it eliminates from -L itself, not against this function.
-
-    lambda*I - L = -((-lambda)*I + L), and a cofactor is a determinant of order
-    n - 1, so this cofactor is (-1)**(n-1) times the cofactor_poly p evaluated
-    at -lambda: coefficient k is (-1)**(n-1+k) * p_k.
+    characteristic matrix of L; verify takes L's grid through _signed too.
     """
-    n = graph.n
-    plain = cofactor_poly(graph, i, j).coeffs
-    return Polynomial(tuple(-c if (n - 1 + k) % 2 else c for k, c in enumerate(plain)))
+    return _signed(cofactor_poly(graph, i, j), graph.n)
+
+
+def _signed(poly: Polynomial, n: int) -> Polynomial:
+    """A cofactor poly of lambda*I + M, M of order n, as the same cofactor of
+    lambda*I - M = -((-lambda)*I + M): one of order n - 1, it is (-1)**(n-1)
+    times poly at -lambda, so coefficient k is (-1)**(n-1+k) * poly_k."""
+    return Polynomial(tuple(-c if (n - 1 + k) % 2 else c for k, c in enumerate(poly.coeffs)))
 
 
 def path_expansion_cofactor(

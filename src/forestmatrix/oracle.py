@@ -195,10 +195,11 @@ def tree_roots(
 
     A diverging forest's root is found by following the unique in-arcs
     upward; a rooted forest's by a walk out from each chosen root. Raises
-    IndexError, as weight_of does, on an instance index or root out of range,
-    and ValueError on a malformed forest: two arcs entering one vertex, or,
-    naming a vertex, a cycle, a tree with two roots or one without a root.
+    TypeError on a forest of the other kind, IndexError on an instance index
+    or root out of range, and ValueError on a malformed forest: two arcs into
+    one vertex, or, naming a vertex, a cycle, a tree with two roots or none.
     """
+    _require(forest, DivergingForest if isinstance(host, Multidigraph) else RootedForest)
     n = host.n
     if isinstance(host, Multidigraph):
         _check_instances(host, forest.arcs)

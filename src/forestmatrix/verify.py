@@ -3,9 +3,9 @@
 Every matrix-side quantity the package computes is compared here against the
 brute-force enumeration oracle on one user-supplied graph: determinant and
 cofactors of W, accessibility, characteristic-polynomial coefficients,
-cofactor polynomials of L and of -L, principal minors against root-set
-filters and contractions, path-expansion cofactors, and invariance under
-parallel-instance merging. All comparisons are exact.
+cofactor polynomials of lambda*I + L and of lambda*I - L, principal minors
+against root-set filters and contractions, path-expansion cofactors, and
+invariance under parallel-instance merging. All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import oracle
 from .forest import (
     _companion,
+    _signed,
     accessibility,
     charpoly_forest_coeffs,
     forest_det,
@@ -39,7 +40,7 @@ from .oracle import DEFAULT_GUARD, Guard, GuardExceededError, _path_sum
 
 __all__ = ["CheckResult", "run_all_checks"]
 
-# Never interpolation nodes (nonnegative integers up to 2n), so evaluating the
+# Never interpolation nodes (the integers 0 ... n), so evaluating the
 # interpolated polynomials here tests them instead of passing by construction.
 EVAL_POINTS = (-1, -2, Fraction(1, 2), Fraction(-3, 2))
 
@@ -132,8 +133,11 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     """Run the whole checklist; raises GuardExceededError when the bidirected
     twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
-    The forests are enumerated once, and each principal submatrix L minus phi
-    is built once and its determinant taken once.
+    The forests are enumerated once. Each principal submatrix L minus phi that
+    keeps at least 2 vertices is built and eliminated once, for its adjugate,
+    whose entry (v, v), v after all of phi, is the minor det L minus (phi + v);
+    only det L and the 1 of the empty matrix are not read there. The signed
+    cofactor polynomials are L's grid flipped to lambda*I - L.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
     _check_budget(twin, guard)
@@ -144,13 +148,18 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     adj = w.adjugate()
     forests = _enum_forests(graph, guard)
     table = _tabulate(graph, forests)
-    phis = [phi for size in range(n + 1) for phi in combinations(range(n), size)]
-    subs = {phi: lap.delete_rows_cols(phi) for phi in phis}
-    minors = {phi: sub.det() for phi, sub in subs.items()}
+    phis = [phi for size in range(n - 1) for phi in combinations(range(n), size)]
+    adjs = {phi: lap.delete_rows_cols(phi).adjugate() for phi in phis}
+    minors = {(): lap.det(), tuple(range(n)): Fraction(1)}
+    for phi, sub in adjs.items():  # a v after all of phi has place v - k in L minus phi
+        k = len(phi)
+        minors.update(((*phi, v), sub[v - k, v - k]) for v in range(max(phi, default=-1) + 1, n))
+    polys = lap._cofactor_polys()
+    signed = [[_signed(p, n) for p in row] for row in polys]
     return [
         _check_matrix_tree(graph, guard),
         _check_forest_det(graph, det_w, forests),
-        _check_forest_cofactors(graph, adj, table),
+        _check_forest_cofactors(adj, table),
         _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table, guard),
@@ -158,16 +167,16 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         _check_rooted_minors(minors, table),
         _check_charpoly(graph, lap, det_w, minors, table),
         _check_polys(
-            "cofactor-polynomials", lap, EVAL_POINTS, table.coeffs,
+            "cofactor-polynomials", polys, lap, EVAL_POINTS, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
-        _check_path_expansion(lap, subs, minors, guard),
-        # n+1 points, none of them a node, pin every coefficient of a degree n-1 polynomial
+        _check_path_expansion(lap, adjs, minors, guard),
+        # L's grid flipped to lambda*I - L, against adjugates of lambda*I - L at 1 ... n+1:
+        # flipped back, none is a node 0 ... n-1 of L's grid, and n+1 points pin degree n-1
         _check_polys(
-            "signed-cofactor-polynomials", -lap, range(-1, -n - 2, -1), table.signed,
-            "arc-parity-signed coefficients match the cofactors of the "
-            "characteristic matrix of L",
+            "signed-cofactor-polynomials", signed, -lap, range(1, n + 2), table.signed,
+            "arc-parity-signed coefficients match the cofactors of the characteristic matrix of L",
         ),
     ]
 
@@ -191,21 +200,18 @@ def _check_forest_det(graph, det_w, forests) -> CheckResult:
     )
 
 
-def _check_forest_cofactors(graph, adj, table) -> CheckResult:
-    n = graph.n
-    ok = all(adj.entries[j][i] == table.pair[(i, j)] for i in range(n) for j in range(n))
+def _check_forest_cofactors(adj, table) -> CheckResult:
     return CheckResult(
         "forest-cofactors",
-        ok,
-        detail=f"checked {n * n} cofactors against filtered enumeration totals",
+        all(adj[j, i] == total for (i, j), total in table.pair.items()),
+        detail=f"checked {len(table.pair)} cofactors against filtered enumeration totals",
     )
 
 
 def _check_row_partition(adj, det_w) -> CheckResult:
-    ok = all(s == det_w for s in adj.row_sums())
     return CheckResult(
         "cofactor-row-partition",
-        ok,
+        all(s == det_w for s in adj.row_sums()),
         detail="cofactors over all start vertices sum to det W for every target",
     )
 
@@ -222,9 +228,7 @@ def _check_accessibility(graph, w, det_w, table) -> CheckResult:
     q = accessibility(graph).matrix
     ok = (q @ w) == SquareMatrix.identity(n)
     ok = ok and all(s == 1 for s in q.row_sums())
-    ok = ok and all(
-        q.entries[i][j] * det_w == table.pair[(j, i)] for i in range(n) for j in range(n)
-    )
+    ok = ok and all(q[i, j] * det_w == table.pair[(j, i)] for i in range(n) for j in range(n))
     if isinstance(graph, Multigraph):
         ok = ok and q.is_symmetric()
     return CheckResult(
@@ -272,9 +276,7 @@ def _check_contraction_minors(twin, minors, guard) -> CheckResult:
 
 
 def _check_rooted_minors(minors, table) -> CheckResult:
-    ok = all(
-        minor == table.by_roots.get(frozenset(phi), Fraction(0)) for phi, minor in minors.items()
-    )
+    ok = all(minor == table.by_roots.get(frozenset(phi), 0) for phi, minor in minors.items())
     return CheckResult(
         "rooted-minors",
         ok,
@@ -300,10 +302,10 @@ def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
     )
 
 
-def _check_polys(name, matrix, points, column, detail) -> CheckResult:
+def _check_polys(name, grid, matrix, points, column, detail) -> CheckResult:
     adjs = [forest_matrix(matrix, lam).adjugate() for lam in points]
     ok = True
-    for i, row in enumerate(matrix._cofactor_polys()):
+    for i, row in enumerate(grid):
         for j, poly in enumerate(row):
             ok = ok and list(poly.coeffs) == column[(i, j)]
             for lam, adj in zip(points, adjs):
@@ -311,7 +313,7 @@ def _check_polys(name, matrix, points, column, detail) -> CheckResult:
     return CheckResult(name, ok, detail=detail)
 
 
-def _check_path_expansion(lap, subs, minors, guard) -> CheckResult:
+def _check_path_expansion(lap, adjs, minors, guard) -> CheckResult:
     """Each off-diagonal cofactor of L minus phi, for every phi that leaves at
     least 2 vertices, against its path expansion. The companion digraph of L
     minus phi is L's restricted to the kept vertices, so the paths of L's
@@ -322,10 +324,7 @@ def _check_path_expansion(lap, subs, minors, guard) -> CheckResult:
     companion = _companion(lap)
     paths = {ij: oracle.enum_paths(companion, *ij, guard) for ij in permutations(range(n), 2)}
     ok, count = True, 0
-    for phi, sub in subs.items():
-        if sub.n < 2:
-            continue
-        adj = sub.adjugate()
+    for phi, adj in adjs.items():
         kept = [v for v in range(n) if v not in phi]
 
         def minor(vs, phi=frozenset(phi)):

@@ -139,6 +139,12 @@ printf '1\t-3\t1\n' | cmp - path.out
 fm cofactor-poly path.graph --from 1 --to 3 --signed --output tsv > path.out
 printf '1\t0\t0\n' | cmp - path.out
 
+echo "verify passes on signed weights whose submatrices of L and shifts of xI - L have zero pivots"
+for file in zero-pivot.graph path.graph small-directed-parallel.graph; do
+  fm verify "$file" > verify.out
+  grep -q '"all_pass": true' verify.out
+done
+
 echo "charpoly of a digraph whose vertex 1 has in-degree 0, a zero row of L"
 # xI + L is lower triangular: x (x + 1) (x + 5/2) = x^3 + 7/2 x^2 + 5/2 x
 printf 'graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n' > source.graph

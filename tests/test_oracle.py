@@ -414,6 +414,24 @@ class TestGraphKind:
             call(unit_k3, directed_3cycle)
         assert str(raised.value) == f"expected a {kind}, got {other}"
 
+    @pytest.mark.parametrize("call, kind", [
+        (lambda g, dg: tree_roots(dg, RootedForest(frozenset({0}), frozenset({0, 2}))),
+         "DivergingForest"),
+        (lambda g, dg: filter_roots(g, enum_diverging_forests(to_bidirected(g)), {0}),
+         "RootedForest"),
+        (lambda g, dg: filter_rooted(g, enum_diverging_forests(to_bidirected(g)), 0, 1),
+         "RootedForest"),
+        (lambda g, dg: filter_rooted(dg, enum_rooted_forests(g), 0, 1), "DivergingForest"),
+    ], ids=["tree-roots", "filter-roots", "filter-rooted-graph", "filter-rooted-digraph"])
+    def test_forest_of_the_other_kind_is_a_type_error(self, call, kind):
+        # the two-edge path and the digraph of its two forward arcs
+        g = Multigraph(3, ((0, 1, 1), (1, 2, 1)))
+        dg = Multidigraph(3, ((0, 1, 1), (1, 2, 1)))
+        other = "RootedForest" if kind == "DivergingForest" else "DivergingForest"
+        with pytest.raises(TypeError) as raised:
+            call(g, dg)
+        assert str(raised.value) == f"expected a {kind}, got {other}"
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda dg: enum_diverging_trees(dg, 3), "root 3 out of range for n=3"),

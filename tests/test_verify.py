@@ -80,15 +80,16 @@ def graph(request):
 
 class TestMutations:
     def test_cofactor_poly(self, graph, monkeypatch):
-        # verify takes both polynomial families from this one grid, of L and of -L
+        # verify takes both polynomial families from this one grid: L's, and
+        # flipped, that of the characteristic matrix lambda*I - L
         monkeypatch.setattr(
             SquareMatrix, "_cofactor_polys", perturb_pair(SquareMatrix._cofactor_polys)
         )
         assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
     def test_signed_cofactor_poly(self, graph, monkeypatch):
-        # the signed route takes the polynomials of L instead of -L; they agree
-        # with L's own adjugates, so only the arc-parity coefficients catch it
+        # the signed grid is L's flipped, untouched, but the adjugates it is
+        # evaluated against become those of lambda*I + L instead of lambda*I - L
         monkeypatch.setattr(SquareMatrix, "__neg__", lambda self: self)
         assert failing(graph) == {"signed-cofactor-polynomials"}
 
@@ -127,6 +128,29 @@ class TestMutations:
 
         monkeypatch.setattr(oracle, "enum_paths", perturbed)
         assert failing(graph) == {"path-expansion-cofactors"}
+
+    @pytest.mark.parametrize("entry, failed", [
+        ((1, 1), {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients",
+                  "path-expansion-cofactors"}),
+        ((0, 1), {"path-expansion-cofactors"}),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_submatrix_adjugate_entry(self, graph, monkeypatch, entry, failed):
+        # one entry of adj(L minus vertex 1) is off by one. Its diagonal entry
+        # (1, 1), at vertex 2, is the minor of L minus {1, 2}, read from there
+        # only; an off-diagonal entry is a cofactor only path expansion checks
+        sub = graph_matrix(graph).delete_rows_cols((1,))
+        original = SquareMatrix.adjugate
+
+        def perturbed(self):
+            adj = original(self)
+            if self != sub:
+                return adj
+            rows = [list(row) for row in adj.entries]
+            rows[entry[0]][entry[1]] += 1
+            return SquareMatrix(tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(SquareMatrix, "adjugate", perturbed)
+        assert failing(graph) == failed
 
     @pytest.mark.parametrize("field", ["coeffs", "signed", "by_roots", "by_count"])
     def test_merged_table_field(self, graph, monkeypatch, field):
@@ -205,9 +229,9 @@ class TestWorkCounts:
         text = detail(graph, "contraction-minors")
         assert f"({expected} parent choices scanned)" in text
 
-    def test_each_submatrix_built_once(self, graph, monkeypatch):
-        # one per subset: path expansion takes its submatrices and minors from
-        # the table the principal minors are taken from
+    def test_each_submatrix_keeping_two_vertices_built_once(self, graph, monkeypatch):
+        # one per subset that keeps at least 2 vertices, for its adjugate: the
+        # other principal minors are on those adjugates' diagonals
         n = graph.n
         built = []
         original = SquareMatrix.delete_rows_cols
@@ -218,8 +242,24 @@ class TestWorkCounts:
 
         monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted)
         run_all_checks(graph)
-        assert len(built) == 2**n == 16
+        assert len(built) == 2**n - n - 1 == 11
         assert len(set(built)) == len(built)
+
+    def test_determinants_and_cofactor_grids(self, graph, monkeypatch):
+        # det W, det L and the charpoly evaluations are the only determinants;
+        # L's grid of cofactor polynomials serves both polynomial checks
+        calls = []
+        for name in ("det", "_cofactor_polys"):
+            original = getattr(SquareMatrix, name)
+
+            def counted(self, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(SquareMatrix, name, counted)
+        run_all_checks(graph)
+        assert calls.count("det") == 2 + len(verify.EVAL_POINTS)
+        assert calls.count("_cofactor_polys") == 1
 
     def test_paths_enumerated_once_on_one_companion(self, graph, monkeypatch):
         # the companion digraph of L minus phi is L's restricted to the kept
