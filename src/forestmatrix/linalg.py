@@ -136,7 +136,7 @@ def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...])
     return order + list(last), symmetric
 
 
-def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, steps: int, lower: bool = False, shift: int = 0):
+def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, steps: int, shift: int = 0):
     """The first `steps` steps of Bareiss elimination with diagonal pivots on the
     scaled rows B = D * (W + shift * I) of a matrix W, D = diag(mults), rows and
     columns permuted by `order`. `rows` is left unchanged.
@@ -147,7 +147,7 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     pivots, level, swaps): b the permuted rows, eliminated in place; d the
     permuted row scales; pivots = [1, p_0, ..., p_(steps-1)]; level[r] the pivot
     of the step that last updated row r. Row k < steps of b holds, from column k
-    on, the pivot row U_k as it stood at step k, so U_kk = p_k. With `lower`,
+    on, the pivot row U_k as it stood at step k, so U_kk = p_k. On full rows,
     each entry below a pivot is brought up to date at its step, so column k
     below row k holds the pivot column L_rk. Rows past `steps` are not updated.
 
@@ -182,7 +182,7 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
         if not rk[k]:
             if symmetric:
                 # column k below the pivot is zero exactly where row k right of it is
-                return _forward(rows, mults, order, False, steps, lower, shift) if any(rk[k + 1:end]) else k
+                return _forward(rows, mults, order, False, steps, shift) if any(rk[k + 1:end]) else k
             r = next((r for r in range(k + 1, end) if b[r][k]), None)
             if r is None:
                 return k
@@ -210,8 +210,7 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
                     t = level[r]
                     row[k + 1:] = [(a * pivot - f * x) // t for a, x in zip(row[k + 1:], tail)]
                     level[r] = pivot
-                    if lower:
-                        row[k] = f * prev // t
+                    row[k] = f * prev // t
         pivots.append(pivot)
         prev = pivot
     return b, d, pivots, level, swaps
@@ -311,7 +310,7 @@ def _adjugate_run(rows: list[list[int]], mults: list[int], order: list[int], sym
     at which _forward stopped. _adjugate_lu's X = adj(P B') of the permuted rows
     B' goes back through adj B' = X * P, swap by swap, then to index order."""
     n = len(rows)
-    run = _forward(rows, mults, order, symmetric, n - 1, lower=True, shift=shift)
+    run = _forward(rows, mults, order, symmetric, n - 1, shift=shift)
     if isinstance(run, int):
         return run
     b, d, pivots, level, swaps = run

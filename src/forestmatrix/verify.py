@@ -133,10 +133,12 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     """Run the whole checklist; raises GuardExceededError when the bidirected
     twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
-    The forests are enumerated once. Each principal submatrix L minus phi that
-    keeps at least 2 vertices is built and eliminated once, for its adjugate,
-    whose entry (v, v), v after all of phi, is the minor det L minus (phi + v);
-    only det L and the 1 of the empty matrix are not read there. The signed
+    The forests are enumerated once, and every determinant is forest_det's, once
+    per lambda: det W at 1, det L at 0 and det(lambda*I + L) at EVAL_POINTS.
+    Each principal submatrix L minus phi that keeps at least 2 vertices is
+    eliminated once for its adjugate (adj L is matrix_tree_check's), whose
+    entry (v, v), v after all of phi, is the minor det L minus (phi + v); only
+    det L and the 1 of the empty matrix are not read there. The signed
     cofactor polynomials are L's grid flipped to lambda*I - L.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
@@ -144,28 +146,29 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     n = graph.n
     lap = graph_matrix(graph)
     w = forest_matrix(lap)
-    det_w = w.det()
+    det_w, det_l, *dets = (forest_det(graph, lam) for lam in (1, 0, *EVAL_POINTS))
     adj = w.adjugate()
     forests = _enum_forests(graph, guard)
     table = _tabulate(graph, forests)
+    report = matrix_tree_check(graph, guard)
     phis = [phi for size in range(n - 1) for phi in combinations(range(n), size)]
-    adjs = {phi: lap.delete_rows_cols(phi).adjugate() for phi in phis}
-    minors = {(): lap.det(), tuple(range(n)): Fraction(1)}
+    adjs = {phi: lap.delete_rows_cols(phi).adjugate() if phi else report.cofactors.transpose() for phi in phis}
+    minors = {(): det_l, tuple(range(n)): Fraction(1)}
     for phi, sub in adjs.items():  # a v after all of phi has place v - k in L minus phi
         k = len(phi)
         minors.update(((*phi, v), sub[v - k, v - k]) for v in range(max(phi, default=-1) + 1, n))
     polys = lap._cofactor_polys()
     signed = [[_signed(p, n) for p in row] for row in polys]
     return [
-        _check_matrix_tree(graph, guard),
+        _check_matrix_tree(report),
         _check_forest_det(graph, det_w, forests),
         _check_forest_cofactors(adj, table),
         _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table, guard),
         _check_contraction_minors(twin, minors, guard),
-        _check_rooted_minors(minors, table),
-        _check_charpoly(graph, lap, det_w, minors, table),
+        _check_rooted_minors(n, minors, adjs, table),
+        _check_charpoly(graph, det_w, dets, minors, table),
         _check_polys(
             "cofactor-polynomials", polys, lap, EVAL_POINTS, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
@@ -181,8 +184,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     ]
 
 
-def _check_matrix_tree(graph, guard) -> CheckResult:
-    report = matrix_tree_check(graph, guard)
+def _check_matrix_tree(report) -> CheckResult:
     kind = "per-row diverging-tree weights" if report.directed else "spanning-tree weight"
     return CheckResult(
         "matrix-tree-cofactors",
@@ -195,7 +197,7 @@ def _check_forest_det(graph, det_w, forests) -> CheckResult:
     total = oracle.set_weight((_instances_of(f) for f in forests), graph)
     return CheckResult(
         "forest-determinant",
-        forest_det(graph) == det_w == total,
+        det_w == total,
         detail=f"det W = {det_w} over {len(forests)} spanning forests",
     )
 
@@ -275,8 +277,11 @@ def _check_contraction_minors(twin, minors, guard) -> CheckResult:
     )
 
 
-def _check_rooted_minors(minors, table) -> CheckResult:
+def _check_rooted_minors(n, minors, adjs, table) -> CheckResult:
     ok = all(minor == table.by_roots.get(frozenset(phi), 0) for phi, minor in minors.items())
+    for phi, adj in adjs.items():  # entry (a, a) is the minor of phi and the a-th kept vertex
+        kept = enumerate(v for v in range(n) if v not in phi)
+        ok = ok and all(adj[a, a] == table.by_roots.get(frozenset((*phi, v)), 0) for a, v in kept)
     return CheckResult(
         "rooted-minors",
         ok,
@@ -285,7 +290,7 @@ def _check_rooted_minors(minors, table) -> CheckResult:
     )
 
 
-def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
+def _check_charpoly(graph, det_w, dets, minors, table) -> CheckResult:
     poly = charpoly_forest_coeffs(graph)
     minor_sums = [Fraction(0)] * (graph.n + 1)
     for phi, minor in minors.items():
@@ -293,7 +298,7 @@ def _check_charpoly(graph, lap, det_w, minors, table) -> CheckResult:
     ok = list(poly.coeffs) == table.by_count
     ok = ok and list(poly.coeffs) == minor_sums
     ok = ok and poly.evaluate(1) == det_w
-    ok = ok and all(poly.evaluate(x) == forest_matrix(lap, x).det() for x in EVAL_POINTS)
+    ok = ok and all(poly.evaluate(x) == det for x, det in zip(EVAL_POINTS, dets))
     return CheckResult(
         "charpoly-forest-coefficients",
         ok,

@@ -145,6 +145,17 @@ for file in zero-pivot.graph path.graph small-directed-parallel.graph; do
   grep -q '"all_pass": true' verify.out
 done
 
+echo "verify on a singular W of each kind skips accessibility-matrix and passes the other 11 checks"
+printf 'graph undirected 2\n1 2 -1/2\n' > singular-undirected.graph
+printf 'graph directed 3\n1 2 -1\n2 3 1\n' > singular-directed.graph
+for file in singular-undirected.graph singular-directed.graph; do
+  test "$(field detW det "$file")" = 0
+  fm verify "$file" --output tsv > verify.out
+  grep -qx $'accessibility-matrix\tskip' verify.out
+  test "$(wc -l < verify.out)" -eq 12
+  test "$(grep -c $'\tpass$' verify.out)" -eq 11
+done
+
 echo "charpoly of a digraph whose vertex 1 has in-degree 0, a zero row of L"
 # xI + L is lower triangular: x (x + 1) (x + 5/2) = x^3 + 7/2 x^2 + 5/2 x
 printf 'graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n' > source.graph

@@ -129,16 +129,24 @@ class TestMutations:
         monkeypatch.setattr(oracle, "enum_paths", perturbed)
         assert failing(graph) == {"path-expansion-cofactors"}
 
-    @pytest.mark.parametrize("entry, failed", [
-        ((1, 1), {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients",
-                  "path-expansion-cofactors"}),
-        ((0, 1), {"path-expansion-cofactors"}),
-    ], ids=["diagonal", "off-diagonal"])
-    def test_submatrix_adjugate_entry(self, graph, monkeypatch, entry, failed):
-        # one entry of adj(L minus vertex 1) is off by one. Its diagonal entry
-        # (1, 1), at vertex 2, is the minor of L minus {1, 2}, read from there
-        # only; an off-diagonal entry is a cofactor only path expansion checks
-        sub = graph_matrix(graph).delete_rows_cols((1,))
+    @pytest.mark.parametrize("deleted, entry, failed", [
+        ((1,), (1, 1), {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients",
+                        "path-expansion-cofactors"}),
+        ((1,), (0, 1), {"path-expansion-cofactors"}),
+        ((1,), (0, 0), {"rooted-minors"}),
+        ((), (0, 0), {"matrix-tree-cofactors", "rooted-minors", "contraction-minors",
+                      "charpoly-forest-coefficients"}),
+        ((), (0, 1), {"matrix-tree-cofactors", "path-expansion-cofactors"}),
+    ], ids=["diagonal", "off-diagonal", "unread-diagonal", "L-diagonal", "L-off-diagonal"])
+    def test_submatrix_adjugate_entry(self, graph, monkeypatch, deleted, entry, failed):
+        # one entry of adj(L minus the deleted vertices) is off by one. The
+        # diagonal entry (1, 1) of adj(L minus {1}), at vertex 2, is the minor
+        # of L minus {1, 2}, read from there only; its entry (0, 0), at vertex
+        # 0, is the minor of L minus {0, 1}, read from adj(L minus {0}), and
+        # only rooted-minors compares every diagonal entry. An off-diagonal
+        # entry is a cofactor only path expansion checks. adj L is the one
+        # matrix_tree_check takes: its entry (0, 0) is the minor of L minus {0}
+        sub = graph_matrix(graph).delete_rows_cols(deleted)
         original = SquareMatrix.adjugate
 
         def perturbed(self):
@@ -150,6 +158,26 @@ class TestMutations:
             return SquareMatrix(tuple(map(tuple, rows)))
 
         monkeypatch.setattr(SquareMatrix, "adjugate", perturbed)
+        assert failing(graph) == failed
+
+    @pytest.mark.parametrize("lam, failed", [
+        (1, {"forest-determinant", "cofactor-row-partition", "accessibility-matrix",
+             "charpoly-forest-coefficients"}),
+        (0, {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients"}),
+        (-1, {"charpoly-forest-coefficients"}),
+        (F(1, 2), {"charpoly-forest-coefficients"}),
+    ], ids=["det-W", "det-L", "minus-1", "half"])
+    def test_forest_det(self, graph, monkeypatch, lam, failed):
+        # verify takes every determinant from forest_det, once per lambda: det
+        # W at 1, det L (the empty root set's minor) at 0, and the values the
+        # forest polynomial is evaluated against at EVAL_POINTS
+        original = verify.forest_det
+
+        def perturbed(g, x=1):
+            value = original(g, x)
+            return value + 1 if x == lam else value
+
+        monkeypatch.setattr(verify, "forest_det", perturbed)
         assert failing(graph) == failed
 
     @pytest.mark.parametrize("field", ["coeffs", "signed", "by_roots", "by_count"])
@@ -230,25 +258,34 @@ class TestWorkCounts:
         assert f"({expected} parent choices scanned)" in text
 
     def test_each_submatrix_keeping_two_vertices_built_once(self, graph, monkeypatch):
-        # one per subset that keeps at least 2 vertices, for its adjugate: the
-        # other principal minors are on those adjugates' diagonals
+        # one per nonempty subset that keeps at least 2 vertices, for its
+        # adjugate: the other principal minors are on those adjugates'
+        # diagonals, and adj L is the one matrix_tree_check takes
         n = graph.n
-        built = []
-        original = SquareMatrix.delete_rows_cols
+        lap = graph_matrix(graph)
+        built, adjugated = [], []
+        delete_rows_cols, adjugate = SquareMatrix.delete_rows_cols, SquareMatrix.adjugate
 
-        def counted(self, indices):
+        def counted_delete(self, indices):
             built.append(indices)
-            return original(self, indices)
+            return delete_rows_cols(self, indices)
 
-        monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted)
+        def counted_adjugate(self):
+            adjugated.append(self)
+            return adjugate(self)
+
+        monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted_delete)
+        monkeypatch.setattr(SquareMatrix, "adjugate", counted_adjugate)
         run_all_checks(graph)
-        assert len(built) == 2**n - n - 1 == 11
+        assert len(built) == 2**n - n - 2 == 10
         assert len(set(built)) == len(built)
+        assert adjugated.count(lap) == 1
 
     def test_determinants_and_cofactor_grids(self, graph, monkeypatch):
-        # det W, det L and the charpoly evaluations are the only determinants;
-        # L's grid of cofactor polynomials serves both polynomial checks
-        calls = []
+        # every determinant is forest_det's, once per lambda: det W, det L and
+        # the charpoly evaluations; L's grid of cofactor polynomials serves
+        # both polynomial checks
+        calls, lams = [], []
         for name in ("det", "_cofactor_polys"):
             original = getattr(SquareMatrix, name)
 
@@ -257,9 +294,17 @@ class TestWorkCounts:
                 return _original(self)
 
             monkeypatch.setattr(SquareMatrix, name, counted)
+        forest_det = verify.forest_det
+
+        def counted_forest_det(g, lam=1):
+            lams.append(lam)
+            return forest_det(g, lam)
+
+        monkeypatch.setattr(verify, "forest_det", counted_forest_det)
         run_all_checks(graph)
-        assert calls.count("det") == 2 + len(verify.EVAL_POINTS)
+        assert calls.count("det") == 0
         assert calls.count("_cofactor_polys") == 1
+        assert sorted(lams) == sorted((1, 0, *verify.EVAL_POINTS))
 
     def test_paths_enumerated_once_on_one_companion(self, graph, monkeypatch):
         # the companion digraph of L minus phi is L's restricted to the kept
