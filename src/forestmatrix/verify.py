@@ -31,11 +31,12 @@ from .graphs import (
     GraphValidationError,
     Multidigraph,
     Multigraph,
+    _scaled_rows,
     contract,
     merge_parallel,
     to_bidirected,
 )
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, _adjugates
 from .oracle import DEFAULT_GUARD, Guard, GuardExceededError, _path_sum
 
 __all__ = ["CheckResult", "run_all_checks"]
@@ -63,7 +64,8 @@ def _enum_forests(graph: AnyGraph, guard: Guard):
 
 
 class _ForestTable(NamedTuple):
-    """Enumeration totals from one pass over a graph's spanning forests.
+    """Enumeration totals from one pass over a graph's spanning forests, each
+    an integer over den = lcm(instance denominators)**(n - 1).
 
     pair[(i, j)] is the weight of the forests in which j's tree is rooted at
     i; coeffs[(i, j)][k] and signed[(i, j)][k] split it by k + 1 trees, the
@@ -72,19 +74,30 @@ class _ForestTable(NamedTuple):
     """
 
     count: int
-    pair: dict[tuple[int, int], Fraction]
-    coeffs: dict[tuple[int, int], list[Fraction]]
-    signed: dict[tuple[int, int], list[Fraction]]
-    by_roots: dict[frozenset[int], Fraction]
-    by_count: list[Fraction]
+    den: int
+    pair: dict[tuple[int, int], int]
+    coeffs: dict[tuple[int, int], list[int]]
+    signed: dict[tuple[int, int], list[int]]
+    by_roots: dict[frozenset[int], int]
+    by_count: list[int]
+
+    def scaled(self, k: int) -> tuple:
+        """Every total times k: two tables hold the same values when each one's
+        totals times the other's den are equal."""
+        sums = ({key: t * k for key, t in totals.items()} for totals in (self.pair, self.by_roots))
+        grids = ({p: [t * k for t in ts] for p, ts in g.items()} for g in (self.coeffs, self.signed))
+        return (*sums, *grids, [t * k for t in self.by_count])
+
+
+def _equals(x: Fraction, total: int, den: int) -> bool:
+    """x == total / den, cross-multiplied; den may be negative."""
+    return x.numerator * den == total * x.denominator
 
 
 def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
     # A forest has at most n - 1 instances, so its weight is an integer over
-    # den = lcm(instance denominators)**(n - 1). The tables sum those integers,
-    # and each entry becomes one Fraction at the end. Forests with the same
-    # roots and instance-count parity add to the same entries, so their
-    # weights are summed first and spread once per group.
+    # den. Forests with the same roots and instance-count parity add to the
+    # same entries, so their weights are summed first and spread once per group.
     n = graph.n
     den = lcm(*(inst.w.denominator for inst in graph.instances)) ** (n - 1)
     groups: dict[tuple[tuple[int, ...], int], int] = {}
@@ -107,14 +120,8 @@ def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
         for j, i in enumerate(root_of):
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
-    return _ForestTable(
-        len(forests),
-        {p: Fraction(sum(ws), den) for p, ws in coeffs.items()},
-        {p: [Fraction(w, den) for w in ws] for p, ws in coeffs.items()},
-        {p: [Fraction(w, den) for w in ws] for p, ws in signed.items()},
-        {roots: Fraction(w, den) for roots, w in by_roots.items()},
-        [Fraction(w, den) for w in by_count],
-    )
+    pair = {p: sum(ws) for p, ws in coeffs.items()}
+    return _ForestTable(len(forests), den, pair, coeffs, signed, by_roots, by_count)
 
 
 def _check_budget(twin: Multidigraph, guard: Guard) -> None:
@@ -133,13 +140,15 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     """Run the whole checklist; raises GuardExceededError when the bidirected
     twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
-    The forests are enumerated once, and every determinant is forest_det's, once
-    per lambda: det W at 1, det L at 0 and det(lambda*I + L) at EVAL_POINTS.
-    Each principal submatrix L minus phi that keeps at least 2 vertices is
-    eliminated once for its adjugate (adj L is matrix_tree_check's), whose
-    entry (v, v), v after all of phi, is the minor det L minus (phi + v); only
-    det L and the 1 of the empty matrix are not read there. The signed
-    cofactor polynomials are L's grid flipped to lambda*I - L.
+    The forests are enumerated once, into a table of integers over one den that
+    every comparison with it cross-multiplies, and every determinant is
+    forest_det's, once per lambda: det W at 1, det L at 0 and det(lambda*I + L)
+    at EVAL_POINTS. Each principal submatrix L minus phi that keeps at least 2
+    vertices is eliminated once for its adjugate (adj L is matrix_tree_check's),
+    whose entry (v, v), v after all of phi, is the minor det L minus (phi + v);
+    only det L and the 1 of the empty matrix are not read there. The signed
+    cofactor polynomials are L's grid flipped to lambda*I - L; both grids are
+    evaluated on integers against the adjugates of the scaled rows.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
     _check_budget(twin, guard)
@@ -170,7 +179,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         _check_rooted_minors(n, minors, adjs, table),
         _check_charpoly(graph, det_w, dets, minors, table),
         _check_polys(
-            "cofactor-polynomials", polys, lap, EVAL_POINTS, table.coeffs,
+            "cofactor-polynomials", polys, graph, 1, EVAL_POINTS, table.den, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
@@ -178,7 +187,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         # L's grid flipped to lambda*I - L, against adjugates of lambda*I - L at 1 ... n+1:
         # flipped back, none is a node 0 ... n-1 of L's grid, and n+1 points pin degree n-1
         _check_polys(
-            "signed-cofactor-polynomials", signed, -lap, range(1, n + 2), table.signed,
+            "signed-cofactor-polynomials", signed, graph, -1, range(1, n + 2), table.den, table.signed,
             "arc-parity-signed coefficients match the cofactors of the characteristic matrix of L",
         ),
     ]
@@ -205,7 +214,7 @@ def _check_forest_det(graph, det_w, forests) -> CheckResult:
 def _check_forest_cofactors(adj, table) -> CheckResult:
     return CheckResult(
         "forest-cofactors",
-        all(adj[j, i] == total for (i, j), total in table.pair.items()),
+        all(_equals(adj[j, i], total, table.den) for (i, j), total in table.pair.items()),
         detail=f"checked {len(table.pair)} cofactors against filtered enumeration totals",
     )
 
@@ -230,7 +239,8 @@ def _check_accessibility(graph, w, det_w, table) -> CheckResult:
     q = accessibility(graph).matrix
     ok = (q @ w) == SquareMatrix.identity(n)
     ok = ok and all(s == 1 for s in q.row_sums())
-    ok = ok and all(q[i, j] * det_w == table.pair[(j, i)] for i in range(n) for j in range(n))
+    over = det_w.numerator * table.den  # q_ij * det_w == pair[(j, i)] / den
+    ok = ok and all(_equals(q[i, j], t * det_w.denominator, over) for (j, i), t in table.pair.items())
     if isinstance(graph, Multigraph):
         ok = ok and q.is_symmetric()
     return CheckResult(
@@ -246,7 +256,7 @@ def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
     merged_table = _tabulate(merged, _enum_forests(merged, guard))
     # a forest holds at most one instance of each parallel class, so merging
     # keeps every root structure and instance count; only the forest count drops
-    ok = ok and merged_table._replace(count=table.count) == table
+    ok = ok and merged_table.scaled(table.den) == table.scaled(merged_table.den)
     return CheckResult(
         "parallel-merge-invariance",
         ok,
@@ -278,10 +288,11 @@ def _check_contraction_minors(twin, minors, guard) -> CheckResult:
 
 
 def _check_rooted_minors(n, minors, adjs, table) -> CheckResult:
-    ok = all(minor == table.by_roots.get(frozenset(phi), 0) for phi, minor in minors.items())
+    by_roots, den = table.by_roots, table.den
+    ok = all(_equals(minor, by_roots.get(frozenset(phi), 0), den) for phi, minor in minors.items())
     for phi, adj in adjs.items():  # entry (a, a) is the minor of phi and the a-th kept vertex
         kept = enumerate(v for v in range(n) if v not in phi)
-        ok = ok and all(adj[a, a] == table.by_roots.get(frozenset((*phi, v)), 0) for a, v in kept)
+        ok = ok and all(_equals(adj[a, a], by_roots.get(frozenset((*phi, v)), 0), den) for a, v in kept)
     return CheckResult(
         "rooted-minors",
         ok,
@@ -295,8 +306,8 @@ def _check_charpoly(graph, det_w, dets, minors, table) -> CheckResult:
     minor_sums = [Fraction(0)] * (graph.n + 1)
     for phi, minor in minors.items():
         minor_sums[len(phi)] += minor
-    ok = list(poly.coeffs) == table.by_count
-    ok = ok and list(poly.coeffs) == minor_sums
+    ok = list(poly.coeffs) == minor_sums  # so there are n + 1, as in by_count
+    ok = ok and all(_equals(c, t, table.den) for c, t in zip(poly.coeffs, table.by_count))
     ok = ok and poly.evaluate(1) == det_w
     ok = ok and all(poly.evaluate(x) == det for x, det in zip(EVAL_POINTS, dets))
     return CheckResult(
@@ -307,14 +318,28 @@ def _check_charpoly(graph, det_w, dets, minors, table) -> CheckResult:
     )
 
 
-def _check_polys(name, grid, matrix, points, column, detail) -> CheckResult:
-    adjs = [forest_matrix(matrix, lam).adjugate() for lam in points]
+def _check_polys(name, grid, graph, sign, points, den, column, detail) -> CheckResult:
+    """Each polynomial (i, j) of lambda*I + sign*L in `grid` against the totals
+    over den, and at each lambda = p/q against X = adj B, B = D * M the scaled
+    rows of M = (sign*lambda)*I + L: adj(lambda*I + sign*L)_ji = sign**(n-1) *
+    X_ji * d_i / det D, and Horner's rule on the coefficients over their lcm d
+    gives H = d * q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * d * q**deg."""
+    refs = []
+    for lam in points:
+        rows, mults = _scaled_rows(graph, sign * lam)
+        x = next(_adjugates(rows, mults, (0,)))
+        refs.append((lam.numerator, lam.denominator, x, mults, sign ** (graph.n - 1) * prod(mults)))
     ok = True
     for i, row in enumerate(grid):
         for j, poly in enumerate(row):
-            ok = ok and list(poly.coeffs) == column[(i, j)]
-            for lam, adj in zip(points, adjs):
-                ok = ok and poly.evaluate(lam) == adj.entries[j][i]
+            d = lcm(*(c.denominator for c in poly.coeffs))
+            coeffs = [c.numerator * (d // c.denominator) for c in poly.coeffs]
+            ok = ok and [c * den for c in coeffs] == [t * d for t in column[(i, j)]]
+            for p, q, x, mults, scale in refs:
+                h, qk = 0, 1
+                for c in reversed(coeffs):
+                    h, qk = h * p + c * qk, qk * q
+                ok = ok and h * scale == x[j][i] * mults[i] * d * (qk // q)
     return CheckResult(name, ok, detail=detail)
 
 

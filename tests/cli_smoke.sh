@@ -145,6 +145,14 @@ for file in zero-pivot.graph path.graph small-directed-parallel.graph; do
   grep -q '"all_pass": true' verify.out
 done
 
+echo "verify passes where merging changes the forest table's denominator: 1/2 + 1/2 gives 1"
+printf 'graph undirected 3\n1 2 1/2\n1 2 1/2\n2 3 1/3\n' > halves-undirected.graph
+printf 'graph directed 3\n1 2 1/2\n1 2 1/2\n2 3 1/3\n' > halves-directed.graph
+for file in halves-undirected.graph halves-directed.graph; do
+  fm verify "$file" > verify.out
+  grep -q '"all_pass": true' verify.out
+done
+
 echo "verify on a singular W of each kind skips accessibility-matrix and passes the other 11 checks"
 printf 'graph undirected 2\n1 2 -1/2\n' > singular-undirected.graph
 printf 'graph directed 3\n1 2 -1\n2 3 1\n' > singular-directed.graph

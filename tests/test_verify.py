@@ -48,6 +48,11 @@ GRAPHS = {
     "directed": Multidigraph(4, ((0, 1, 1), (1, 2, 2), (2, 3, F(1, 2)), (3, 0, 1), (0, 1, 2))),
 }
 
+# The parallel halves merge to 1, so the merged graph's forest table is over
+# den = 3**2 = 9 while the graph's is over 6**2 = 36.
+HALVES = ((0, 1, F(1, 2)), (0, 1, F(1, 2)), (1, 2, F(1, 3)))
+MERGE_GRAPHS = {"undirected": Multigraph(3, HALVES), "directed": Multidigraph(3, HALVES)}
+
 
 def failing(graph) -> set[str]:
     return {c.name for c in run_all_checks(graph) if not c.passed}
@@ -78,6 +83,11 @@ def graph(request):
     return g
 
 
+@pytest.fixture(params=sorted(MERGE_GRAPHS))
+def halves(request):
+    return MERGE_GRAPHS[request.param]
+
+
 class TestMutations:
     def test_cofactor_poly(self, graph, monkeypatch):
         # verify takes both polynomial families from this one grid: L's, and
@@ -90,8 +100,47 @@ class TestMutations:
     def test_signed_cofactor_poly(self, graph, monkeypatch):
         # the signed grid is L's flipped, untouched, but the adjugates it is
         # evaluated against become those of lambda*I + L instead of lambda*I - L
-        monkeypatch.setattr(SquareMatrix, "__neg__", lambda self: self)
+        original = verify._check_polys
+
+        def perturbed(name, grid, host, sign, *rest):
+            return original(name, grid, host, 1, *rest)
+
+        monkeypatch.setattr(verify, "_check_polys", perturbed)
         assert failing(graph) == {"signed-cofactor-polynomials"}
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["plain", "signed"])
+    def test_reference_adjugate_entry(self, graph, monkeypatch, signed):
+        # entry (0, 1) of the adjugate one polynomial check evaluates against
+        # is off by one: at lambda = 1/2, a point of the plain check only, or
+        # at lambda = n + 1 of the signed check, whose rows are those of
+        # -(n + 1)*I + L, not a point of the plain check
+        rows = verify._scaled_rows(graph, -(graph.n + 1) if signed else F(1, 2))
+        original, hits = verify._adjugates, []
+
+        def perturbed(*args):
+            for x in original(*args):
+                if args[:2] == rows:
+                    hits.append(args)
+                    x[0][1] += 1
+                yield x
+
+        monkeypatch.setattr(verify, "_adjugates", perturbed)
+        name = "signed-cofactor-polynomials" if signed else "cofactor-polynomials"
+        assert failing(graph) == {name}
+        assert len(hits) == 1
+
+    def test_trailing_zero_coefficient(self, graph, monkeypatch):
+        # one polynomial of the grid gains a zero top coefficient: its values
+        # are unchanged, only its length differs from the table's coefficients
+        original = SquareMatrix._cofactor_polys
+
+        def perturbed(owner):
+            grid = original(owner)
+            grid[1][2] = Polynomial(grid[1][2].coeffs + (0,))
+            return grid
+
+        monkeypatch.setattr(SquareMatrix, "_cofactor_polys", perturbed)
+        assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
     def test_charpoly_forest_coeffs(self, graph, monkeypatch):
         original = verify.charpoly_forest_coeffs
@@ -181,9 +230,12 @@ class TestMutations:
         assert failing(graph) == failed
 
     @pytest.mark.parametrize("field", ["coeffs", "signed", "by_roots", "by_count"])
+    @pytest.mark.parametrize("graph", [*GRAPHS.values(), *MERGE_GRAPHS.values()],
+                             ids=[*GRAPHS, *(f"halves-{kind}" for kind in MERGE_GRAPHS)])
     def test_merged_table_field(self, graph, monkeypatch, field):
         # one filtered total of the merged graph is off by one; the merge check
-        # compares every total, not only the pair table
+        # compares every total, not only the pair table, also when the merged
+        # graph's table is over another den
         original = verify._tabulate
 
         def bump(x):
@@ -203,6 +255,18 @@ class TestMutations:
 
         monkeypatch.setattr(verify, "_tabulate", perturbed)
         assert failing(graph) == {"parallel-merge-invariance"}
+
+
+class TestMergeAcrossDenominators:
+    def test_tables_over_different_denominators(self, halves):
+        dens = [verify._tabulate(g, verify._enum_forests(g, oracle.DEFAULT_GUARD)).den
+                for g in (halves, merge_parallel(halves))]
+        assert dens == [36, 9]
+
+    def test_all_checks_pass(self, halves):
+        results = run_all_checks(halves)
+        assert len(results) == 12
+        assert failing(halves) == set()
 
 
 class TestEmptyGraph:
@@ -235,8 +299,8 @@ class TestOneEnumeration:
             expected = pair_weight_table(g, forests)
             for i in range(g.n):
                 for j in range(g.n):
-                    assert table.pair[(i, j)] == expected[i][j]
-                    assert sum(table.coeffs[(i, j)]) == expected[i][j]
+                    assert Fraction(table.pair[(i, j)], table.den) == expected[i][j]
+                    assert Fraction(sum(table.coeffs[(i, j)]), table.den) == expected[i][j]
             assert sum(table.by_count) == sum(table.by_roots.values())
             assert table.count == len(forests)
 
@@ -280,6 +344,29 @@ class TestWorkCounts:
         assert len(built) == 2**n - n - 2 == 10
         assert len(set(built)) == len(built)
         assert adjugated.count(lap) == 1
+        # W's, L's and the submatrices': the polynomial checks take their
+        # adjugates from the scaled rows, not from SquareMatrix
+        assert len(adjugated) == len(built) + 2
+
+    def test_polynomial_checks_evaluate_in_integers(self, graph, monkeypatch):
+        # one adjugate of the scaled rows per evaluation point of each check;
+        # Polynomial.evaluate serves the forest polynomial's evaluations only
+        shifts, evaluated = [], []
+        adjugates, evaluate = verify._adjugates, Polynomial.evaluate
+
+        def counted_adjugates(rows, mults, xs):
+            shifts.append(tuple(xs))
+            return adjugates(rows, mults, xs)
+
+        def counted_evaluate(self, x):
+            evaluated.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(verify, "_adjugates", counted_adjugates)
+        monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
+        run_all_checks(graph)
+        assert shifts == [(0,)] * (len(verify.EVAL_POINTS) + graph.n + 1)
+        assert sorted(evaluated) == sorted((1, *verify.EVAL_POINTS))
 
     def test_determinants_and_cofactor_grids(self, graph, monkeypatch):
         # every determinant is forest_det's, once per lambda: det W, det L and
