@@ -89,6 +89,18 @@ def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
     return rows, mults
 
 
+def _symmetric(rows: list[list[int]], mults: list[int], pattern: list[set[int]]) -> bool:
+    """Whether B_rc * d_c == B_cr * d_r at every nonzero (r, c) of the scaled rows
+    B = D * M, pattern[r] the nonzero columns of row r: whether M equals its
+    transpose. Stops at the first mismatch."""
+    for r, cols in enumerate(pattern):
+        row, dr = rows[r], mults[r]
+        for c in cols:
+            if rows[c][r] * dr != row[c] * mults[c]:
+                return False
+    return True
+
+
 def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...]) -> tuple[list[int], bool]:
     """(order, symmetric): a greedy Markowitz order (Markowitz 1957) of diagonal
     pivots on the nonzero pattern of the scaled rows B = D * M, ending with the
@@ -107,7 +119,7 @@ def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...])
     """
     n = len(rows)
     out = [set(compress(range(n), row)) for row in rows]
-    symmetric = all(rows[c][r] * mults[r] == rows[r][c] * mults[c] for r in range(n) for c in out[r])
+    symmetric = _symmetric(rows, mults, out)
     into = out if symmetric else [set(compress(range(n), col)) for col in zip(*rows)]
     for r in range(n):
         out[r].discard(r)

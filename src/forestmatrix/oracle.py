@@ -10,8 +10,10 @@ than 2**arcs; a tree diverging from r gives r no arc and every other vertex
 one, at most the product over v != r of indeg v. An undirected rooted forest
 is a diverging forest of the bidirected twin (Chaiken 1982), its roots the
 vertices that chose none, and a spanning tree is a twin tree from vertex 0.
-Roots come from one walk, `tree_roots`, for both forest kinds: for a digraph
-"rooted at i" means "diverging from i", so one filter serves both.
+Every enumeration projects that walk, which also reports each vertex's root,
+read up the parents it chose, and each forest's weight as an integer over
+D**(n - 1), D the lcm of the weights' denominators. For a digraph "rooted at
+i" means "diverging from i", so one root map serves both forest kinds.
 Enumeration runs over instances, not merged simple graphs, which keeps
 parallel-instance identities testable instead of assumed.
 """
@@ -19,6 +21,7 @@ parallel-instance identities testable instead of assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Union
 
 # The guard lives in graphs, so a process that only checks it need not load this
@@ -29,8 +32,8 @@ from .graphs import (
     GuardExceededError,
     Multidigraph,
     Multigraph,
+    _arcs,
     _require,
-    to_bidirected,
 )
 
 __all__ = [
@@ -109,51 +112,57 @@ def _check_guard(graph, guard: Guard) -> None:
         )
 
 
-def _choices(digraph: Multidigraph, root: int | None = None):
-    """Every diverging forest, or with `root` every spanning tree diverging from
-    it, as one entering arc per vertex (None for a root).
+def _choices(graph: Union[Multigraph, Multidigraph], root: int | None = None) -> list:
+    """Every diverging forest of a digraph or of a graph's bidirected twin, or
+    with `root` every spanning tree diverging from it, as (chosen, root_of,
+    weight): chosen[v] the twin arc entering v, None for a root; root_of[v] the
+    root of v's tree, read up the chosen parents; weight the product of the
+    arcs' weights times D**(n - 1), D the lcm of all their denominators.
 
-    Vertices choose in index order: none or one entering arc, and an arc is
-    dropped when the walk up the chosen parents from its tail comes back to the
-    choosing vertex. A tree gives `root` no arc and every other vertex one.
-    """
-    n = digraph.n
-    tails = [a.tail for a in digraph.arcs]
-    options = [[None] if root is None or v == root else [] for v in range(n)]
-    for idx, a in enumerate(digraph.arcs):
-        if a.head != root:
-            options[a.head].append(idx)
+    Vertices choose in index order: an arc multiplies the weight by its own
+    times D, none by D, and an arc is dropped when the walk up the chosen
+    parents from its tail reaches the chooser. A forest has a root: one D goes."""
+    n = graph.n
+    arcs = _arcs(graph)
+    base = lcm(*(w.denominator for _, _, w in arcs))
+    options = [[(None, -1, base)] if root is None or v == root else [] for v in range(n)]
+    for idx, (tail, head, w) in enumerate(arcs):
+        if head != root:
+            options[head].append((idx, tail, w.numerator * (base // w.denominator)))
     chosen = [None] * n
     up = [-1] * n  # tail of each vertex's chosen arc; -1 for roots and vertices yet to choose
+    out = []
 
-    def walk(v):
+    def top(u):
+        while up[u] >= 0:
+            u = up[u]
+        return u
+
+    def walk(v, weight):
         if v == n:
-            yield tuple(chosen)
+            out.append((tuple(chosen), (root,) * n if root is not None else tuple(map(top, range(n))), weight // base))
             return
-        for idx in options[v]:
-            if idx is not None:
-                t = tails[idx]
-                while t != v and up[t] >= 0:
-                    t = up[t]
-                if t == v:
-                    continue
-            up[v] = -1 if idx is None else tails[idx]
+        for idx, tail, x in options[v]:
+            t = tail
+            while t >= 0 and t != v:
+                t = up[t]
+            if t == v:
+                continue
+            up[v] = tail
             chosen[v] = idx
-            yield from walk(v + 1)
+            walk(v + 1, weight * x)
         up[v] = -1
 
-    return walk(0)
+    walk(0, 1)
+    return out
 
 
 def enum_rooted_forests(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[RootedForest, ...]:
     """All spanning rooted forests: the diverging forests of the bidirected twin,
     edge e being twin arcs 2e and 2e + 1 and the roots the vertices no arc enters."""
-    twin = to_bidirected(graph)
+    _require(graph, Multigraph)
     _check_guard(graph, guard)
-    out = []
-    for c in _choices(twin):
-        roots = frozenset(v for v, idx in enumerate(c) if idx is None)
-        out.append(RootedForest(frozenset(idx >> 1 for idx in c if idx is not None), roots))
+    out = [RootedForest(frozenset(i >> 1 for i in c if i is not None), frozenset(r)) for c, r, _ in _choices(graph)]
     return tuple(sorted(out, key=_rooted_key))
 
 
@@ -161,18 +170,18 @@ def enum_diverging_forests(digraph: Multidigraph, guard: Guard = DEFAULT_GUARD) 
     """All spanning diverging forests (arc subsets with in-degree <= 1 and no cycle)."""
     _require(digraph, Multidigraph)
     _check_guard(digraph, guard)
-    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c in _choices(digraph)]
+    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c, _, _ in _choices(digraph)]
     return tuple(sorted(out, key=_diverging_key))
 
 
 def enum_spanning_trees(graph: Multigraph, guard: Guard = DEFAULT_GUARD) -> tuple[frozenset[int], ...]:
     """All spanning trees as edge-instance subsets: the bidirected twin's trees
     diverging from vertex 0, each arc mapped back to its edge."""
-    twin = to_bidirected(graph)
+    _require(graph, Multigraph)
     _check_guard(graph, guard)
     if graph.n == 0:
         return ()
-    out = [frozenset(idx >> 1 for idx in c if idx is not None) for c in _choices(twin, 0)]
+    out = [frozenset(idx >> 1 for idx in c if idx is not None) for c, _, _ in _choices(graph, 0)]
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
@@ -184,7 +193,7 @@ def enum_diverging_trees(
     if not (0 <= root < digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
-    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c in _choices(digraph, root)]
+    out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c, _, _ in _choices(digraph, root)]
     return tuple(sorted(out, key=_diverging_key))
 
 
@@ -298,26 +307,15 @@ def enum_paths(
     for idx, a in enumerate(digraph.arcs):
         adjacency.setdefault(a.tail, []).append((idx, a.head))
     out: list[Path] = []
-    verts = [start]
-    arcs: list[int] = []
-    visited = {start}
 
-    def walk(v: int) -> None:
-        for idx, head in adjacency.get(v, ()):
-            if head in visited:
-                continue
-            verts.append(head)
-            arcs.append(idx)
+    def walk(verts: tuple[int, ...], arcs: tuple[int, ...]) -> None:
+        for idx, head in adjacency.get(verts[-1], ()):
             if head == goal:
-                out.append(Path(tuple(verts), tuple(arcs)))
-            else:
-                visited.add(head)
-                walk(head)
-                visited.discard(head)
-            verts.pop()
-            arcs.pop()
+                out.append(Path(verts + (head,), arcs + (idx,)))
+            elif head not in verts:
+                walk(verts + (head,), arcs + (idx,))
 
-    walk(start)
+    walk((start,), ())
     return tuple(sorted(out, key=lambda p: (len(p.arcs), p.arcs)))
 
 

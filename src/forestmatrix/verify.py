@@ -53,18 +53,8 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _instances_of(forest) -> frozenset[int]:
-    return forest.arcs if isinstance(forest, oracle.DivergingForest) else forest.edges
-
-
-def _enum_forests(graph: AnyGraph, guard: Guard):
-    if isinstance(graph, Multidigraph):
-        return oracle.enum_diverging_forests(graph, guard)
-    return oracle.enum_rooted_forests(graph, guard)
-
-
 class _ForestTable(NamedTuple):
-    """Enumeration totals from one pass over a graph's spanning forests, each
+    """Enumeration totals from one walk over a graph's spanning forests, each
     an integer over den = lcm(instance denominators)**(n - 1).
 
     pair[(i, j)] is the weight of the forests in which j's tree is rooted at
@@ -94,34 +84,36 @@ def _equals(x: Fraction, total: int, den: int) -> bool:
     return x.numerator * den == total * x.denominator
 
 
-def _tabulate(graph: AnyGraph, forests) -> _ForestTable:
-    # A forest has at most n - 1 instances, so its weight is an integer over
-    # den. Forests with the same roots and instance-count parity add to the
-    # same entries, so their weights are summed first and spread once per group.
+def _den(graph: AnyGraph) -> int:
+    """lcm(instance denominators)**(n - 1), over which oracle._choices weighs each forest."""
+    return lcm(*(inst.w.denominator for inst in graph.instances)) ** (graph.n - 1)
+
+
+def _tabulate(graph: AnyGraph) -> _ForestTable:
+    """The table of one oracle._choices walk. A forest of k trees has n - k
+    instances, so forests with the same root map add to the same entries with
+    one sign: their weights over den are summed first, then spread once."""
     n = graph.n
-    den = lcm(*(inst.w.denominator for inst in graph.instances)) ** (n - 1)
-    groups: dict[tuple[tuple[int, ...], int], int] = {}
-    for f in forests:
-        inst = _instances_of(f)
-        key = (oracle.tree_roots(graph, f), len(inst) % 2)
-        w = oracle.weight_of(inst, graph)
-        groups[key] = groups.get(key, 0) + w.numerator * (den // w.denominator)
+    forests = oracle._choices(graph)
+    groups: dict[tuple[int, ...], int] = {}
+    for _, root_of, w in forests:
+        groups[root_of] = groups.get(root_of, 0) + w
     pairs = [(i, j) for i in range(n) for j in range(n)]
     coeffs = {p: [0] * n for p in pairs}
     signed = {p: [0] * n for p in pairs}
     by_roots: dict[frozenset[int], int] = {}
     by_count = [0] * (n + 1)
-    for (root_of, odd), w in groups.items():
-        sw = -w if odd else w
+    for root_of, w in groups.items():
         roots = frozenset(root_of)
         k = len(roots)
+        sw = -w if (n - k) % 2 else w
         by_roots[roots] = by_roots.get(roots, 0) + w
         by_count[k] += w
         for j, i in enumerate(root_of):
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
     pair = {p: sum(ws) for p, ws in coeffs.items()}
-    return _ForestTable(len(forests), den, pair, coeffs, signed, by_roots, by_count)
+    return _ForestTable(len(forests), _den(graph), pair, coeffs, signed, by_roots, by_count)
 
 
 def _check_budget(twin: Multidigraph, guard: Guard) -> None:
@@ -140,15 +132,16 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     """Run the whole checklist; raises GuardExceededError when the bidirected
     twin exceeds the size guard and GraphValidationError on a graph without vertices.
 
-    The forests are enumerated once, into a table of integers over one den that
-    every comparison with it cross-multiplies, and every determinant is
+    The oracle walks the forests once, into a table of integers over one den
+    that every comparison with it cross-multiplies, and every determinant is
     forest_det's, once per lambda: det W at 1, det L at 0 and det(lambda*I + L)
     at EVAL_POINTS. Each principal submatrix L minus phi that keeps at least 2
-    vertices is eliminated once for its adjugate (adj L is matrix_tree_check's),
-    whose entry (v, v), v after all of phi, is the minor det L minus (phi + v);
-    only det L and the 1 of the empty matrix are not read there. The signed
-    cofactor polynomials are L's grid flipped to lambda*I - L; both grids are
-    evaluated on integers against the adjugates of the scaled rows.
+    vertices is eliminated once, on L's integer rows, for its adjugate (adj L
+    is matrix_tree_check's), kept over scale, the product of L's row scales; its
+    entry (v, v), v after all of phi, is the minor det L minus (phi + v); only det L
+    and the 1 of the empty matrix are not read there. The signed cofactor
+    polynomials are L's grid flipped to lambda*I - L; both grids are evaluated
+    on integers against the adjugates of the scaled rows, once per shift.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
     _check_budget(twin, guard)
@@ -157,29 +150,37 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     w = forest_matrix(lap)
     det_w, det_l, *dets = (forest_det(graph, lam) for lam in (1, 0, *EVAL_POINTS))
     adj = w.adjugate()
-    forests = _enum_forests(graph, guard)
-    table = _tabulate(graph, forests)
+    table = _tabulate(graph)
     report = matrix_tree_check(graph, guard)
-    phis = [phi for size in range(n - 1) for phi in combinations(range(n), size)]
-    adjs = {phi: lap.delete_rows_cols(phi).adjugate() if phi else report.cofactors.transpose() for phi in phis}
-    minors = {(): det_l, tuple(range(n)): Fraction(1)}
+    rows, mults = _scaled_rows(graph)
+    scale = prod(mults)
+    adjs = {(): [[x * scale for x in col] for col in zip(*report.cofactors.entries)]}  # integral Fractions
+    for size in range(1, n - 1):
+        for phi in combinations(range(n), size):  # adj(L minus phi) * scale = X * diag(d) * scale / prod(d)
+            kept = [v for v in range(n) if v not in phi]
+            d = [mults[r] for r in kept]
+            x = next(_adjugates([[rows[r][c] for c in kept] for r in kept], d, (0,)))
+            f = scale // prod(d)
+            adjs[phi] = [[e * dc * f for e, dc in zip(row, d)] for row in x]
+    minors = {(): det_l * scale, tuple(range(n)): scale}
     for phi, sub in adjs.items():  # a v after all of phi has place v - k in L minus phi
         k = len(phi)
-        minors.update(((*phi, v), sub[v - k, v - k]) for v in range(max(phi, default=-1) + 1, n))
+        minors.update(((*phi, v), sub[v - k][v - k]) for v in range(max(phi, default=-1) + 1, n))
     polys = lap._cofactor_polys()
     signed = [[_signed(p, n) for p in row] for row in polys]
+    refs = {}  # adj of the scaled rows of x*I + L by shift x, shared by both polynomial checks
     return [
         _check_matrix_tree(report),
-        _check_forest_det(graph, det_w, forests),
+        _check_forest_det(det_w, table),
         _check_forest_cofactors(adj, table),
         _check_row_partition(adj, det_w),
         _check_accessibility(graph, w, det_w, table),
-        _check_merge_invariance(graph, w, table, guard),
-        _check_contraction_minors(twin, minors, guard),
-        _check_rooted_minors(n, minors, adjs, table),
-        _check_charpoly(graph, det_w, dets, minors, table),
+        _check_merge_invariance(graph, w, table),
+        _check_contraction_minors(twin, minors, scale),
+        _check_rooted_minors(n, minors, adjs, scale, table),
+        _check_charpoly(graph, det_w, dets, minors, scale, table),
         _check_polys(
-            "cofactor-polynomials", polys, graph, 1, EVAL_POINTS, table.den, table.coeffs,
+            "cofactor-polynomials", polys, graph, 1, EVAL_POINTS, refs, table.den, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
@@ -187,7 +188,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         # L's grid flipped to lambda*I - L, against adjugates of lambda*I - L at 1 ... n+1:
         # flipped back, none is a node 0 ... n-1 of L's grid, and n+1 points pin degree n-1
         _check_polys(
-            "signed-cofactor-polynomials", signed, graph, -1, range(1, n + 2), table.den, table.signed,
+            "signed-cofactor-polynomials", signed, graph, -1, range(1, n + 2), refs, table.den, table.signed,
             "arc-parity-signed coefficients match the cofactors of the characteristic matrix of L",
         ),
     ]
@@ -202,12 +203,11 @@ def _check_matrix_tree(report) -> CheckResult:
     )
 
 
-def _check_forest_det(graph, det_w, forests) -> CheckResult:
-    total = oracle.set_weight((_instances_of(f) for f in forests), graph)
+def _check_forest_det(det_w, table) -> CheckResult:
     return CheckResult(
         "forest-determinant",
-        det_w == total,
-        detail=f"det W = {det_w} over {len(forests)} spanning forests",
+        _equals(det_w, sum(table.by_count), table.den),
+        detail=f"det W = {det_w} over {table.count} spanning forests",
     )
 
 
@@ -250,10 +250,10 @@ def _check_accessibility(graph, w, det_w, table) -> CheckResult:
     )
 
 
-def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
+def _check_merge_invariance(graph, w, table) -> CheckResult:
     merged = merge_parallel(graph)
     ok = forest_matrix(graph_matrix(merged)) == w
-    merged_table = _tabulate(merged, _enum_forests(merged, guard))
+    merged_table = _tabulate(merged)
     # a forest holds at most one instance of each parallel class, so merging
     # keeps every root structure and instance count; only the forest count drops
     ok = ok and merged_table.scaled(table.den) == table.scaled(merged_table.den)
@@ -266,16 +266,15 @@ def _check_merge_invariance(graph, w, table, guard) -> CheckResult:
     )
 
 
-def _check_contraction_minors(twin, minors, guard) -> CheckResult:
+def _check_contraction_minors(twin, minors, scale) -> CheckResult:
     ok = minors[()] == 0  # empty root set: no trees, and L is always singular
     scanned = 0
     for phi, minor in minors.items():
         if not phi:
             continue
         contracted, star = contract(twin, phi)
-        trees = oracle.enum_diverging_trees(contracted, star, guard)
-        total = oracle.set_weight((t.arcs for t in trees), contracted)
-        ok = ok and minor == total
+        total = sum(w for _, _, w in oracle._choices(contracted, star))
+        ok = ok and minor * _den(contracted) == total * scale  # minor / scale == total / den
         heads = [a.head for a in contracted.arcs]
         scanned += prod(heads.count(v) for v in range(contracted.n) if v != star)
     return CheckResult(
@@ -287,12 +286,12 @@ def _check_contraction_minors(twin, minors, guard) -> CheckResult:
     )
 
 
-def _check_rooted_minors(n, minors, adjs, table) -> CheckResult:
-    by_roots, den = table.by_roots, table.den
-    ok = all(_equals(minor, by_roots.get(frozenset(phi), 0), den) for phi, minor in minors.items())
+def _check_rooted_minors(n, minors, adjs, scale, table) -> CheckResult:
+    by_roots, den = table.by_roots, table.den  # minor / scale == total / den
+    ok = all(minor * den == by_roots.get(frozenset(phi), 0) * scale for phi, minor in minors.items())
     for phi, adj in adjs.items():  # entry (a, a) is the minor of phi and the a-th kept vertex
         kept = enumerate(v for v in range(n) if v not in phi)
-        ok = ok and all(_equals(adj[a, a], by_roots.get(frozenset((*phi, v)), 0), den) for a, v in kept)
+        ok = ok and all(adj[a][a] * den == by_roots.get(frozenset((*phi, v)), 0) * scale for a, v in kept)
     return CheckResult(
         "rooted-minors",
         ok,
@@ -301,12 +300,12 @@ def _check_rooted_minors(n, minors, adjs, table) -> CheckResult:
     )
 
 
-def _check_charpoly(graph, det_w, dets, minors, table) -> CheckResult:
+def _check_charpoly(graph, det_w, dets, minors, scale, table) -> CheckResult:
     poly = charpoly_forest_coeffs(graph)
-    minor_sums = [Fraction(0)] * (graph.n + 1)
+    minor_sums = [0] * (graph.n + 1)  # over scale
     for phi, minor in minors.items():
         minor_sums[len(phi)] += minor
-    ok = list(poly.coeffs) == minor_sums  # so there are n + 1, as in by_count
+    ok = [c * scale for c in poly.coeffs] == minor_sums  # so there are n + 1, as in by_count
     ok = ok and all(_equals(c, t, table.den) for c, t in zip(poly.coeffs, table.by_count))
     ok = ok and poly.evaluate(1) == det_w
     ok = ok and all(poly.evaluate(x) == det for x, det in zip(EVAL_POINTS, dets))
@@ -318,28 +317,31 @@ def _check_charpoly(graph, det_w, dets, minors, table) -> CheckResult:
     )
 
 
-def _check_polys(name, grid, graph, sign, points, den, column, detail) -> CheckResult:
+def _check_polys(name, grid, graph, sign, points, refs, den, column, detail) -> CheckResult:
     """Each polynomial (i, j) of lambda*I + sign*L in `grid` against the totals
     over den, and at each lambda = p/q against X = adj B, B = D * M the scaled
     rows of M = (sign*lambda)*I + L: adj(lambda*I + sign*L)_ji = sign**(n-1) *
     X_ji * d_i / det D, and Horner's rule on the coefficients over their lcm d
-    gives H = d * q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * d * q**deg."""
-    refs = []
-    for lam in points:
-        rows, mults = _scaled_rows(graph, sign * lam)
-        x = next(_adjugates(rows, mults, (0,)))
-        refs.append((lam.numerator, lam.denominator, x, mults, sign ** (graph.n - 1) * prod(mults)))
+    gives H = d * q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * d * q**deg.
+    X, D and det D come from refs[sign*lambda], taken there on first use."""
+    shifts = [sign * lam for lam in points]
+    for shift in shifts:
+        if shift not in refs:
+            rows, mults = _scaled_rows(graph, shift)
+            refs[shift] = next(_adjugates(rows, mults, (0,))), mults, prod(mults)
+    at = [(lam.numerator, lam.denominator, *refs[shift]) for lam, shift in zip(points, shifts)]
+    s = sign ** (graph.n - 1)
     ok = True
     for i, row in enumerate(grid):
         for j, poly in enumerate(row):
             d = lcm(*(c.denominator for c in poly.coeffs))
             coeffs = [c.numerator * (d // c.denominator) for c in poly.coeffs]
             ok = ok and [c * den for c in coeffs] == [t * d for t in column[(i, j)]]
-            for p, q, x, mults, scale in refs:
+            for p, q, x, mults, det_d in at:
                 h, qk = 0, 1
                 for c in reversed(coeffs):
                     h, qk = h * p + c * qk, qk * q
-                ok = ok and h * scale == x[j][i] * mults[i] * d * (qk // q)
+                ok = ok and h * s * det_d == x[j][i] * mults[i] * d * (qk // q)
     return CheckResult(name, ok, detail=detail)
 
 
@@ -349,7 +351,7 @@ def _check_path_expansion(lap, adjs, minors, guard) -> CheckResult:
     minus phi is L's restricted to the kept vertices, so the paths of L's
     companion are enumerated once per ordered pair: a path through phi is not
     one of L minus phi's and counts 0, and any other path P weighs its minor
-    det(L minus phi minus P) = minors[phi + V(P)]."""
+    det(L minus phi minus P) = minors[phi + V(P)], over one scale with the entries."""
     n = lap.n
     companion = _companion(lap)
     paths = {ij: oracle.enum_paths(companion, *ij, guard) for ij in permutations(range(n), 2)}
@@ -361,7 +363,7 @@ def _check_path_expansion(lap, adjs, minors, guard) -> CheckResult:
             return minors[tuple(sorted(phi.union(vs)))] if phi.isdisjoint(vs) else 0
 
         for (a, i), (b, j) in permutations(enumerate(kept), 2):
-            ok = ok and _path_sum(companion, paths[(i, j)], minor) == adj.entries[b][a]
+            ok = ok and _path_sum(companion, paths[(i, j)], minor) == adj[b][a]
             count += 1
     return CheckResult(
         "path-expansion-cofactors",

@@ -550,6 +550,32 @@ class TestDiagonalKernel:
                     assert linalg._pivot_order(skewed, [1] * n, last) == (expected, diagonal)
                     assert linalg._pivot_order(rows, list(range(1, n + 1)), last) == (expected, diagonal)
 
+    def test_symmetric_flag_is_m_equal_to_its_transpose(self):
+        # M symmetric, M with one off-diagonal nonzero doubled (the pattern
+        # stays symmetric, the values do not), or with the mirror of one
+        # nonzero cleared; each on the rows _integer_rows makes, whose
+        # multipliers differ with the row denominators, and on those rows and
+        # multipliers times a random factor per row, which leaves M unchanged
+        rng = random.Random(73)
+        pool = WEIGHT_POOL + (F(0), F(5, 12), F(7, 6))
+        seen = Counter()
+        for n in range(1, 9):
+            for kind in ("symmetric", "values", "pattern") * 6:
+                a = [list(row) for row in symmetric_matrix(rng, n, pool).entries]
+                off = [(r, c) for r in range(n) for c in range(n) if r != c and a[r][c]]
+                if kind != "symmetric" and off:
+                    r, c = rng.choice(off)
+                    a[r][c], a[c][r] = (2 * a[r][c], a[c][r]) if kind == "values" else (a[r][c], 0)
+                expected = all(a[r][c] == a[c][r] for r in range(n) for c in range(n))
+                rows, mults = linalg._integer_rows(a)
+                factors = [rng.randint(1, 6) for _ in range(n)]
+                scaled = [[x * k for x in row] for row, k in zip(rows, factors)]
+                for rs, ds in ((rows, mults), (scaled, [d * k for d, k in zip(mults, factors)])):
+                    assert linalg._pivot_order(rs, ds, ())[1] == expected
+                seen[kind, expected, len(set(mults)) > 1] += 1
+        assert seen["symmetric", True, True] and seen["values", False, True] and seen["pattern", False, True]
+        assert seen["values", False, False] and seen["pattern", False, False]
+
 
 class TestDeleteRowsCols:
     def test_empty_set(self):

@@ -32,7 +32,8 @@ from helpers import (
 
 F = Fraction
 
-# Checks whose oracle side is read from the table built over the forests.
+# Checks whose oracle side is read from the table's totals by root map;
+# forest-determinant reads only its grand total, which a wrong root keeps.
 TABLE_CHECKS = {
     "forest-cofactors",
     "accessibility-matrix",
@@ -76,6 +77,17 @@ def perturb_pair(fn, pair=(1, 2)):
     return perturbed
 
 
+def perturb_walk(monkeypatch, change):
+    """oracle._choices, verify's one forest walk, with change(host, root,
+    forests) applied to the (chosen, root_of, weight) triples it returns."""
+    original = oracle._choices
+
+    def perturbed(host, root=None):
+        return change(host, root, original(host, root))
+
+    monkeypatch.setattr(oracle, "_choices", perturbed)
+
+
 @pytest.fixture(params=sorted(GRAPHS))
 def graph(request):
     g = GRAPHS[request.param]
@@ -108,13 +120,18 @@ class TestMutations:
         monkeypatch.setattr(verify, "_check_polys", perturbed)
         assert failing(graph) == {"signed-cofactor-polynomials"}
 
-    @pytest.mark.parametrize("signed", [False, True], ids=["plain", "signed"])
-    def test_reference_adjugate_entry(self, graph, monkeypatch, signed):
-        # entry (0, 1) of the adjugate one polynomial check evaluates against
-        # is off by one: at lambda = 1/2, a point of the plain check only, or
-        # at lambda = n + 1 of the signed check, whose rows are those of
-        # -(n + 1)*I + L, not a point of the plain check
-        rows = verify._scaled_rows(graph, -(graph.n + 1) if signed else F(1, 2))
+    @pytest.mark.parametrize("shift, failed", [
+        (lambda n: F(1, 2), {"cofactor-polynomials"}),
+        (lambda n: -(n + 1), {"signed-cofactor-polynomials"}),
+        (lambda n: -2, {"cofactor-polynomials", "signed-cofactor-polynomials"}),
+    ], ids=["plain", "signed", "shared"])
+    def test_reference_adjugate_entry(self, graph, monkeypatch, shift, failed):
+        # entry (0, 1) of the adjugate of the scaled rows of shift*I + L, which
+        # the polynomial checks evaluate against, is off by one: shift = 1/2 is
+        # lambda = 1/2 of the plain check only; -(n + 1) is lambda = n + 1 of
+        # the signed check only; -2 is lambda = -2 of the plain check and
+        # lambda = 2 of the signed one, which share one elimination
+        rows = verify._scaled_rows(graph, shift(graph.n))
         original, hits = verify._adjugates, []
 
         def perturbed(*args):
@@ -125,8 +142,7 @@ class TestMutations:
                 yield x
 
         monkeypatch.setattr(verify, "_adjugates", perturbed)
-        name = "signed-cofactor-polynomials" if signed else "cofactor-polynomials"
-        assert failing(graph) == {name}
+        assert failing(graph) == failed
         assert len(hits) == 1
 
     def test_trailing_zero_coefficient(self, graph, monkeypatch):
@@ -153,18 +169,48 @@ class TestMutations:
         assert failing(graph) == {"charpoly-forest-coefficients"}
 
     def test_one_forest_weight(self, graph, monkeypatch):
-        # the forest made of instance 0 alone weighs one more than it should,
-        # but only in the graph under test (not in the merged or contracted graphs)
-        original = oracle.weight_of
+        # the forests made of instance 0 alone weigh one more (one over den)
+        # than they should, but only in the walk over the graph under test (not
+        # in those over the merged or contracted graphs, nor in its trees)
+        def change(host, root, forests):
+            if host is not graph or root is not None:
+                return forests
+            shift = isinstance(host, Multigraph)  # a graph's edge e is twin arcs 2e and 2e + 1
+            return [(c, r, w + ({i >> shift for i in c if i is not None} == {0})) for c, r, w in forests]
 
-        def perturbed(instances, host):
-            instances = frozenset(instances)
-            w = original(instances, host)
-            return w + 1 if host is graph and instances == frozenset({0}) else w
-
-        monkeypatch.setattr(oracle, "weight_of", perturbed)
-        # forest-determinant sums the same forests directly, not through the table
+        perturb_walk(monkeypatch, change)
+        # forest-determinant reads its total from the same table
         assert failing(graph) == TABLE_CHECKS | {"forest-determinant"}
+
+    def test_one_root_of_one_forest(self, graph, monkeypatch):
+        # in the forest without instances vertex 1 is reported in vertex 0's
+        # tree: its weight moves to another root set and tree count, but the
+        # total over all forests, det W's, stays
+        def change(host, root, forests):
+            if host is not graph or root is not None:
+                return forests
+            return [(c, (0, 0, *r[2:]) if r == tuple(range(host.n)) else r, w) for c, r, w in forests]
+
+        perturb_walk(monkeypatch, change)
+        assert failing(graph) == TABLE_CHECKS
+
+    def test_one_contracted_tree_weight(self, graph, monkeypatch):
+        # one tree of the first contracted graph, that of the root set {0},
+        # weighs one more (one over its den); every contracted graph is walked
+        contracted = []
+
+        def change(host, root, forests):
+            if host is graph or root is None:
+                return forests
+            contracted.append(host)
+            if len(contracted) > 1:
+                return forests
+            (c, r, w), *rest = forests
+            return [(c, r, w + 1), *rest]
+
+        perturb_walk(monkeypatch, change)
+        assert failing(graph) == {"contraction-minors"}
+        assert len(contracted) == 2**graph.n - 1
 
     def test_one_path_dropped(self, graph, monkeypatch):
         # the shortest 0 -> 1 path of L's companion digraph goes missing; on
@@ -193,21 +239,40 @@ class TestMutations:
         # of L minus {1, 2}, read from there only; its entry (0, 0), at vertex
         # 0, is the minor of L minus {0, 1}, read from adj(L minus {0}), and
         # only rooted-minors compares every diagonal entry. An off-diagonal
-        # entry is a cofactor only path expansion checks. adj L is the one
-        # matrix_tree_check takes: its entry (0, 0) is the minor of L minus {0}
-        sub = graph_matrix(graph).delete_rows_cols(deleted)
-        original = SquareMatrix.adjugate
+        # entry is a cofactor only path expansion checks. adj L is the
+        # SquareMatrix matrix_tree_check takes: its entry (0, 0) is the minor
+        # of L minus {0}. Every other is the integer adjugate X of L's scaled
+        # rows with the deleted rows and columns left out, and X is perturbed
+        lap, hits = graph_matrix(graph), []
+        if not deleted:
+            original = SquareMatrix.adjugate
 
-        def perturbed(self):
-            adj = original(self)
-            if self != sub:
-                return adj
-            rows = [list(row) for row in adj.entries]
-            rows[entry[0]][entry[1]] += 1
-            return SquareMatrix(tuple(map(tuple, rows)))
+            def perturbed(self):
+                adj = original(self)
+                if self != lap:
+                    return adj
+                hits.append(self)
+                rows = [list(row) for row in adj.entries]
+                rows[entry[0]][entry[1]] += 1
+                return SquareMatrix(tuple(map(tuple, rows)))
 
-        monkeypatch.setattr(SquareMatrix, "adjugate", perturbed)
+            monkeypatch.setattr(SquareMatrix, "adjugate", perturbed)
+        else:
+            rows, mults = verify._scaled_rows(graph)
+            kept = [v for v in range(graph.n) if v not in deleted]
+            sub = ([[rows[r][c] for c in kept] for r in kept], [mults[r] for r in kept])
+            original = verify._adjugates
+
+            def perturbed(*args):
+                for x in original(*args):
+                    if args[:2] == sub:
+                        hits.append(args)
+                        x[entry[0]][entry[1]] += 1
+                    yield x
+
+            monkeypatch.setattr(verify, "_adjugates", perturbed)
         assert failing(graph) == failed
+        assert len(hits) == 1
 
     @pytest.mark.parametrize("lam, failed", [
         (1, {"forest-determinant", "cofactor-row-partition", "accessibility-matrix",
@@ -241,8 +306,8 @@ class TestMutations:
         def bump(x):
             return [x[0] + 1, *x[1:]] if isinstance(x, list) else x + 1
 
-        def perturbed(host, forests):
-            table = original(host, forests)
+        def perturbed(host):
+            table = original(host)
             if host is graph:
                 return table
             totals = getattr(table, field)
@@ -259,8 +324,7 @@ class TestMutations:
 
 class TestMergeAcrossDenominators:
     def test_tables_over_different_denominators(self, halves):
-        dens = [verify._tabulate(g, verify._enum_forests(g, oracle.DEFAULT_GUARD)).den
-                for g in (halves, merge_parallel(halves))]
+        dens = [verify._tabulate(g).den for g in (halves, merge_parallel(halves))]
         assert dens == [36, 9]
 
     def test_all_checks_pass(self, halves):
@@ -278,15 +342,16 @@ class TestEmptyGraph:
 
 class TestOneEnumeration:
     def test_forests_enumerated_for_the_graph_and_the_merged_graph_only(self, graph, monkeypatch):
+        # every forest walk, through the public enumerations too, is oracle._choices
+        # without a root; the walks with one list the trees of one root
         hosts = []
-        for name in ("enum_rooted_forests", "enum_diverging_forests"):
-            original = getattr(oracle, name)
 
-            def counted(g, guard, _original=original):
-                hosts.append(g)
-                return _original(g, guard)
+        def counted(host, root, forests):
+            if root is None:
+                hosts.append(host)
+            return forests
 
-            monkeypatch.setattr(oracle, name, counted)
+        perturb_walk(monkeypatch, counted)
         run_all_checks(graph)
         assert hosts == [graph, merge_parallel(graph)]
 
@@ -294,8 +359,8 @@ class TestOneEnumeration:
         rng = random.Random(12)
         for _ in range(40):
             g = random_multigraph(rng, 2, 5, 6) if rng.random() < 0.5 else random_multidigraph(rng, 2, 5, 8)
-            forests = verify._enum_forests(g, oracle.DEFAULT_GUARD)
-            table = verify._tabulate(g, forests)
+            forests = (enum_diverging_forests if isinstance(g, Multidigraph) else enum_rooted_forests)(g)
+            table = verify._tabulate(g)
             expected = pair_weight_table(g, forests)
             for i in range(g.n):
                 for j in range(g.n):
@@ -322,13 +387,16 @@ class TestWorkCounts:
         assert f"({expected} parent choices scanned)" in text
 
     def test_each_submatrix_keeping_two_vertices_built_once(self, graph, monkeypatch):
-        # one per nonempty subset that keeps at least 2 vertices, for its
-        # adjugate: the other principal minors are on those adjugates'
-        # diagonals, and adj L is the one matrix_tree_check takes
+        # one integer adjugate per nonempty subset phi that keeps at least 2
+        # vertices, of L's scaled rows with phi deleted: the other principal
+        # minors are on those adjugates' diagonals, and adj L is the one
+        # matrix_tree_check takes. No submatrix is built as a SquareMatrix
         n = graph.n
         lap = graph_matrix(graph)
-        built, adjugated = [], []
-        delete_rows_cols, adjugate = SquareMatrix.delete_rows_cols, SquareMatrix.adjugate
+        rows, mults = verify._scaled_rows(graph)
+        built, adjugated, subs = [], [], []
+        delete_rows_cols, adjugate, adjugates = (
+            SquareMatrix.delete_rows_cols, SquareMatrix.adjugate, verify._adjugates)
 
         def counted_delete(self, indices):
             built.append(indices)
@@ -338,24 +406,39 @@ class TestWorkCounts:
             adjugated.append(self)
             return adjugate(self)
 
+        def counted_adjugates(sub_rows, sub_mults, xs):
+            if len(sub_rows) < n:
+                subs.append((sub_rows, sub_mults, tuple(xs)))
+            return adjugates(sub_rows, sub_mults, xs)
+
         monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted_delete)
         monkeypatch.setattr(SquareMatrix, "adjugate", counted_adjugate)
+        monkeypatch.setattr(verify, "_adjugates", counted_adjugates)
         run_all_checks(graph)
-        assert len(built) == 2**n - n - 2 == 10
-        assert len(set(built)) == len(built)
-        assert adjugated.count(lap) == 1
-        # W's, L's and the submatrices': the polynomial checks take their
-        # adjugates from the scaled rows, not from SquareMatrix
-        assert len(adjugated) == len(built) + 2
+        assert built == []
+        # W's and L's: the polynomial checks and the submatrices take theirs
+        # from the scaled rows, not from SquareMatrix
+        assert adjugated == [forest_matrix(lap), lap]
+        expected = []
+        for size in range(1, n - 1):
+            for phi in combinations(range(n), size):
+                kept = [v for v in range(n) if v not in phi]
+                expected.append(([[rows[r][c] for c in kept] for r in kept], [mults[r] for r in kept], (0,)))
+        assert subs == expected
+        assert len(subs) == 2**n - n - 2 == 10
 
     def test_polynomial_checks_evaluate_in_integers(self, graph, monkeypatch):
-        # one adjugate of the scaled rows per evaluation point of each check;
-        # Polynomial.evaluate serves the forest polynomial's evaluations only
-        shifts, evaluated = [], []
+        # one adjugate of the scaled rows per distinct shift of the two checks:
+        # lambda = -1 and -2 of the plain check are the shifts of lambda = 1
+        # and 2 of the signed one. Polynomial.evaluate serves the forest
+        # polynomial's evaluations only
+        n = graph.n
+        references, evaluated = [], []
         adjugates, evaluate = verify._adjugates, Polynomial.evaluate
 
         def counted_adjugates(rows, mults, xs):
-            shifts.append(tuple(xs))
+            if len(rows) == n:
+                references.append((rows, mults, tuple(xs)))
             return adjugates(rows, mults, xs)
 
         def counted_evaluate(self, x):
@@ -365,7 +448,9 @@ class TestWorkCounts:
         monkeypatch.setattr(verify, "_adjugates", counted_adjugates)
         monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
         run_all_checks(graph)
-        assert shifts == [(0,)] * (len(verify.EVAL_POINTS) + graph.n + 1)
+        shifts = [*verify.EVAL_POINTS, *range(-3, -n - 2, -1)]
+        assert len(shifts) == len(verify.EVAL_POINTS) + n + 1 - 2
+        assert references == [(*verify._scaled_rows(graph, x), (0,)) for x in shifts]
         assert sorted(evaluated) == sorted((1, *verify.EVAL_POINTS))
 
     def test_determinants_and_cofactor_grids(self, graph, monkeypatch):
