@@ -17,6 +17,7 @@ import numpy as np
 
 from .forest import AccessibilityMatrix, ForestMatrixReport, SingularForestMatrixError
 from .graphs import AnyGraph, _arcs
+from .linalg import _check_index
 
 __all__ = [
     "graph_matrix",
@@ -57,8 +58,7 @@ def forest_det(graph: AnyGraph, lam=1) -> np.float64:
 def forest_cofactor(graph: AnyGraph, i: int, j: int, lam=1) -> np.float64:
     w = _forest_matrix(graph, lam)
     n = w.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"cofactor index ({i}, {j}) out of range for n={n}")
+    _check_index(n, i, j)
     if n == 1:
         return np.float64(1.0)
     minor = np.delete(np.delete(w, i, axis=0), j, axis=1)

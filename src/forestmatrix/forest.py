@@ -8,9 +8,10 @@ forest-accessibility matrix. Everything here is exact; the enumeration-based
 counterparts live in `oracle`, which the two functions here that enumerate
 import when called, so a process that never enumerates does not load it.
 The functions of a graph run the `linalg` kernels on the integer rows of W
-that `graphs` sums from the arc list, so no matrix of Fractions is built for
-L or W; the results are the values the SquareMatrix methods give on
-forest_matrix(graph_matrix(graph), lam).
+that `graphs` sums from the arc list, giving the values the SquareMatrix
+methods give on forest_matrix(graph_matrix(graph), lam); only forest_minor,
+matrix_tree_check and forest_matrix_report build that matrix of Fractions,
+the last to read det W from W's entries, a second route beside forest_det.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Union
 
-from .linalg import SquareMatrix, _Value, as_rational
+from .linalg import SquareMatrix, _in_range, _Value, as_rational
 
 __all__ = [
     "GraphValidationError",
@@ -132,6 +132,7 @@ def _arcs(graph: AnyGraph):
 def laplacian(graph: Multigraph) -> SquareMatrix:
     """Weighted Laplacian: entry (i, j), j != i, is minus the total weight of
     the edges between i and j; the diagonal makes every row sum to zero."""
+    _require(graph, Multigraph)
     return _graph_matrix(graph)
 
 
@@ -139,6 +140,7 @@ def kirchhoff(digraph: Multidigraph) -> SquareMatrix:
     """Directed Kirchhoff matrix: entry (i, j), j != i, is minus the total
     weight of the arcs j->i; diagonal (i, i) is the total weight converging
     to i. Rows sum to zero; columns need not."""
+    _require(digraph, Multidigraph)
     return _graph_matrix(digraph)
 
 
@@ -211,7 +213,7 @@ def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigra
     if not merged:
         raise GraphValidationError("cannot contract an empty vertex set")
     for v in merged:
-        if not (0 <= v < digraph.n):
+        if not _in_range(v, digraph.n):
             raise GraphValidationError(f"vertex {v} out of range for n={digraph.n}")
     merged_set = set(merged)
     anchor = merged[0]

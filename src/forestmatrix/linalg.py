@@ -367,8 +367,14 @@ def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[
     return tuple(Fraction(c, scale) for c in coeffs)
 
 
+def _in_range(index: int, n: int) -> bool:
+    if isinstance(index, bool):  # an int subclass, but never an index
+        raise TypeError(f"index {index!r} is a bool, not an integer")
+    return 0 <= index < n
+
+
 def _check_index(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n):
+    if not (_in_range(i, n) and _in_range(j, n)):
         raise IndexError(f"cofactor index ({i}, {j}) out of range for n={n}")
 
 
@@ -565,7 +571,7 @@ class SquareMatrix(_Value):
         """Submatrix with the given rows AND columns removed, survivor order kept."""
         removed = set(indices)
         for r in removed:
-            if not (0 <= r < self.n):
+            if not _in_range(r, self.n):
                 raise IndexError(f"index {r} out of range for n={self.n}")
         kept = [i for i in range(self.n) if i not in removed]
         return SquareMatrix._of(tuple(tuple(self.entries[r][c] for c in kept) for r in kept))

@@ -35,6 +35,7 @@ from .graphs import (
     _arcs,
     _require,
 )
+from .linalg import _in_range
 
 __all__ = [
     "Guard",
@@ -87,12 +88,11 @@ class Path(NamedTuple):
 
 def weight_of(instances: Iterable[int], host: Union[Multigraph, Multidigraph]) -> Fraction:
     """Product of the selected instances' weights; the empty product is 1."""
-    items = host.instances
+    instances = tuple(instances)
+    _check_instances(host, instances)
     num = den = 1
     for idx in instances:
-        if not (0 <= idx < len(items)):
-            raise IndexError(f"instance index {idx} out of range")
-        w = items[idx].w
+        w = host.instances[idx].w
         num *= w.numerator
         den *= w.denominator
     return Fraction(num, den)
@@ -190,7 +190,7 @@ def enum_diverging_trees(
 ) -> tuple[DivergingForest, ...]:
     """All spanning trees diverging from `root` (single-component diverging forests)."""
     _require(digraph, Multidigraph)
-    if not (0 <= root < digraph.n):
+    if not _in_range(root, digraph.n):
         raise IndexError(f"root {root} out of range for n={digraph.n}")
     _check_guard(digraph, guard)
     out = [DivergingForest(frozenset(idx for idx in c if idx is not None)) for c, _, _ in _choices(digraph, root)]
@@ -250,13 +250,13 @@ def tree_roots(
 
 def _check_vertices(host, vertices: Iterable[int]) -> None:
     for v in vertices:
-        if not (0 <= v < host.n):
+        if not _in_range(v, host.n):
             raise IndexError(f"vertex {v} out of range for n={host.n}")
 
 
 def _check_instances(host, instances: Iterable[int]) -> None:
     for idx in instances:
-        if not (0 <= idx < len(host.instances)):
+        if not _in_range(idx, len(host.instances)):
             raise IndexError(f"instance index {idx} out of range")
 
 

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -26,6 +27,28 @@ def single_arc() -> Multidigraph:
 @pytest.fixture
 def directed_3cycle() -> Multidigraph:
     return Multidigraph(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) replaces owner.name with a recorder that delegates to it
+    and returns the list of its calls: each call's arguments by parameter name,
+    defaults filled in (a method's include self)."""
+
+    def install(owner, name: str) -> list:
+        original = getattr(owner, name)
+        signature, calls = inspect.signature(original), []
+
+        def recorded(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+        return calls
+
+    return install
 
 
 @pytest.fixture

@@ -185,9 +185,11 @@ class TestValueTypes:
      IndexError("cofactor index (0, 2) out of range for n=2")),
     (lambda f: f.forest_cofactor(Multigraph(2, ((0, 1, 1),)), -1, 0),
      IndexError("cofactor index (-1, 0) out of range for n=2")),
+    (lambda f: f.forest_cofactor(Multigraph(2, ((0, 1, 1),)), True, 0),
+     TypeError("index True is a bool, not an integer")),
     (lambda f: f.forest_cofactor(Multigraph(1), 0, 0, 5), 1.0),  # the minor is the empty matrix
     (lambda f: f.charpoly_forest_coeffs(Multigraph(0)).tolist(), [1.0]),  # det of the empty matrix
-], ids=["cofactor-2", "cofactor-minus-1", "cofactor-n1", "charpoly-n0"])
+], ids=["cofactor-2", "cofactor-minus-1", "cofactor-bool", "cofactor-n1", "charpoly-n0"])
 def test_float_edge_cases(floatops, call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as raised:

@@ -209,25 +209,54 @@ class TestParseEdgeCases:
             assert raised.value.line_no == int(message.split(":")[0].removeprefix("line "))
 
 
-@pytest.fixture
-def edge_file(tmp_path):
-    p = tmp_path / "edge.graph"
-    p.write_text("graph undirected 2\n1 2 1\n", encoding="utf-8")
-    return str(p)
+# The graph files of the end-to-end cases, by name.
+GRAPH_FILES = {
+    "edge": "graph undirected 2\n1 2 1\n",
+    "arc": "graph directed 2\n1 2 1\n",
+    "k3": "graph undirected 3\n1 2 1\n2 3 1\n1 3 1\n",
+    "small": "graph undirected 4\n1 2 1\n2 3 1/2\n3 4 2\n1 3 1\n",
+    "small-undirected": "graph undirected 3\n1 2 1\n2 3 1/2\n1 3 2\n",
+    "small-directed": "graph directed 3\n1 2 1\n2 3 1/2\n1 3 2\n3 1 -1\n",
+    "directed-parallel": "graph directed 3\n1 2 1\n2 3 -1/2\n3 1 2\n1 2 1/3\n",
+    # W = [[0, 2, -1], [2, 0, -1], [-1, -1, 3]]: zero diagonal pivots
+    "zero-pivot": "graph undirected 3\n1 2 -2\n2 3 1\n1 3 1\n",
+    # xI - L = [[x-1, 1, 0], [1, x-2, 1], [0, 1, x-1]]: zero pivots at x = 1, 2
+    "path": "graph undirected 3\n1 2 1\n2 3 1\n",
+    # vertex 1 has in-degree 0, a zero row of L
+    "source": "graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n",
+    # the parallel halves merge to 1, which changes the forest table's den
+    "halves-undirected": "graph undirected 3\n1 2 1/2\n1 2 1/2\n2 3 1/3\n",
+    "halves-directed": "graph directed 3\n1 2 1/2\n1 2 1/2\n2 3 1/3\n",
+    "singular-undirected": "graph undirected 2\n1 2 -1/2\n",
+    "singular-directed": "graph directed 3\n1 2 -1\n2 3 1\n",
+}
 
 
 @pytest.fixture
-def arc_file(tmp_path):
-    p = tmp_path / "arc.graph"
-    p.write_text("graph directed 2\n1 2 1\n", encoding="utf-8")
-    return str(p)
+def graph_file(tmp_path):
+    """graph_file(name) writes GRAPH_FILES[name] and returns its path."""
+
+    def write(name):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(GRAPH_FILES[name], encoding="utf-8")
+        return str(path)
+
+    return write
 
 
 @pytest.fixture
-def k3_file(tmp_path):
-    p = tmp_path / "k3.graph"
-    p.write_text("graph undirected 3\n1 2 1\n2 3 1\n1 3 1\n", encoding="utf-8")
-    return str(p)
+def edge_file(graph_file):
+    return graph_file("edge")
+
+
+@pytest.fixture
+def arc_file(graph_file):
+    return graph_file("arc")
+
+
+@pytest.fixture
+def k3_file(graph_file):
+    return graph_file("k3")
 
 
 def run_cli(capsys, *argv):
@@ -289,23 +318,17 @@ class TestCommands:
         )
         assert code == 0 and payload["coeffs"] == ["-1", "1"] and payload["signed"] is True
 
-    @pytest.mark.parametrize("text, argv, coeffs", [
-        # the cases of cli_smoke.sh that once reached a zero pivot: xI - L of the
-        # path is zero on the diagonal at x = 1 and x = 2, but the signed
-        # polynomial is now the sign flip of the plain one, taken on xI + L; the
+    @pytest.mark.parametrize("name, argv, out", [
+        # xI - L of the path has zero pivots at x = 1 and x = 2, but the signed
+        # polynomial is the sign flip of the plain one, taken on xI + L; the
         # source vertex of the digraph has a zero row in L, which the order
-        # pivots on first, but x = 0 is no longer eliminated
-        ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "1", "--signed"),
-         ["1", "-3", "1"]),
-        ("graph undirected 3\n1 2 1\n2 3 1\n", ("cofactor-poly", "--from", "1", "--to", "3", "--signed"),
-         ["1", "0", "0"]),
-        ("graph directed 3\n1 2 1\n1 3 2\n2 3 1/2\n", ("charpoly",), ["0", "5/2", "7/2", "1"]),
+        # pivots on first, and x = 0 is not eliminated
+        ("path", ["cofactor-poly", "--from", "1", "--to", "1", "--signed"], "1\t-3\t1\n"),
+        ("path", ["cofactor-poly", "--from", "1", "--to", "3", "--signed"], "1\t0\t0\n"),
+        ("source", ["charpoly"], "0\t5/2\t7/2\t1\n"),
     ], ids=["signed-cofactor-poly-1-1", "signed-cofactor-poly-1-3", "charpoly-source"])
-    def test_former_zero_pivot_cases_meet_none(self, capsys, tmp_path, routes, text, argv, coeffs):
-        path = tmp_path / "g.graph"
-        path.write_text(text)
-        code, payload = run_json(capsys, argv[0], str(path), *argv[1:])
-        assert code == 0 and payload["coeffs"] == coeffs
+    def test_former_zero_pivot_cases_meet_none(self, capsys, graph_file, routes, name, argv, out):
+        assert run_cli(capsys, argv[0], graph_file(name), *argv[1:], "--output", "tsv") == (0, out)
         assert routes and set(routes) == {frozenset()}
 
     def test_enumerate_default_kind(self, capsys, edge_file):
@@ -341,10 +364,6 @@ class TestCommands:
         code, _ = run_cli(capsys, "enumerate", arc_file, "--kind", "rooted-forests")
         assert code == 2
 
-    def test_enumerate_directed_trees_reject_to(self, capsys, arc_file):
-        argv = ("enumerate", arc_file, "--kind", "trees", "--from", "1", "--to", "2")
-        assert run_cli(capsys, *argv) == (2, "")
-
     @pytest.mark.parametrize("flags", [("--from", "1"), ("--to", "2"), ("--from", "1", "--to", "2")])
     def test_enumerate_undirected_trees_reject_pair_flags(self, capsys, k3_file, flags):
         assert run_cli(capsys, "enumerate", k3_file, "--kind", "trees", *flags) == (2, "")
@@ -358,24 +377,18 @@ class TestCommands:
         assert len(names) == 12 and len(set(names)) == 12
         assert all(c["passed"] for c in report["checks"])
 
-    @pytest.mark.parametrize("text, digest", [
-        ("graph undirected 2\n1 2 -1/2\n",
-         "e79a6ca070ecee153d7e7f7c98cf117ec8ded8ac132b3468463c0823c77ddf50"),
-        ("graph directed 3\n1 2 1\n2 3 -1/2\n3 1 2\n1 2 1/3\n",
-         "20c50f6e8e29145122498294135f497d7902f11bc866d84004581552d7dd477d"),
+    @pytest.mark.parametrize("name, digest", [
+        ("singular-undirected", "e79a6ca070ecee153d7e7f7c98cf117ec8ded8ac132b3468463c0823c77ddf50"),
+        ("directed-parallel", "20c50f6e8e29145122498294135f497d7902f11bc866d84004581552d7dd477d"),
     ], ids=["undirected-singular", "directed-parallel"])
-    def test_verify_json_bytes_are_pinned(self, capsys, tmp_path, text, digest):
+    def test_verify_json_bytes_are_pinned(self, capsys, graph_file, name, digest):
         # every report field, in field order, with a skipped check among them
-        p = tmp_path / "g.graph"
-        p.write_text(text, encoding="utf-8")
-        code, out = run_cli(capsys, "verify", str(p), "--output", "json")
+        code, out = run_cli(capsys, "verify", graph_file(name), "--output", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_verify_skips_accessibility_when_singular(self, capsys, tmp_path):
-        p = tmp_path / "singular.graph"
-        p.write_text("graph undirected 2\n1 2 -1/2\n", encoding="utf-8")
-        code, payload = run_json(capsys, "verify", str(p))
+    def test_verify_skips_accessibility_when_singular(self, capsys, graph_file):
+        code, payload = run_json(capsys, "verify", graph_file("singular-undirected"))
         assert code == 0
         by_name = {c["name"]: c for c in payload["report"]["checks"]}
         assert by_name["accessibility-matrix"]["skipped"] is True
@@ -446,13 +459,8 @@ class TestExitCodes:
         code, payload = run_json(capsys, "det", edge_file, "--lambda", lam)
         assert code == 0 and F(payload["detW"]) == det
 
-    def test_float_mode_on_verify_is_2(self, capsys, k3_file):
-        assert run_cli(capsys, "verify", k3_file, "--mode", "float")[0] == 2
-
-    def test_singular_is_3(self, capsys, tmp_path):
-        p = tmp_path / "singular.graph"
-        p.write_text("graph undirected 2\n1 2 -1/2\n", encoding="utf-8")
-        assert run_cli(capsys, "accessibility", str(p))[0] == 3
+    def test_singular_is_3(self, capsys, graph_file):
+        assert run_cli(capsys, "accessibility", graph_file("singular-undirected"))[0] == 3
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("text, lam", [
@@ -707,6 +715,14 @@ class TestFloatMode:
         assert (code, captured.out) == (6, "")
         assert "--mode exact" in captured.err
 
+    def test_tsv_cells_are_float_reprs(self, capsys, graph_file):
+        pytest.importorskip("numpy")
+        from forestmatrix import floatops
+
+        argv = ("accessibility", graph_file("small-directed"), "--mode", "float", "--output", "tsv")
+        q = floatops.accessibility(parse_graph(GRAPH_FILES["small-directed"])).matrix
+        assert run_cli(capsys, *argv) == (0, "".join("\t".join(repr(float(x)) for x in row) + "\n" for row in q))
+
     def test_exact_lambda_beyond_binary64(self, capsys, edge_file):
         # det [[l + 1, -1], [-1, l + 1]] = l**2 + 2l
         code, payload = run_json(capsys, "det", edge_file, "--lambda", "1e400")
@@ -852,24 +868,112 @@ def test_matrix_commands_leave_the_enumeration_modules_unloaded(tmp_path, argv, 
     assert not loaded & {"forestmatrix.oracle", "forestmatrix.verify"}
 
 
-@pytest.mark.parametrize("argv, code, out", [
-    (["cofactor", "edge_file", "--from", "0", "--to", "1"], 2, "error: --from 0 out of range 1..2\n"),
-    (["cofactor", "edge_file", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
-    (["cofactor-poly", "edge_file", "--from", "3", "--to", "1"], 2, "error: --from 3 out of range 1..2\n"),
-    (["enumerate", "edge_file", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
-    (["enumerate", "edge_file", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
-    (["verify", "edge_file", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
-    (["enumerate", "edge_file", "--kind", "diverging-forests"], 2,
+# (id, argv with a GRAPH_FILES name for the path, exit code, out): a failing run
+# writes nothing to stdout and out, one error line, to stderr; a passing one
+# writes nothing to stderr and out to stdout, or where out is a dict, a json
+# document holding its fields
+CLI_CASES = [
+    ("from-0", ["cofactor", "edge", "--from", "0", "--to", "1"], 2, "error: --from 0 out of range 1..2\n"),
+    ("to-3", ["cofactor", "edge", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
+    ("poly-from-3", ["cofactor-poly", "edge", "--from", "3", "--to", "1"], 2, "error: --from 3 out of range 1..2\n"),
+    ("enumerate-to-3", ["enumerate", "edge", "--from", "1", "--to", "3"], 2, "error: --to 3 out of range 1..2\n"),
+    ("max-enum-0", ["enumerate", "edge", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
+    ("verify-max-enum-0", ["verify", "edge", "--max-enum", "0"], 2, "error: --max-enum must be positive, got 0\n"),
+    ("diverging-kind-undirected", ["enumerate", "edge", "--kind", "diverging-forests"], 2,
      "error: diverging-forests enumeration needs a directed graph\n"),
-    (["forest-matrix", "edge_file", "--output", "tsv"], 0, "2\t-1\n-1\t2\ndetW\t3\n"),
-    (["forest-matrix", "arc_file", "--lambda", "1/2", "--output", "tsv"], 0, "1/2\t0\n-1\t3/2\ndetW\t3/4\n"),
-    (["cofactor", "k3_file", "--from", "1", "--to", "2", "--lambda", "1/2", "--output", "tsv"], 0, "7/2\n"),
-], ids=["from-0", "to-3", "poly-from-3", "enumerate-to-3", "max-enum-0", "verify-max-enum-0",
-        "diverging-kind-undirected", "forest-matrix-tsv", "forest-matrix-tsv-lambda", "cofactor-tsv"])
-def test_exit_code_and_bytes(capsys, request, argv, code, out):
-    # exit 2 writes one error line to stderr and nothing to stdout; exit 0 writes
-    # the TSV rows, then detW for forest-matrix
-    argv = [argv[0], request.getfixturevalue(argv[1]), *argv[2:]]
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ((out, "") if code == 0 else ("", out))
+    ("forest-matrix-tsv", ["forest-matrix", "edge", "--output", "tsv"], 0, "2\t-1\n-1\t2\ndetW\t3\n"),
+    ("forest-matrix-tsv-lambda", ["forest-matrix", "arc", "--lambda", "1/2", "--output", "tsv"], 0,
+     "1/2\t0\n-1\t3/2\ndetW\t3/4\n"),
+    ("cofactor-tsv", ["cofactor", "k3", "--from", "1", "--to", "2", "--lambda", "1/2", "--output", "tsv"], 0, "7/2\n"),
+    # the enumeration filters, and tree kinds refuse the flags they do not use
+    ("enumerate-pair", ["enumerate", "small-directed", "--from", "1", "--to", "2"], 0, {"count": 3, "total": "7/2"}),
+    ("enumerate-roots", ["enumerate", "small-directed", "--roots", "1"], 0, {"count": 2, "total": "5/2"}),
+    ("enumerate-trees", ["enumerate", "small-undirected", "--kind", "trees"], 0, {"count": 3, "total": "7/2"}),
+    ("trees-to", ["enumerate", "small-undirected", "--kind", "trees", "--to", "2"], 2,
+     "error: --to only applies to forest kinds\n"),
+    ("directed-trees-to", ["enumerate", "arc", "--kind", "trees", "--from", "1", "--to", "2"], 2,
+     "error: --to only applies to forest kinds\n"),
+    # enumeration totals equal the matrix side: det W for the forests, the
+    # cofactor (2, 2) of L for the trees (diverging from 2 in a digraph)
+    ("forests-small", ["enumerate", "small"], 0, {"total": "49"}),
+    ("det-small", ["det", "small"], 0, {"detW": "49"}),
+    ("trees-small", ["enumerate", "small", "--kind", "trees"], 0, {"total": "4"}),
+    ("L-cofactor-small", ["cofactor", "small", "--lambda", "0", "--from", "2", "--to", "2"], 0, {"cofactor": "4"}),
+    ("forests-directed", ["enumerate", "directed-parallel"], 0, {"total": "29/6"}),
+    ("det-directed", ["det", "directed-parallel"], 0, {"detW": "29/6"}),
+    ("trees-directed", ["enumerate", "directed-parallel", "--kind", "trees", "--from", "2"], 0, {"total": "-1"}),
+    ("L-cofactor-directed", ["cofactor", "directed-parallel", "--lambda", "0", "--from", "2", "--to", "2"], 0,
+     {"cofactor": "-1"}),
+    # signed weights with zero diagonal pivots; Q = adj W / (-8) takes a row swap
+    ("det-zero-pivot", ["det", "zero-pivot"], 0, {"detW": "-8"}),
+    ("cofactor-zero-pivot-2-3", ["cofactor", "zero-pivot", "--from", "2", "--to", "3"], 0, {"cofactor": "-2"}),
+    ("cofactor-zero-pivot-3-3", ["cofactor", "zero-pivot", "--from", "3", "--to", "3"], 0, {"cofactor": "-4"}),
+    ("cofactor-zero-pivot-1-2", ["cofactor", "zero-pivot", "--from", "1", "--to", "2"], 0, {"cofactor": "-5"}),
+    ("accessibility-zero-pivot", ["accessibility", "zero-pivot", "--output", "tsv"], 0,
+     "1/8\t5/8\t1/4\n5/8\t1/8\t1/4\n1/4\t1/4\t1/2\n"),
+    # an undirected cofactor is the same from i to j as from j to i
+    *((f"cofactor-{name}-{i}-{j}", ["cofactor", name, "--from", i, "--to", j], 0, {"cofactor": value})
+      for name, value in (("small", "9"), ("zero-pivot", "-2")) for i, j in (("1", "3"), ("3", "1"))),
+    # exact accessibility of a singular W exits 3: lambda = 0, and the roots
+    # -2 and -1/2 of det W
+    *((f"singular-{name}-{lam}", ["accessibility", name, f"--lambda={lam}"], 3,
+       f"error: W = lambda*I + L is singular at lambda = {lam}; the accessibility matrix does not exist\n")
+      for name, lam in (("small", "0"), ("small-directed", "-2"), ("small-directed", "-1/2"))),
+    # the singular W of each kind that verify takes below
+    ("det-singular-undirected", ["det", "singular-undirected"], 0, {"detW": "0"}),
+    ("det-singular-directed", ["det", "singular-directed"], 0, {"detW": "0"}),
+    # the exact-only commands refuse float mode, with or without numpy
+    *((f"float-{argv[0]}", [argv[0], "small", *argv[1:], "--mode", "float"], 2,
+       f"error: float mode does not support '{argv[0]}'; exact results only\n")
+      for argv in (["verify"], ["enumerate"], ["cofactor-poly", "--from", "1", "--to", "2"])),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", [case[1:] for case in CLI_CASES], ids=[case[0] for case in CLI_CASES])
+def test_exit_code_and_bytes(capsys, graph_file, argv, code, out):
+    assert main([argv[0], graph_file(argv[1]), *argv[2:]]) == code
+    stdout, stderr = capsys.readouterr()
+    if isinstance(out, dict):
+        payload = json.loads(stdout)
+        stdout = {key: payload[key] for key in out}
+    assert (stdout, stderr) == ((out, "") if code == 0 else ("", out))
+
+
+@pytest.mark.parametrize("name", ["small", "directed-parallel"])
+@pytest.mark.parametrize("argv", [
+    *([command, *flags, "--mode", mode, "--output", output] for command, flags in FLOAT_PAIR_FLAGS.items()
+      for mode in ("exact", "float") for output in ("json", "tsv")),
+    ["cofactor-poly", "--from", "1", "--to", "2"], ["cofactor-poly", "--from", "1", "--to", "2", "--signed"],
+    ["enumerate"], ["verify"],
+], ids=" ".join)
+def test_every_command_runs(capsys, graph_file, name, argv):
+    # an undirected file and a directed one with a negative weight and a parallel arc
+    if "float" in argv:
+        pytest.importorskip("numpy")
+    assert main([argv[0], graph_file(name), *argv[1:]]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "" and stdout.endswith("\n")
+    if "tsv" not in argv:
+        assert json.loads(stdout)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("lam", ["1", "0", "1/3", "-2"])
+@pytest.mark.parametrize("name", ["small", "directed-parallel"])
+def test_det_and_forest_matrix_agree(capsys, graph_file, name, lam):
+    # det eliminates W's integer rows summed from the arc list; forest-matrix
+    # reads det W from W's entries, a SquareMatrix of Fractions
+    (code, det), (_, report) = (run_json(capsys, command, graph_file(name), f"--lambda={lam}")
+                                for command in ("det", "forest-matrix"))
+    assert code == 0 and det["detW"] == report["detW"]
+
+
+@pytest.mark.parametrize("name", ["zero-pivot", "path", "halves-undirected", "halves-directed",
+                                  "singular-undirected", "singular-directed"])
+def test_verify_passes_every_check(capsys, graph_file, name):
+    # signed weights whose submatrices of L and shifts of xI - L have zero
+    # pivots, parallel halves, and a singular W, which skips only accessibility
+    code, out = run_cli(capsys, "verify", graph_file(name), "--output", "tsv")
+    states = dict(line.split("\t") for line in out.splitlines())
+    assert code == 0 and len(states) == 12
+    skipped = {"accessibility-matrix": "skip"} if name.startswith("singular") else {}
+    assert {check: state for check, state in states.items() if state != "pass"} == skipped

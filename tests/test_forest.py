@@ -20,7 +20,9 @@ from forestmatrix import (
     contract,
     enum_diverging_forests,
     enum_diverging_trees,
+    enum_paths,
     enum_rooted_forests,
+    filter_rooted,
     forest_cofactor,
     forest_det,
     forest_matrix,
@@ -666,6 +668,8 @@ class TestConvergingDuality:
 
 
 PATH_LAPLACIAN = SquareMatrix(((1, -1), (-1, 1)))
+PATH = Multigraph(3, ((0, 1, 1), (1, 2, 1)))
+BOOL = "index True is a bool, not an integer"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -673,7 +677,19 @@ PATH_LAPLACIAN = SquareMatrix(((1, -1), (-1, 1)))
     (lambda: path_expansion_cofactor(PATH_LAPLACIAN, -1, 0), IndexError, "cofactor index (-1, 0) out of range for n=2"),
     (lambda: matrix_tree_check(Multigraph(0)), ValueError, "matrix-tree check needs at least one vertex"),
     (lambda: matrix_tree_check(Multidigraph(0)), ValueError, "matrix-tree check needs at least one vertex"),
-], ids=["path-expansion-2", "path-expansion-minus-1", "matrix-tree-graph", "matrix-tree-digraph"])
+    # bool is an int subclass: True must not be read as vertex or instance 1
+    (lambda: forest_cofactor(PATH, True, 0), TypeError, BOOL),
+    (lambda: cofactor_poly(PATH, True, False), TypeError, BOOL),
+    (lambda: PATH_LAPLACIAN.cofactor(0, True), TypeError, BOOL),
+    (lambda: forest_minor(PATH, [True]), TypeError, BOOL),
+    (lambda: enum_diverging_trees(to_bidirected(PATH), True), TypeError, BOOL),
+    (lambda: enum_paths(to_bidirected(PATH), True, 0), TypeError, BOOL),
+    (lambda: filter_rooted(PATH, enum_rooted_forests(PATH), True, 0), TypeError, BOOL),
+    (lambda: contract(to_bidirected(PATH), [True, 0]), TypeError, BOOL),
+    (lambda: weight_of([True], PATH), TypeError, BOOL),
+], ids=["path-expansion-2", "path-expansion-minus-1", "matrix-tree-graph", "matrix-tree-digraph",
+        *(f"bool-{name}" for name in ("cofactor", "cofactor-poly", "matrix-cofactor", "minor",
+                                       "diverging-trees", "paths", "filter-rooted", "contract", "weight"))])
 def test_refused_input(call, error, message):
     with pytest.raises(error) as raised:
         call()

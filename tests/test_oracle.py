@@ -22,6 +22,8 @@ from forestmatrix import (
     enum_spanning_trees,
     filter_rooted,
     filter_roots,
+    kirchhoff,
+    laplacian,
     merge_parallel,
     set_weight,
     to_bidirected,
@@ -447,8 +449,10 @@ class TestGraphKind:
         (lambda g, dg: enum_diverging_trees(g, 0), "Multidigraph"),
         (lambda g, dg: enum_paths(g, 0, 1), "Multidigraph"),
         (lambda g, dg: contract(g, [0, 1]), "Multidigraph"),
+        (lambda g, dg: laplacian(dg), "Multigraph"),  # graph_matrix takes either kind
+        (lambda g, dg: kirchhoff(g), "Multidigraph"),
     ], ids=["to_bidirected", "rooted-forests", "spanning-trees", "spanning-trees-n0",
-            "diverging-forests", "diverging-trees", "paths", "contract"])
+            "diverging-forests", "diverging-trees", "paths", "contract", "laplacian", "kirchhoff"])
     def test_other_kind_is_a_type_error(self, unit_k3, directed_3cycle, call, kind):
         other = "Multidigraph" if kind == "Multigraph" else "Multigraph"
         with pytest.raises(TypeError) as raised:

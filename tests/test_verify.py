@@ -386,7 +386,7 @@ class TestWorkCounts:
         text = detail(graph, "contraction-minors")
         assert f"({expected} parent choices scanned)" in text
 
-    def test_each_submatrix_keeping_two_vertices_built_once(self, graph, monkeypatch):
+    def test_each_submatrix_keeping_two_vertices_built_once(self, graph, spy):
         # one integer adjugate per nonempty subset phi that keeps at least 2
         # vertices, of L's scaled rows with phi deleted: the other principal
         # minors are on those adjugates' diagonals, and adj L is the one
@@ -394,111 +394,55 @@ class TestWorkCounts:
         n = graph.n
         lap = graph_matrix(graph)
         rows, mults = verify._scaled_rows(graph)
-        built, adjugated, subs = [], [], []
-        delete_rows_cols, adjugate, adjugates = (
-            SquareMatrix.delete_rows_cols, SquareMatrix.adjugate, verify._adjugates)
-
-        def counted_delete(self, indices):
-            built.append(indices)
-            return delete_rows_cols(self, indices)
-
-        def counted_adjugate(self):
-            adjugated.append(self)
-            return adjugate(self)
-
-        def counted_adjugates(sub_rows, sub_mults, xs):
-            if len(sub_rows) < n:
-                subs.append((sub_rows, sub_mults, tuple(xs)))
-            return adjugates(sub_rows, sub_mults, xs)
-
-        monkeypatch.setattr(SquareMatrix, "delete_rows_cols", counted_delete)
-        monkeypatch.setattr(SquareMatrix, "adjugate", counted_adjugate)
-        monkeypatch.setattr(verify, "_adjugates", counted_adjugates)
+        built, adjugated = spy(SquareMatrix, "delete_rows_cols"), spy(SquareMatrix, "adjugate")
+        adjugates = spy(verify, "_adjugates")
         run_all_checks(graph)
         assert built == []
         # W's and L's: the polynomial checks and the submatrices take theirs
         # from the scaled rows, not from SquareMatrix
-        assert adjugated == [forest_matrix(lap), lap]
+        assert [call["self"] for call in adjugated] == [forest_matrix(lap), lap]
         expected = []
         for size in range(1, n - 1):
             for phi in combinations(range(n), size):
                 kept = [v for v in range(n) if v not in phi]
                 expected.append(([[rows[r][c] for c in kept] for r in kept], [mults[r] for r in kept], (0,)))
+        subs = [(c["rows"], c["mults"], tuple(c["shifts"])) for c in adjugates if len(c["rows"]) < n]
         assert subs == expected
         assert len(subs) == 2**n - n - 2 == 10
 
-    def test_polynomial_checks_evaluate_in_integers(self, graph, monkeypatch):
+    def test_polynomial_checks_evaluate_in_integers(self, graph, spy):
         # one adjugate of the scaled rows per distinct shift of the two checks:
         # lambda = -1 and -2 of the plain check are the shifts of lambda = 1
         # and 2 of the signed one. Polynomial.evaluate serves the forest
         # polynomial's evaluations only
         n = graph.n
-        references, evaluated = [], []
-        adjugates, evaluate = verify._adjugates, Polynomial.evaluate
-
-        def counted_adjugates(rows, mults, xs):
-            if len(rows) == n:
-                references.append((rows, mults, tuple(xs)))
-            return adjugates(rows, mults, xs)
-
-        def counted_evaluate(self, x):
-            evaluated.append(x)
-            return evaluate(self, x)
-
-        monkeypatch.setattr(verify, "_adjugates", counted_adjugates)
-        monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
+        adjugates, evaluated = spy(verify, "_adjugates"), spy(Polynomial, "evaluate")
         run_all_checks(graph)
         shifts = [*verify.EVAL_POINTS, *range(-3, -n - 2, -1)]
         assert len(shifts) == len(verify.EVAL_POINTS) + n + 1 - 2
+        references = [(c["rows"], c["mults"], tuple(c["shifts"])) for c in adjugates if len(c["rows"]) == n]
         assert references == [(*verify._scaled_rows(graph, x), (0,)) for x in shifts]
-        assert sorted(evaluated) == sorted((1, *verify.EVAL_POINTS))
+        assert sorted(call["x"] for call in evaluated) == sorted((1, *verify.EVAL_POINTS))
 
-    def test_determinants_and_cofactor_grids(self, graph, monkeypatch):
+    def test_determinants_and_cofactor_grids(self, graph, spy):
         # every determinant is forest_det's, once per lambda: det W, det L and
         # the charpoly evaluations; L's grid of cofactor polynomials serves
         # both polynomial checks
-        calls, lams = [], []
-        for name in ("det", "_cofactor_polys"):
-            original = getattr(SquareMatrix, name)
-
-            def counted(self, _name=name, _original=original):
-                calls.append(_name)
-                return _original(self)
-
-            monkeypatch.setattr(SquareMatrix, name, counted)
-        forest_det = verify.forest_det
-
-        def counted_forest_det(g, lam=1):
-            lams.append(lam)
-            return forest_det(g, lam)
-
-        monkeypatch.setattr(verify, "forest_det", counted_forest_det)
+        dets, grids = spy(SquareMatrix, "det"), spy(SquareMatrix, "_cofactor_polys")
+        lams = spy(verify, "forest_det")
         run_all_checks(graph)
-        assert calls.count("det") == 0
-        assert calls.count("_cofactor_polys") == 1
-        assert sorted(lams) == sorted((1, 0, *verify.EVAL_POINTS))
+        assert dets == [] and len(grids) == 1
+        assert sorted(call["lam"] for call in lams) == sorted((1, 0, *verify.EVAL_POINTS))
 
-    def test_paths_enumerated_once_on_one_companion(self, graph, monkeypatch):
+    def test_paths_enumerated_once_on_one_companion(self, graph, spy):
         # the companion digraph of L minus phi is L's restricted to the kept
         # vertices, so one digraph and one enumeration per ordered pair serve
         # every phi
-        companions, pairs = [], []
-        companion, enum_paths = verify._companion, oracle.enum_paths
-
-        def counted_companion(matrix):
-            companions.append(matrix)
-            return companion(matrix)
-
-        def counted_paths(digraph, start, goal, guard):
-            pairs.append((start, goal))
-            return enum_paths(digraph, start, goal, guard)
-
-        monkeypatch.setattr(verify, "_companion", counted_companion)
-        monkeypatch.setattr(oracle, "enum_paths", counted_paths)
+        companions, paths = spy(verify, "_companion"), spy(oracle, "enum_paths")
         run_all_checks(graph)
         n = graph.n
-        assert companions == [graph_matrix(graph)]
-        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n) if i != j]
+        assert [call["matrix"] for call in companions] == [graph_matrix(graph)]
+        assert sorted((c["start"], c["goal"]) for c in paths) == [(i, j) for i in range(n) for j in range(n) if i != j]
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_eliminations_per_adjugate(self, routes, n):
