@@ -186,11 +186,11 @@ def path_expansion_cofactor(
     _check_index(matrix.n, i, j)
     if i == j:
         raise ValueError("path expansion is only valid for i != j")
-    from .oracle import _path_sum, enum_paths
+    from .oracle import _den, _path_sum, _path_weights, enum_paths
 
     companion = _companion(matrix)
-    paths = enum_paths(companion, i, j, guard)
-    return _path_sum(companion, paths, lambda vs: matrix.delete_rows_cols(vs).det())
+    weighed = _path_weights(companion, enum_paths(companion, i, j, guard))
+    return Fraction(_path_sum(weighed, lambda vs: matrix.delete_rows_cols(vs).det()), _den(companion))
 
 
 def _companion(matrix: SquareMatrix) -> Multidigraph:

@@ -207,26 +207,22 @@ def contract(digraph: Multidigraph, vertices: Iterable[int]) -> tuple[Multidigra
     relative order and the merged vertex takes the smallest merged label's
     position, so deleting its row/column from the result's Kirchhoff matrix
     reproduces the minor of the original with all merged rows/columns deleted.
+    Each vertex given is checked; the relabelled arcs of the validated digraph are not.
     """
     _require(digraph, Multidigraph)
-    merged = sorted(set(vertices))
-    if not merged:
-        raise GraphValidationError("cannot contract an empty vertex set")
-    for v in merged:
+    vertices = tuple(vertices)
+    for v in vertices:
         if not _in_range(v, digraph.n):
             raise GraphValidationError(f"vertex {v} out of range for n={digraph.n}")
-    merged_set = set(merged)
-    anchor = merged[0]
-    old_order = [v for v in range(digraph.n) if v == anchor or v not in merged_set]
+    if not vertices:
+        raise GraphValidationError("cannot contract an empty vertex set")
+    merged = set(vertices)
+    anchor = min(merged)
+    old_order = [v for v in range(digraph.n) if v == anchor or v not in merged]
     relabel = {old: new for new, old in enumerate(old_order)}
-    arcs = []
-    for tail, head, w in digraph.arcs:
-        t = anchor if tail in merged_set else tail
-        h = anchor if head in merged_set else head
-        if t == h:
-            continue
-        arcs.append(Arc(relabel[t], relabel[h], w))
-    return Multidigraph(digraph.n - len(merged) + 1, tuple(arcs)), relabel[anchor]
+    label = [relabel[anchor if v in merged else v] for v in range(digraph.n)]
+    arcs = tuple(Arc(label[t], label[h], w) for t, h, w in digraph.arcs if label[t] != label[h])
+    return Multidigraph._of(digraph.n - len(merged) + 1, arcs), relabel[anchor]
 
 
 def to_bidirected(graph: Multigraph) -> Multidigraph:

@@ -450,6 +450,15 @@ class _Value:
 
     __slots__ = ()
 
+    @classmethod
+    def _of(cls, *fields):
+        """The value of fields that are already valid, such as the square rows of
+        Fractions a kernel has built or a validated graph's Arcs, without __init__'s checks."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
+
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -487,14 +496,6 @@ class SquareMatrix(_Value):
             if len(row) != len(rows):
                 raise ValueError(f"matrix is not square: {len(row)} != {len(rows)}")
         object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def _of(cls, entries: tuple[tuple[Fraction, ...], ...]) -> "SquareMatrix":
-        """The matrix of square rows of Fractions that a kernel has just built,
-        without __init__'s check of every entry."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -569,10 +570,11 @@ class SquareMatrix(_Value):
 
     def delete_rows_cols(self, indices: Iterable[int]) -> "SquareMatrix":
         """Submatrix with the given rows AND columns removed, survivor order kept."""
-        removed = set(indices)
-        for r in removed:
+        indices = tuple(indices)
+        for r in indices:  # each one, as a set keeps only the first of 1 and True
             if not _in_range(r, self.n):
                 raise IndexError(f"index {r} out of range for n={self.n}")
+        removed = set(indices)
         kept = [i for i in range(self.n) if i not in removed]
         return SquareMatrix._of(tuple(tuple(self.entries[r][c] for c in kept) for r in kept))
 

@@ -21,7 +21,7 @@ parallel-instance identities testable instead of assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, NamedTuple, Union
 
 # The guard lives in graphs, so a process that only checks it need not load this
@@ -110,6 +110,12 @@ def _check_guard(graph, guard: Guard) -> None:
             f"{graph.n} vertices / {m} instances exceed the enumeration guard "
             f"({guard.max_vertices} vertices / {guard.max_instances} instances)"
         )
+
+
+def _den(graph: Union[Multigraph, Multidigraph]) -> int:
+    """D**(n - 1), D the lcm of the instance denominators, over which _choices
+    weighs each forest and _path_weights each path."""
+    return lcm(*(inst.w.denominator for inst in graph.instances)) ** (graph.n - 1)
 
 
 def _choices(graph: Union[Multigraph, Multidigraph], root: int | None = None) -> list:
@@ -278,8 +284,9 @@ def filter_roots(
     roots: Iterable[int],
 ) -> tuple:
     """Members whose root set is exactly `roots`; an empty target selects nothing."""
+    roots = tuple(roots)
+    _check_vertices(host, roots)  # each one, as a set keeps only the first of 1 and True
     target = frozenset(roots)
-    _check_vertices(host, target)
     if not target:
         return ()
     return tuple(f for f in forests if frozenset(tree_roots(host, f)) == target)
@@ -319,23 +326,32 @@ def enum_paths(
     return tuple(sorted(out, key=lambda p: (len(p.arcs), p.arcs)))
 
 
-def _path_sum(companion: Multidigraph, paths: Iterable[Path], minor) -> Fraction:
-    """Sum over `paths` of the path weight in `companion` times
-    minor(path vertices); a path whose minor is 0 is not weighed.
+def _path_weights(companion: Multidigraph, paths: Iterable[Path]) -> list[tuple[frozenset[int], int]]:
+    """Each path's vertex set and weight: the product of its arcs' weights times
+    D**(n - 1), D the lcm of all the companion's arc denominators, an integer
+    as _choices weighs a forest, since a simple path has at most n - 1 arcs."""
+    base = lcm(*(w.denominator for _, _, w in companion.arcs))
+    scaled = [w.numerator * (base // w.denominator) for _, _, w in companion.arcs]
+    top = companion.n - 1
+    return [
+        (p.vertex_set, prod(map(scaled.__getitem__, p.arcs), start=base ** (top - len(p.arcs))))
+        for p in paths
+    ]
 
-    For the (i, j) cofactor of a matrix M, `paths` are the simple i -> j paths
+
+def _path_sum(weighed: Iterable[tuple[frozenset[int], int]], minor):
+    """Sum over the (vertex set, weight) pairs of _path_weights of the weight
+    times minor(vertex set), so over D**(n - 1) with the weights; a path whose
+    minor is 0 adds nothing.
+
+    For the (i, j) cofactor of a matrix M, the paths are the simple i -> j paths
     of M's companion digraph, which the caller enumerates (enum_paths), and
     minor(vs) is det(M with the rows and columns vs deleted). The companion
     digraph of a principal submatrix of M is M's restricted to the kept
-    vertices, so `paths` may also be M's, with minor(vs) = 0 for each path
+    vertices, so the paths may also be M's, with minor(vs) = 0 for each path
     through a deleted vertex.
     """
-    total = Fraction(0)
-    for p in paths:
-        m = minor(p.vertices)
-        if m:
-            total += weight_of(p.arcs, companion) * m
-    return total
+    return sum(w * m for vs, w in weighed if (m := minor(vs)))
 
 
 def _rooted_key(f: RootedForest):

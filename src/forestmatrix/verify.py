@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from . import oracle
@@ -36,7 +37,7 @@ from .graphs import (
     merge_parallel,
     to_bidirected,
 )
-from .linalg import SquareMatrix, _adjugates
+from .linalg import _adjugates, _integer_rows
 from .oracle import DEFAULT_GUARD, Guard, GuardExceededError, _path_sum
 
 __all__ = ["CheckResult", "run_all_checks"]
@@ -84,11 +85,6 @@ def _equals(x: Fraction, total: int, den: int) -> bool:
     return x.numerator * den == total * x.denominator
 
 
-def _den(graph: AnyGraph) -> int:
-    """lcm(instance denominators)**(n - 1), over which oracle._choices weighs each forest."""
-    return lcm(*(inst.w.denominator for inst in graph.instances)) ** (graph.n - 1)
-
-
 def _tabulate(graph: AnyGraph) -> _ForestTable:
     """The table of one oracle._choices walk. A forest of k trees has n - k
     instances, so forests with the same root map add to the same entries with
@@ -113,7 +109,7 @@ def _tabulate(graph: AnyGraph) -> _ForestTable:
             coeffs[(i, j)][k - 1] += w
             signed[(i, j)][k - 1] += sw
     pair = {p: sum(ws) for p, ws in coeffs.items()}
-    return _ForestTable(len(forests), _den(graph), pair, coeffs, signed, by_roots, by_count)
+    return _ForestTable(len(forests), oracle._den(graph), pair, coeffs, signed, by_roots, by_count)
 
 
 def _check_budget(twin: Multidigraph, guard: Guard) -> None:
@@ -228,7 +224,6 @@ def _check_row_partition(adj, det_w) -> CheckResult:
 
 
 def _check_accessibility(graph, w, det_w, table) -> CheckResult:
-    n = graph.n
     if det_w == 0:
         return CheckResult(
             "accessibility-matrix",
@@ -237,8 +232,11 @@ def _check_accessibility(graph, w, det_w, table) -> CheckResult:
             detail="det W = 0, the accessibility matrix does not exist",
         )
     q = accessibility(graph).matrix
-    ok = (q @ w) == SquareMatrix.identity(n)
-    ok = ok and all(s == 1 for s in q.row_sums())
+    rows, mults = _integer_rows(q.entries)  # Q's row r is rows[r] / mults[r], W's column c cols[c] / ds[c]
+    cols, ds = _integer_rows(zip(*w.entries))
+    units = [[m * d * (r == c) for c, d in enumerate(ds)] for r, m in enumerate(mults)]
+    ok = [[sum(map(mul, row, col)) for col in cols] for row in rows] == units
+    ok = ok and all(sum(row) == m for row, m in zip(rows, mults))
     over = det_w.numerator * table.den  # q_ij * det_w == pair[(j, i)] / den
     ok = ok and all(_equals(q[i, j], t * det_w.denominator, over) for (j, i), t in table.pair.items())
     if isinstance(graph, Multigraph):
@@ -274,7 +272,7 @@ def _check_contraction_minors(twin, minors, scale) -> CheckResult:
             continue
         contracted, star = contract(twin, phi)
         total = sum(w for _, _, w in oracle._choices(contracted, star))
-        ok = ok and minor * _den(contracted) == total * scale  # minor / scale == total / den
+        ok = ok and minor * oracle._den(contracted) == total * scale  # minor / scale == total / den
         heads = [a.head for a in contracted.arcs]
         scanned += prod(heads.count(v) for v in range(contracted.n) if v != star)
     return CheckResult(
@@ -349,21 +347,25 @@ def _check_path_expansion(lap, adjs, minors, guard) -> CheckResult:
     """Each off-diagonal cofactor of L minus phi, for every phi that leaves at
     least 2 vertices, against its path expansion. The companion digraph of L
     minus phi is L's restricted to the kept vertices, so the paths of L's
-    companion are enumerated once per ordered pair: a path through phi is not
-    one of L minus phi's and counts 0, and any other path P weighs its minor
-    det(L minus phi minus P) = minors[phi + V(P)], over one scale with the entries."""
+    companion are enumerated and weighed once per ordered pair: a path through
+    phi is not one of L minus phi's and counts 0, and any other path P weighs
+    its minor det(L minus phi minus P) = minors[phi + V(P)], over one scale with
+    the entries, and its weight is over the companion's den."""
     n = lap.n
     companion = _companion(lap)
+    den = oracle._den(companion)
     paths = {ij: oracle.enum_paths(companion, *ij, guard) for ij in permutations(range(n), 2)}
+    weighed = {ij: oracle._path_weights(companion, ps) for ij, ps in paths.items()}
+    by_set = {frozenset(vs): m for vs, m in minors.items()}
     ok, count = True, 0
     for phi, adj in adjs.items():
         kept = [v for v in range(n) if v not in phi]
 
         def minor(vs, phi=frozenset(phi)):
-            return minors[tuple(sorted(phi.union(vs)))] if phi.isdisjoint(vs) else 0
+            return by_set[phi | vs] if phi.isdisjoint(vs) else 0
 
         for (a, i), (b, j) in permutations(enumerate(kept), 2):
-            ok = ok and _path_sum(companion, paths[(i, j)], minor) == adj[b][a]
+            ok = ok and _path_sum(weighed[(i, j)], minor) == adj[b][a] * den
             count += 1
     return CheckResult(
         "path-expansion-cofactors",

@@ -23,6 +23,7 @@ from forestmatrix import (
     enum_paths,
     enum_rooted_forests,
     filter_rooted,
+    filter_roots,
     forest_cofactor,
     forest_det,
     forest_matrix,
@@ -694,3 +695,17 @@ def test_refused_input(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("indices", [[1, True], [True, 1]], ids=["int-first", "bool-first"])
+@pytest.mark.parametrize("call", [
+    lambda vs: forest_minor(PATH, vs),
+    lambda vs: contract(Multidigraph(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1))), vs),
+    lambda vs: filter_roots(PATH, enum_rooted_forests(PATH), vs),
+], ids=["minor", "contract", "filter-roots"])
+def test_bool_refused_beside_its_int(call, indices):
+    # a set of 1 and True keeps whichever comes first, so each index is
+    # checked before the indices are deduplicated
+    with pytest.raises(TypeError) as raised:
+        call(indices)
+    assert str(raised.value) == BOOL

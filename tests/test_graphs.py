@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -208,6 +209,23 @@ class TestContract:
     def test_empty_set_rejected(self):
         with pytest.raises(GraphValidationError):
             contract(Multidigraph(2), ())
+
+    def test_equals_the_validated_build(self):
+        # contract relabels arcs of a validated digraph without checking them
+        # again; its value must be the one the validating constructor builds
+        rng = random.Random(28)
+        for _ in range(12):
+            dg = random_multidigraph(rng, n_min=2, n_max=6, max_arcs=12, pool=TWELFTHS_POOL)
+            for size in range(1, dg.n + 1):
+                for vs in combinations(range(dg.n), size):
+                    kept = [v for v in range(dg.n) if v == vs[0] or v not in vs]
+                    label = {v: kept.index(min(vs) if v in vs else v) for v in range(dg.n)}
+                    arcs = tuple((label[t], label[h], w) for t, h, w in dg.arcs if label[t] != label[h])
+                    expected = Multidigraph(dg.n - size + 1, arcs)
+                    contracted, star = contract(dg, vs)
+                    assert (contracted, star) == (expected, label[vs[0]])
+                    assert hash(contracted) == hash(expected) and repr(contracted) == repr(expected)
+                    assert all(type(a) is Arc for a in contracted.arcs)
 
     def test_minor_identity(self):
         # deleting the merged vertex from the contraction's Kirchhoff matrix

@@ -10,6 +10,7 @@ from math import prod
 import pytest
 
 from forestmatrix import (
+    AccessibilityMatrix,
     GraphValidationError,
     Multidigraph,
     Multigraph,
@@ -223,6 +224,51 @@ class TestMutations:
 
         monkeypatch.setattr(oracle, "enum_paths", perturbed)
         assert failing(graph) == {"path-expansion-cofactors"}
+
+    def test_one_path_weight(self, graph, monkeypatch):
+        # the shortest 0 -> 1 path of L's companion digraph weighs one more
+        # (one over the companion's den); on the whole of L its minor is positive
+        original, hits = oracle._path_weights, []
+
+        def perturbed(companion, paths):
+            weighed = original(companion, paths)
+            if paths and (paths[0].vertices[0], paths[0].vertices[-1]) == (0, 1):
+                hits.append(paths)
+                (vs, w), *rest = weighed
+                return [(vs, w + 1), *rest]
+            return weighed
+
+        monkeypatch.setattr(oracle, "_path_weights", perturbed)
+        assert failing(graph) == {"path-expansion-cofactors"}
+        assert len(hits) == 1
+
+    def test_one_contracted_arc_dropped(self, graph, monkeypatch):
+        # the digraph contracted from the root set {0}, the twin itself, loses
+        # its first arc 0 -> 1, which some positive tree diverging from 0 uses
+        original, hits = verify.contract, []
+
+        def perturbed(digraph, vertices):
+            contracted, star = original(digraph, vertices)
+            if tuple(vertices) != (0,):
+                return contracted, star
+            hits.append(vertices)
+            return Multidigraph(contracted.n, contracted.arcs[1:]), star
+
+        monkeypatch.setattr(verify, "contract", perturbed)
+        assert failing(graph) == {"contraction-minors"}
+        assert len(hits) == 1
+
+    def test_one_accessibility_entry(self, graph, monkeypatch):
+        # entry (0, 1) of Q is off by one, which breaks Q W = I
+        original = verify.accessibility
+
+        def perturbed(g, lam=1):
+            rows = [list(row) for row in original(g, lam).matrix.entries]
+            rows[0][1] += 1
+            return AccessibilityMatrix(SquareMatrix(tuple(map(tuple, rows))))
+
+        monkeypatch.setattr(verify, "accessibility", perturbed)
+        assert failing(graph) == {"accessibility-matrix"}
 
     @pytest.mark.parametrize("deleted, entry, failed", [
         ((1,), (1, 1), {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients",
