@@ -159,16 +159,16 @@ def signed_cofactor_poly(graph: AnyGraph, i: int, j: int) -> Polynomial:
     Coefficient k is the weight of the forests counted in coefficient k of
     cofactor_poly, each weighted by (-1)**(number of arcs). Arranged as a
     matrix (transposed), these polynomials form the adjugate of the
-    characteristic matrix of L; verify takes L's grid through _signed too.
+    characteristic matrix of L; verify flips L's integer grid through _signed too.
     """
-    return _signed(cofactor_poly(graph, i, j), graph.n)
+    return Polynomial(_signed(cofactor_poly(graph, i, j).coeffs, graph.n))
 
 
-def _signed(poly: Polynomial, n: int) -> Polynomial:
-    """A cofactor poly of lambda*I + M, M of order n, as the same cofactor of
-    lambda*I - M = -((-lambda)*I + M): one of order n - 1, it is (-1)**(n-1)
-    times poly at -lambda, so coefficient k is (-1)**(n-1+k) * poly_k."""
-    return Polynomial(tuple(-c if (n - 1 + k) % 2 else c for k, c in enumerate(poly.coeffs)))
+def _signed(coeffs, n: int) -> tuple:
+    """A cofactor poly's coefficients of lambda*I + M, M of order n, as the same
+    cofactor's of lambda*I - M = -((-lambda)*I + M): one of order n - 1, it is
+    (-1)**(n-1) times poly at -lambda, so coefficient k is (-1)**(n-1+k) * poly_k."""
+    return tuple(-c if (n - 1 + k) % 2 else c for k, c in enumerate(coeffs))
 
 
 def path_expansion_cofactor(

@@ -348,13 +348,11 @@ def _adjugates(rows: list[list[int]], mults: list[int], shifts: Iterable[int]):
         yield [[0] * len(rows) for _ in rows] if isinstance(run, int) else run[1]
 
 
-def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[Fraction, ...]:
-    """The coefficients, constant term first, of the p with p(nodes[k]) =
-    values[k] / scale, from its Newton form. The nodes are distinct integers
-    and scale * p must have integer coefficients (a determinant of integer rows
-    shifted by integer multiples of x), so every divided difference is an
-    integer and each // exact.
-    """
+def _newton(nodes: Sequence[int], values: list[int]) -> list[int]:
+    """The coefficients, constant term first, of the p with p(nodes[k]) = values[k],
+    from its Newton form. The nodes are distinct integers and p has integer
+    coefficients (a determinant of integer rows shifted by integer multiples of
+    x), so every divided difference is an integer and each // exact."""
     newton, diffs = [], values
     for k in range(1, len(values) + 1):
         newton.append(diffs[0])
@@ -364,7 +362,21 @@ def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[
         coeffs = [c, *coeffs]
         for e in range(len(coeffs) - 1):
             coeffs[e] -= node * coeffs[e + 1]
-    return tuple(Fraction(c, scale) for c in coeffs)
+    return coeffs
+
+
+def _interpolated(nodes: Sequence[int], values: list[int], scale: int) -> tuple[Fraction, ...]:
+    """The coefficients of the p with p(nodes[k]) = values[k] / scale; _newton's, over scale."""
+    return tuple(Fraction(c, scale) for c in _newton(nodes, values))
+
+
+def _cofactor_grid(rows: list[list[int]], mults: list[int]) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """(grid, adjs): adjs[x] = adj B of the scaled rows B of M + x*I at x = 0, 1,
+    ..., n - 1, singular or not; grid[i][j] the coefficients of the (i, j) cofactor
+    of x*I + M times prod(mults) // mults[i], interpolated through each X_ji."""
+    nodes = range(len(rows))
+    adjs = list(_adjugates(rows, mults, nodes))
+    return [[_newton(nodes, [a[j][i] for a in adjs]) for j in nodes] for i in nodes], adjs
 
 
 def _in_range(index: int, n: int) -> bool:
@@ -590,17 +602,6 @@ class SquareMatrix(_Value):
         """Cofactor of (i, j) in lambda*I + self as n coefficients, constant term
         first; for i != j the top coefficient is 0."""
         return _cofactor_poly(*_integer_rows(self.entries), i, j)
-
-    def _cofactor_polys(self) -> list[list[Polynomial]]:
-        """The grid [i][j] = cofactor_poly(i, j), interpolated through the adjugates of
-        the scaled rows at the n shifts x = 0, 1, ..., n - 1, singular or not."""
-        rows, mults = _integer_rows(self.entries)
-        nodes, scale = range(self.n), prod(mults)
-        adjs = list(_adjugates(rows, mults, nodes))
-        return [
-            [Polynomial(_interpolated(nodes, [a[j][i] for a in adjs], scale // m)) for j in nodes]
-            for i, m in enumerate(mults)
-        ]
 
     def principal_minor_sum(self, k: int) -> Fraction:
         """Sum of det(self with every size-k index subset deleted).

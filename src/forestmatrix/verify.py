@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ from .graphs import (
     merge_parallel,
     to_bidirected,
 )
-from .linalg import _adjugates, _integer_rows
+from .linalg import _adjugates, _cofactor_grid, _integer_rows
 from .oracle import DEFAULT_GUARD, Guard, GuardExceededError, _path_sum
 
 __all__ = ["CheckResult", "run_all_checks"]
@@ -131,13 +131,16 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     The oracle walks the forests once, into a table of integers over one den
     that every comparison with it cross-multiplies, and every determinant is
     forest_det's, once per lambda: det W at 1, det L at 0 and det(lambda*I + L)
-    at EVAL_POINTS. Each principal submatrix L minus phi that keeps at least 2
-    vertices is eliminated once, on L's integer rows, for its adjugate (adj L
-    is matrix_tree_check's), kept over scale, the product of L's row scales; its
-    entry (v, v), v after all of phi, is the minor det L minus (phi + v); only det L
-    and the 1 of the empty matrix are not read there. The signed cofactor
-    polynomials are L's grid flipped to lambda*I - L; both grids are evaluated
-    on integers against the adjugates of the scaled rows, once per shift.
+    at EVAL_POINTS. One integer grid holds every cofactor polynomial of
+    lambda*I + L, row i over scale // d_i, scale the product of L's row scales d,
+    interpolated through the adjugates of L's scaled rows at the shifts 0 ... n-1:
+    node 1 is adj W and node 0 adj L, both kept over scale. Flipped to lambda*I - L
+    it is the signed grid; both grids are evaluated on integers against the
+    adjugates of the scaled rows, once per shift. Each other principal submatrix
+    L minus phi that keeps at least 2 vertices is eliminated once, on L's integer
+    rows, for its adjugate over scale; its entry (v, v), v after all of phi, is
+    the minor det L minus (phi + v); only det L and the 1 of the empty matrix are
+    not read there. matrix_tree_check, public, eliminates adj L once more.
     """
     twin = graph if isinstance(graph, Multidigraph) else to_bidirected(graph)
     _check_budget(twin, guard)
@@ -145,12 +148,14 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     lap = graph_matrix(graph)
     w = forest_matrix(lap)
     det_w, det_l, *dets = (forest_det(graph, lam) for lam in (1, 0, *EVAL_POINTS))
-    adj = w.adjugate()
     table = _tabulate(graph)
     report = matrix_tree_check(graph, guard)
     rows, mults = _scaled_rows(graph)
     scale = prod(mults)
-    adjs = {(): [[x * scale for x in col] for col in zip(*report.cofactors.entries)]}  # integral Fractions
+    polys, (x_l, *x_shifted) = _cofactor_grid(rows, mults)
+    x_w = x_shifted[0] if x_shifted else x_l  # every adjugate of order 1 is [[1]]
+    adj_w, adj_l = ([[e * dc for e, dc in zip(row, mults)] for row in x] for x in (x_w, x_l))  # over scale
+    adjs = {(): adj_l}
     for size in range(1, n - 1):
         for phi in combinations(range(n), size):  # adj(L minus phi) * scale = X * diag(d) * scale / prod(d)
             kept = [v for v in range(n) if v not in phi]
@@ -162,21 +167,21 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     for phi, sub in adjs.items():  # a v after all of phi has place v - k in L minus phi
         k = len(phi)
         minors.update(((*phi, v), sub[v - k][v - k]) for v in range(max(phi, default=-1) + 1, n))
-    polys = lap._cofactor_polys()
-    signed = [[_signed(p, n) for p in row] for row in polys]
+    signed = [[_signed(coeffs, n) for coeffs in row] for row in polys]
+    overs = [scale // d for d in mults]
     refs = {}  # adj of the scaled rows of x*I + L by shift x, shared by both polynomial checks
     return [
         _check_matrix_tree(report),
         _check_forest_det(det_w, table),
-        _check_forest_cofactors(adj, table),
-        _check_row_partition(adj, det_w),
+        _check_forest_cofactors(adj_w, scale, table),
+        _check_row_partition(adj_w, scale, det_w),
         _check_accessibility(graph, w, det_w, table),
         _check_merge_invariance(graph, w, table),
         _check_contraction_minors(twin, minors, scale),
         _check_rooted_minors(n, minors, adjs, scale, table),
         _check_charpoly(graph, det_w, dets, minors, scale, table),
         _check_polys(
-            "cofactor-polynomials", polys, graph, 1, EVAL_POINTS, refs, table.den, table.coeffs,
+            "cofactor-polynomials", polys, graph, 1, overs, EVAL_POINTS, refs, table.den, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
@@ -184,7 +189,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         # L's grid flipped to lambda*I - L, against adjugates of lambda*I - L at 1 ... n+1:
         # flipped back, none is a node 0 ... n-1 of L's grid, and n+1 points pin degree n-1
         _check_polys(
-            "signed-cofactor-polynomials", signed, graph, -1, range(1, n + 2), refs, table.den, table.signed,
+            "signed-cofactor-polynomials", signed, graph, -1, overs, range(1, n + 2), refs, table.den, table.signed,
             "arc-parity-signed coefficients match the cofactors of the characteristic matrix of L",
         ),
     ]
@@ -207,20 +212,16 @@ def _check_forest_det(det_w, table) -> CheckResult:
     )
 
 
-def _check_forest_cofactors(adj, table) -> CheckResult:
-    return CheckResult(
-        "forest-cofactors",
-        all(_equals(adj[j, i], total, table.den) for (i, j), total in table.pair.items()),
-        detail=f"checked {len(table.pair)} cofactors against filtered enumeration totals",
-    )
+def _check_forest_cofactors(adj_w, scale, table) -> CheckResult:
+    ok = all(adj_w[j][i] * table.den == t * scale for (i, j), t in table.pair.items())  # adj_w / scale vs t / den
+    detail = f"checked {len(table.pair)} cofactors against filtered enumeration totals"
+    return CheckResult("forest-cofactors", ok, detail=detail)
 
 
-def _check_row_partition(adj, det_w) -> CheckResult:
-    return CheckResult(
-        "cofactor-row-partition",
-        all(s == det_w for s in adj.row_sums()),
-        detail="cofactors over all start vertices sum to det W for every target",
-    )
+def _check_row_partition(adj_w, scale, det_w) -> CheckResult:
+    ok = all(_equals(det_w, sum(row), scale) for row in adj_w)
+    detail = "cofactors over all start vertices sum to det W for every target"
+    return CheckResult("cofactor-row-partition", ok, detail=detail)
 
 
 def _check_accessibility(graph, w, det_w, table) -> CheckResult:
@@ -315,13 +316,13 @@ def _check_charpoly(graph, det_w, dets, minors, scale, table) -> CheckResult:
     )
 
 
-def _check_polys(name, grid, graph, sign, points, refs, den, column, detail) -> CheckResult:
-    """Each polynomial (i, j) of lambda*I + sign*L in `grid` against the totals
-    over den, and at each lambda = p/q against X = adj B, B = D * M the scaled
-    rows of M = (sign*lambda)*I + L: adj(lambda*I + sign*L)_ji = sign**(n-1) *
-    X_ji * d_i / det D, and Horner's rule on the coefficients over their lcm d
-    gives H = d * q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * d * q**deg.
-    X, D and det D come from refs[sign*lambda], taken there on first use."""
+def _check_polys(name, grid, graph, sign, overs, points, refs, den, column, detail) -> CheckResult:
+    """Each polynomial (i, j) of lambda*I + sign*L in `grid`, integer coefficients
+    over overs[i], against the totals over den, and at each lambda = p/q against
+    X = adj B, B = D * M the scaled rows of M = (sign*lambda)*I + L, from
+    refs[sign*lambda] (taken there on first use): adj(lambda*I + sign*L)_ji =
+    sign**(n-1) * X_ji * d_i / det D, and Horner's rule gives H = overs[i] *
+    q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * overs[i] * q**deg."""
     shifts = [sign * lam for lam in points]
     for shift in shifts:
         if shift not in refs:
@@ -330,16 +331,14 @@ def _check_polys(name, grid, graph, sign, points, refs, den, column, detail) -> 
     at = [(lam.numerator, lam.denominator, *refs[shift]) for lam, shift in zip(points, shifts)]
     s = sign ** (graph.n - 1)
     ok = True
-    for i, row in enumerate(grid):
-        for j, poly in enumerate(row):
-            d = lcm(*(c.denominator for c in poly.coeffs))
-            coeffs = [c.numerator * (d // c.denominator) for c in poly.coeffs]
-            ok = ok and [c * den for c in coeffs] == [t * d for t in column[(i, j)]]
+    for i, (row, over) in enumerate(zip(grid, overs)):
+        for j, coeffs in enumerate(row):
+            ok = ok and [c * den for c in coeffs] == [t * over for t in column[(i, j)]]
             for p, q, x, mults, det_d in at:
                 h, qk = 0, 1
                 for c in reversed(coeffs):
                     h, qk = h * p + c * qk, qk * q
-                ok = ok and h * s * det_d == x[j][i] * mults[i] * d * (qk // q)
+                ok = ok and h * s * det_d == x[j][i] * mults[i] * over * (qk // q)
     return CheckResult(name, ok, detail=detail)
 
 

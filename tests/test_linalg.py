@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -178,6 +179,21 @@ def adjugate_cases():
     return cases
 
 
+def cofactor_grid(m):
+    """linalg._cofactor_grid on the integer rows of m: (grid, adjs, mults)."""
+    rows, mults = linalg._integer_rows(m.entries)
+    return (*linalg._cofactor_grid(rows, mults), mults)
+
+
+def scaled_cofactor_polys(m, mults):
+    """Each pair's cofactor_poly, row i times prod(mults) // mults[i]: the
+    integers the grid must hold."""
+    return [
+        [[c * (prod(mults) // mults[i]) for c in m.cofactor_poly(i, j).coeffs] for j in range(m.n)]
+        for i in range(m.n)
+    ]
+
+
 def rank_cases(rng, n, symmetric):
     """(kind, matrix): an n-by-n matrix, symmetric or not, of each of four kinds:
     "full" of rank n; "laplacian", the Laplacian of a connected graph with
@@ -216,7 +232,7 @@ def rank_cases(rng, n, symmetric):
 
 
 class TestAdjugateKernel:
-    """adjugate and the cofactor-polynomial grid come from one back substitution
+    """adjugate and the integer cofactor-polynomial grid come from one back substitution
     at each shift, singular or not, after a second forward run in another order
     if the first stops at a dependent column; each must equal its entry-by-entry
     route."""
@@ -230,9 +246,16 @@ class TestAdjugateKernel:
             assert m.adjugate() == minor_adjugate(m)
 
     def test_cofactor_polys_match_per_pair(self):
+        # the integer grid is each pair's cofactor polynomial times the pair's
+        # scale, also through the singular shifts of the Laplacians and
+        # staircases; adjs[x] is the adjugate of the scaled rows of m + x*I
         for m in adjugate_cases():
-            grid = [[m.cofactor_poly(i, j) for j in range(m.n)] for i in range(m.n)]
-            assert m._cofactor_polys() == grid
+            grid, adjs, mults = cofactor_grid(m)
+            assert {type(c) for row in grid for coeffs in row for c in coeffs} == {int}
+            assert grid == scaled_cofactor_polys(m, mults)
+            assert len(adjs) == m.n
+            for x, adj in enumerate(adjs):
+                assert linalg._unscaled(adj, mults, prod(mults)) == minor_adjugate(forest_matrix(m, x))
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_every_rank_takes_at_most_two_runs(self, routes, symmetric):
@@ -252,13 +275,13 @@ class TestAdjugateKernel:
                 if kind != "zero" or n > 2:
                     assert stopped == (kind in ("zero", "low"))
                 routes.clear()
-                grid = m._cofactor_polys()
+                grid, _, mults = cofactor_grid(m)
                 assert n <= len(routes) <= 2 * n
                 assert len(routes) == n or any(SINGULAR in route for route in routes)
                 assert adj == leibniz_adjugate(m)
                 nonzero = any(any(row) for row in adj.entries)
                 assert (m.det() != 0, nonzero) == {"full": (True, True), "low": (False, False)}.get(kind, (False, True))
-                assert grid == [[m.cofactor_poly(i, j) for j in range(n)] for i in range(n)]
+                assert grid == scaled_cofactor_polys(m, mults)
 
     def test_first_shifts_singular(self, routes):
         # shifts 0, 1 and 2 are singular; at x = 0 column 0 is zero, so the
@@ -269,10 +292,11 @@ class TestAdjugateKernel:
         adj = m.adjugate()
         assert routes == [{"singular"}, set()]
         assert adj == minor_adjugate(m) == SquareMatrix(((2, 2, F(5, 2)), (0, 0, 0), (0, 0, 0)))
-        assert m._cofactor_polys()[0][0].coeffs == (2, -3, 1)
+        grid, _, mults = cofactor_grid(m)
+        assert mults == [2, 1, 1] and grid[0][0] == [2, -3, 1]  # over 2 // 2
 
     def test_empty_grid(self):
-        assert SquareMatrix(())._cofactor_polys() == []
+        assert linalg._cofactor_grid([], []) == ([], [])
 
     def test_interpolated_at_non_consecutive_nodes(self):
         # 6 * p(x) = 7 - 3x + 2x**3, through four distinct nodes out of order
@@ -280,6 +304,16 @@ class TestAdjugateKernel:
         values = [7 - 3 * x + 2 * x**3 for x in nodes]
         assert linalg._interpolated(nodes, values, 6) == (F(7, 6), F(-1, 2), 0, F(1, 3))
         assert linalg._interpolated([3], [12], 4) == (3,)
+        # the integer Newton step is the same polynomial, times the scale
+        assert linalg._newton(nodes, values) == [7, -3, 0, 2]
+        assert linalg._newton([3], [12]) == [12]
+        rng = random.Random(61)
+        for k in range(1, 7):
+            nodes = rng.sample(range(-9, 10), k)
+            coeffs = [rng.randint(-20, 20) for _ in range(k)]
+            values = [sum(c * x**e for e, c in enumerate(coeffs)) for x in nodes]
+            assert linalg._newton(nodes, values) == coeffs
+            assert linalg._interpolated(nodes, values, 5) == tuple(F(c, 5) for c in coeffs)
 
 
 class TestInverse:

@@ -1,6 +1,7 @@
 """The verify checklist: each check must fail when its library side or its
 oracle side is perturbed, and the oracle table must match independent totals."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -20,12 +21,14 @@ from forestmatrix import (
     enum_rooted_forests,
     forest_matrix,
     graph_matrix,
+    linalg,
     merge_parallel,
     oracle,
     run_all_checks,
     verify,
 )
 from helpers import (
+    WEIGHT_POOL,
     pair_weight_table,
     random_multidigraph,
     random_multigraph,
@@ -65,17 +68,34 @@ def detail(graph, name: str) -> str:
     return check.detail
 
 
-def perturb_pair(fn, pair=(1, 2)):
-    """fn, except that coefficient 0 of the polynomial for one (i, j) pair of its grid is off by one."""
+def perturb_grid(monkeypatch, change):
+    """verify._cofactor_grid, L's one integer grid of cofactor polynomials, with
+    change(grid) applied to the coefficient lists it returns."""
+    original = verify._cofactor_grid
 
-    def perturbed(owner):
-        grid = fn(owner)
-        i, j = pair
-        poly = grid[i][j]
-        grid[i][j] = Polynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
-        return grid
+    def perturbed(rows, mults):
+        grid, adjs = original(rows, mults)
+        change(grid)
+        return grid, adjs
 
-    return perturbed
+    monkeypatch.setattr(verify, "_cofactor_grid", perturbed)
+
+
+def perturb_node(monkeypatch, graph, node, entry, hits):
+    """linalg._adjugates, with entry (r, c) of the integer adjugate it yields at
+    shift `node` off by one in the grid's run only: that on L's scaled rows at
+    the shifts 0 ... n - 1, which both the grid and the table read."""
+    rows, mults = verify._scaled_rows(graph)
+    original = linalg._adjugates
+
+    def perturbed(*args):
+        for x, adj in enumerate(original(*args)):
+            if args == (rows, mults, range(graph.n)) and x == node:
+                hits.append(args)
+                adj[entry[0]][entry[1]] += 1
+            yield adj
+
+    monkeypatch.setattr(linalg, "_adjugates", perturbed)
 
 
 def perturb_walk(monkeypatch, change):
@@ -103,11 +123,13 @@ def halves(request):
 
 class TestMutations:
     def test_cofactor_poly(self, graph, monkeypatch):
-        # verify takes both polynomial families from this one grid: L's, and
-        # flipped, that of the characteristic matrix lambda*I - L
-        monkeypatch.setattr(
-            SquareMatrix, "_cofactor_polys", perturb_pair(SquareMatrix._cofactor_polys)
-        )
+        # verify takes both polynomial families from this one integer grid: L's,
+        # and flipped, that of the characteristic matrix lambda*I - L. The
+        # constant coefficient of one pair is off by one
+        def change(grid):
+            grid[1][2][0] += 1
+
+        perturb_grid(monkeypatch, change)
         assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
     def test_signed_cofactor_poly(self, graph, monkeypatch):
@@ -149,14 +171,7 @@ class TestMutations:
     def test_trailing_zero_coefficient(self, graph, monkeypatch):
         # one polynomial of the grid gains a zero top coefficient: its values
         # are unchanged, only its length differs from the table's coefficients
-        original = SquareMatrix._cofactor_polys
-
-        def perturbed(owner):
-            grid = original(owner)
-            grid[1][2] = Polynomial(grid[1][2].coeffs + (0,))
-            return grid
-
-        monkeypatch.setattr(SquareMatrix, "_cofactor_polys", perturbed)
+        perturb_grid(monkeypatch, lambda grid: grid[1][2].append(0))
         assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials"}
 
     def test_charpoly_forest_coeffs(self, graph, monkeypatch):
@@ -275,22 +290,28 @@ class TestMutations:
                         "path-expansion-cofactors"}),
         ((1,), (0, 1), {"path-expansion-cofactors"}),
         ((1,), (0, 0), {"rooted-minors"}),
-        ((), (0, 0), {"matrix-tree-cofactors", "rooted-minors", "contraction-minors",
-                      "charpoly-forest-coefficients"}),
-        ((), (0, 1), {"matrix-tree-cofactors", "path-expansion-cofactors"}),
-    ], ids=["diagonal", "off-diagonal", "unread-diagonal", "L-diagonal", "L-off-diagonal"])
+        ((), (0, 0), {"rooted-minors", "contraction-minors", "charpoly-forest-coefficients",
+                      "cofactor-polynomials", "signed-cofactor-polynomials"}),
+        ((), (0, 1), {"path-expansion-cofactors", "cofactor-polynomials", "signed-cofactor-polynomials"}),
+        (None, (0, 0), {"matrix-tree-cofactors"}),
+        (None, (0, 1), {"matrix-tree-cofactors"}),
+    ], ids=["diagonal", "off-diagonal", "unread-diagonal", "L-diagonal", "L-off-diagonal",
+            "L-public-diagonal", "L-public-off-diagonal"])
     def test_submatrix_adjugate_entry(self, graph, monkeypatch, deleted, entry, failed):
         # one entry of adj(L minus the deleted vertices) is off by one. The
         # diagonal entry (1, 1) of adj(L minus {1}), at vertex 2, is the minor
         # of L minus {1, 2}, read from there only; its entry (0, 0), at vertex
         # 0, is the minor of L minus {0, 1}, read from adj(L minus {0}), and
         # only rooted-minors compares every diagonal entry. An off-diagonal
-        # entry is a cofactor only path expansion checks. adj L is the
-        # SquareMatrix matrix_tree_check takes: its entry (0, 0) is the minor
-        # of L minus {0}. Every other is the integer adjugate X of L's scaled
-        # rows with the deleted rows and columns left out, and X is perturbed
+        # entry is a cofactor only path expansion checks. adj L (deleted ())
+        # is node 0 of the grid's run, so the cofactor polynomials interpolated
+        # through it fail too; its entry (0, 0) is the minor of L minus {0}.
+        # The SquareMatrix adj L that matrix_tree_check takes (deleted None)
+        # is another elimination, read by matrix-tree-cofactors only. Every
+        # other is the integer adjugate X of L's scaled rows with the deleted
+        # rows and columns left out, and X is perturbed
         lap, hits = graph_matrix(graph), []
-        if not deleted:
+        if deleted is None:
             original = SquareMatrix.adjugate
 
             def perturbed(self):
@@ -303,6 +324,8 @@ class TestMutations:
                 return SquareMatrix(tuple(map(tuple, rows)))
 
             monkeypatch.setattr(SquareMatrix, "adjugate", perturbed)
+        elif not deleted:
+            perturb_node(monkeypatch, graph, 0, entry, hits)
         else:
             rows, mults = verify._scaled_rows(graph)
             kept = [v for v in range(graph.n) if v not in deleted]
@@ -318,6 +341,16 @@ class TestMutations:
 
             monkeypatch.setattr(verify, "_adjugates", perturbed)
         assert failing(graph) == failed
+        assert len(hits) == 1
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_node_one_adjugate_entry(self, graph, monkeypatch, entry):
+        # node 1 of the grid's run is adj W, which forest-cofactors and
+        # cofactor-row-partition read; the polynomials interpolated through it fail too
+        hits = []
+        perturb_node(monkeypatch, graph, 1, entry, hits)
+        assert failing(graph) == {"forest-cofactors", "cofactor-row-partition",
+                                  "cofactor-polynomials", "signed-cofactor-polynomials"}
         assert len(hits) == 1
 
     @pytest.mark.parametrize("lam, failed", [
@@ -366,6 +399,26 @@ class TestMutations:
 
         monkeypatch.setattr(verify, "_tabulate", perturbed)
         assert failing(graph) == {"parallel-merge-invariance"}
+
+
+class TestPinnedOutputs:
+    # sha256 over the repr of every CheckResult, detail included, of
+    # run_all_checks on seeded graphs of both kinds (n = 1 ... 6, signed and
+    # zero weights, four with det W = 0), recorded before the cofactor grid
+    # became integers: a changed name, verdict, skip or detail byte changes it
+    DIGEST = "7ef01719e9e872f63f176de4dc0dc0bc23887a40be2e15ad3097b6ee5e87d1a0"
+
+    def test_check_results_on_seeded_graphs(self):
+        rng = random.Random(29)
+        pool = WEIGHT_POOL + (F(0),)
+        graphs = [Multigraph(1), Multidigraph(1)]
+        for k in range(40):  # undirected: at most 6 edges, 12 twin arcs, within the default guard
+            make = random_multidigraph if k % 2 else random_multigraph
+            graphs.append(make(rng, 2, 6, 8 if k % 2 else 6, pool))
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(repr(run_all_checks(g)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestMergeAcrossDenominators:
@@ -435,18 +488,20 @@ class TestWorkCounts:
     def test_each_submatrix_keeping_two_vertices_built_once(self, graph, spy):
         # one integer adjugate per nonempty subset phi that keeps at least 2
         # vertices, of L's scaled rows with phi deleted: the other principal
-        # minors are on those adjugates' diagonals, and adj L is the one
-        # matrix_tree_check takes. No submatrix is built as a SquareMatrix
+        # minors are on those adjugates' diagonals, and adj L is node 0 of the
+        # grid's run. No submatrix is built as a SquareMatrix
         n = graph.n
         lap = graph_matrix(graph)
         rows, mults = verify._scaled_rows(graph)
         built, adjugated = spy(SquareMatrix, "delete_rows_cols"), spy(SquareMatrix, "adjugate")
-        adjugates = spy(verify, "_adjugates")
+        adjugates, runs = spy(verify, "_adjugates"), spy(linalg, "_adjugates")
         run_all_checks(graph)
         assert built == []
-        # W's and L's: the polynomial checks and the submatrices take theirs
-        # from the scaled rows, not from SquareMatrix
-        assert [call["self"] for call in adjugated] == [forest_matrix(lap), lap]
+        # only matrix_tree_check's, on L: adj W and the table's adj L are nodes
+        # 1 and 0 of the grid's one run, on L's scaled rows at 0 ... n - 1
+        assert [call["self"] for call in adjugated] == [lap]
+        grid_runs = [c for c in runs if (c["rows"], c["mults"]) == (rows, mults)]
+        assert [tuple(c["shifts"]) for c in grid_runs] == [(0,), tuple(range(n))]  # matrix_tree_check's, the grid's
         expected = []
         for size in range(1, n - 1):
             for phi in combinations(range(n), size):
@@ -460,10 +515,15 @@ class TestWorkCounts:
         # one adjugate of the scaled rows per distinct shift of the two checks:
         # lambda = -1 and -2 of the plain check are the shifts of lambda = 1
         # and 2 of the signed one. Polynomial.evaluate serves the forest
-        # polynomial's evaluations only
+        # polynomial's evaluations only, and both checks get grids of integers
         n = graph.n
         adjugates, evaluated = spy(verify, "_adjugates"), spy(Polynomial, "evaluate")
+        checked = spy(verify, "_check_polys")
         run_all_checks(graph)
+        assert [c["name"] for c in checked] == ["cofactor-polynomials", "signed-cofactor-polynomials"]
+        for call in checked:
+            assert len(call["grid"]) == n and all(len(row) == n for row in call["grid"])
+            assert {type(c) for row in call["grid"] for coeffs in row for c in coeffs} == {int}
         shifts = [*verify.EVAL_POINTS, *range(-3, -n - 2, -1)]
         assert len(shifts) == len(verify.EVAL_POINTS) + n + 1 - 2
         references = [(c["rows"], c["mults"], tuple(c["shifts"])) for c in adjugates if len(c["rows"]) == n]
@@ -472,12 +532,12 @@ class TestWorkCounts:
 
     def test_determinants_and_cofactor_grids(self, graph, spy):
         # every determinant is forest_det's, once per lambda: det W, det L and
-        # the charpoly evaluations; L's grid of cofactor polynomials serves
-        # both polynomial checks
-        dets, grids = spy(SquareMatrix, "det"), spy(SquareMatrix, "_cofactor_polys")
+        # the charpoly evaluations; L's one integer grid of cofactor
+        # polynomials, on the scaled rows of L, serves both polynomial checks
+        dets, grids = spy(SquareMatrix, "det"), spy(verify, "_cofactor_grid")
         lams = spy(verify, "forest_det")
         run_all_checks(graph)
-        assert dets == [] and len(grids) == 1
+        assert dets == [] and [(c["rows"], c["mults"]) for c in grids] == [verify._scaled_rows(graph)]
         assert sorted(call["lam"] for call in lams) == sorted((1, 0, *verify.EVAL_POINTS))
 
     def test_paths_enumerated_once_on_one_companion(self, graph, spy):
@@ -511,9 +571,12 @@ class TestWorkCounts:
         assert eliminations(hollow.inverse) == [["restart", "swap"]]
         assert eliminations(lap.adjugate) == [[]]  # det 0 at the last pivot
         assert eliminations(stair.adjugate) == [["singular"], []]  # column 0 is zero
-        assert eliminations(regular._cofactor_polys) == [[]] * n
+        def grid(m):
+            return lambda: linalg._cofactor_grid(*linalg._integer_rows(m.entries))
+
+        assert eliminations(grid(regular)) == [[]] * n
         # at x < n - 1 column x of the stage is zero; at x = n - 1 the last pivot is
-        assert eliminations(stair._cofactor_polys) == [["singular"], []] * (n - 1) + [[]]
+        assert eliminations(grid(stair)) == [["singular"], []] * (n - 1) + [[]]
 
     def test_merge_invariance_counts_merged_forests(self, graph):
         merged = merge_parallel(graph)
