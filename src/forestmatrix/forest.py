@@ -240,7 +240,9 @@ class MatrixTreeReport(NamedTuple):
 
 
 def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTreeReport:
-    """Check every cofactor of L against the brute-force spanning-tree weights."""
+    """Check every cofactor of L against the brute-force spanning-tree weights:
+    the total of the trees diverging from each root (from vertex 0 alone if
+    undirected), in one oracle walk per root, over the walk's den."""
     from . import oracle
 
     oracle._check_guard(graph, guard)  # before the elimination of adj L
@@ -248,16 +250,11 @@ def matrix_tree_check(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> MatrixTr
     if m.n == 0:
         raise ValueError("matrix-tree check needs at least one vertex")
     grid = m.adjugate().transpose()
-    if isinstance(graph, Multidigraph):
-        weights = tuple(
-            oracle.set_weight(
-                (t.arcs for t in oracle.enum_diverging_trees(graph, i, guard)), graph
-            )
-            for i in range(graph.n)
-        )
-        return MatrixTreeReport(True, grid, weights)
-    total = oracle.set_weight(oracle.enum_spanning_trees(graph, guard), graph)
-    return MatrixTreeReport(False, grid, (total,) * graph.n)
+    directed = isinstance(graph, Multidigraph)
+    den = oracle._den(graph)
+    roots = range(graph.n) if directed else (0,)
+    weights = tuple(Fraction(sum(w for _, _, w in oracle._choices(graph, r)), den) for r in roots)
+    return MatrixTreeReport(directed, grid, weights if directed else weights * graph.n)
 
 
 def forest_minor(graph: AnyGraph, vertices) -> Fraction:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, NamedTuple, Union
 
 from .linalg import SquareMatrix, _in_range, _Value, as_rational
@@ -66,6 +67,16 @@ class Arc(NamedTuple):
     w: Fraction
 
 
+def _vertex_count(n) -> int:
+    """n as an int, numpy integers included; a bool (an int subclass) or a non-integer is refused."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise GraphValidationError(f"vertex count must be an integer, got {n!r}")
+    n = index(n)
+    if n < 0:
+        raise GraphValidationError(f"vertex count must be >= 0, got {n}")
+    return n
+
+
 def _checked(kind: str, a: int, b: int, w, n: int):
     # bool is an int subclass, but True/False as a vertex id is always a mistake
     if isinstance(a, bool) or isinstance(b, bool) or not (isinstance(a, int) and isinstance(b, int)):
@@ -83,8 +94,7 @@ class Multigraph(_Value):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: tuple[Edge, ...] = ()) -> None:
-        if n < 0:
-            raise GraphValidationError(f"vertex count must be >= 0, got {n}")
+        n = _vertex_count(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "edges", tuple(Edge(*_checked("edge", e[0], e[1], e[2], n)) for e in edges)
@@ -101,8 +111,7 @@ class Multidigraph(_Value):
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs: tuple[Arc, ...] = ()) -> None:
-        if n < 0:
-            raise GraphValidationError(f"vertex count must be >= 0, got {n}")
+        n = _vertex_count(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "arcs", tuple(Arc(*_checked("arc", a[0], a[1], a[2], n)) for a in arcs)

@@ -66,10 +66,13 @@ def as_rational(value) -> Fraction:
 
     Other strings raise ValueError. Floats are refused: a binary float is
     almost never the number the caller wrote down, and silently converting
-    one would poison exact results.
+    one would poison exact results. Bools are refused too: an int subclass,
+    but True as a weight, lambda or entry is always a mistake.
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"refusing bool {value!r}; pass an int, Fraction or string")
     if isinstance(value, float):
         raise TypeError(
             f"refusing inexact float {value!r}; pass an int, Fraction or string"

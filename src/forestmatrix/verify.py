@@ -133,10 +133,11 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
     forest_det's, once per lambda: det W at 1, det L at 0 and det(lambda*I + L)
     at EVAL_POINTS. One integer grid holds every cofactor polynomial of
     lambda*I + L, row i over scale // d_i, scale the product of L's row scales d,
-    interpolated through the adjugates of L's scaled rows at the shifts 0 ... n-1:
-    node 1 is adj W and node 0 adj L, both kept over scale. Flipped to lambda*I - L
-    it is the signed grid; both grids are evaluated on integers against the
-    adjugates of the scaled rows, once per shift. Each other principal submatrix
+    interpolated through the adjugates X(x) of L's scaled rows at the shifts
+    0 ... n-1: node 1 is adj W and node 0 adj L, both kept over scale. Flipped to
+    lambda*I - L it is the signed grid. Both grids are evaluated on integers
+    against one run of _adjugates per denominator q of their shifts, on L's
+    scaled rows times q (see _check_polys). Each other principal submatrix
     L minus phi that keeps at least 2 vertices is eliminated once, on L's integer
     rows, for its adjugate over scale; its entry (v, v), v after all of phi, is
     the minor det L minus (phi + v); only det L and the 1 of the empty matrix are
@@ -169,19 +170,24 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         minors.update(((*phi, v), sub[v - k][v - k]) for v in range(max(phi, default=-1) + 1, n))
     signed = [[_signed(coeffs, n) for coeffs in row] for row in polys]
     overs = [scale // d for d in mults]
-    refs = {}  # adj of the scaled rows of x*I + L by shift x, shared by both polynomial checks
+    # the shifts x = sign * lambda of both checks, -1 and -2 shared; one run per denominator
+    shifts = dict.fromkeys(Fraction(x) for x in (*EVAL_POINTS, *range(-1, -n - 2, -1)))
+    refs = {}  # at x = p/q, adj D(qL + pI) = q**(n-1) * X(x), X(x) = adj D(L + x*I) as the grid
+    for q in sorted({x.denominator for x in shifts}):
+        xs = [x for x in shifts if x.denominator == q]
+        refs.update(zip(xs, _adjugates([[q * e for e in row] for row in rows], mults, [x.numerator for x in xs])))
     return [
         _check_matrix_tree(report),
         _check_forest_det(det_w, table),
         _check_forest_cofactors(adj_w, scale, table),
         _check_row_partition(adj_w, scale, det_w),
         _check_accessibility(graph, w, det_w, table),
-        _check_merge_invariance(graph, w, table),
+        _check_merge_invariance(graph, rows, mults, table),
         _check_contraction_minors(twin, minors, scale),
         _check_rooted_minors(n, minors, adjs, scale, table),
         _check_charpoly(graph, det_w, dets, minors, scale, table),
         _check_polys(
-            "cofactor-polynomials", polys, graph, 1, overs, EVAL_POINTS, refs, table.den, table.coeffs,
+            "cofactor-polynomials", polys, 1, overs, EVAL_POINTS, refs, table.den, table.coeffs,
             f"coefficients match bucketed enumeration and evaluations at "
             f"{len(EVAL_POINTS)} points for all {n * n} pairs",
         ),
@@ -189,7 +195,7 @@ def run_all_checks(graph: AnyGraph, guard: Guard = DEFAULT_GUARD) -> list[CheckR
         # L's grid flipped to lambda*I - L, against adjugates of lambda*I - L at 1 ... n+1:
         # flipped back, none is a node 0 ... n-1 of L's grid, and n+1 points pin degree n-1
         _check_polys(
-            "signed-cofactor-polynomials", signed, graph, -1, overs, range(1, n + 2), refs, table.den, table.signed,
+            "signed-cofactor-polynomials", signed, -1, overs, range(1, n + 2), refs, table.den, table.signed,
             "arc-parity-signed coefficients match the cofactors of the characteristic matrix of L",
         ),
     ]
@@ -249,9 +255,9 @@ def _check_accessibility(graph, w, det_w, table) -> CheckResult:
     )
 
 
-def _check_merge_invariance(graph, w, table) -> CheckResult:
+def _check_merge_invariance(graph, rows, mults, table) -> CheckResult:
     merged = merge_parallel(graph)
-    ok = forest_matrix(graph_matrix(merged)) == w
+    ok = _scaled_rows(merged) == (rows, mults)  # in lowest terms: equal exactly when the matrices are
     merged_table = _tabulate(merged)
     # a forest holds at most one instance of each parallel class, so merging
     # keeps every root structure and instance count; only the forest count drops
@@ -316,29 +322,24 @@ def _check_charpoly(graph, det_w, dets, minors, scale, table) -> CheckResult:
     )
 
 
-def _check_polys(name, grid, graph, sign, overs, points, refs, den, column, detail) -> CheckResult:
+def _check_polys(name, grid, sign, overs, points, refs, den, column, detail) -> CheckResult:
     """Each polynomial (i, j) of lambda*I + sign*L in `grid`, integer coefficients
     over overs[i], against the totals over den, and at each lambda = p/q against
-    X = adj B, B = D * M the scaled rows of M = (sign*lambda)*I + L, from
-    refs[sign*lambda] (taken there on first use): adj(lambda*I + sign*L)_ji =
-    sign**(n-1) * X_ji * d_i / det D, and Horner's rule gives H = overs[i] *
-    q**deg * poly(p/q), so sign**(n-1) * H * det D == X_ji * d_i * overs[i] * q**deg."""
-    shifts = [sign * lam for lam in points]
-    for shift in shifts:
-        if shift not in refs:
-            rows, mults = _scaled_rows(graph, shift)
-            refs[shift] = next(_adjugates(rows, mults, (0,))), mults, prod(mults)
-    at = [(lam.numerator, lam.denominator, *refs[shift]) for lam, shift in zip(points, shifts)]
-    s = sign ** (graph.n - 1)
+    refs[sign*lambda], the adjugate of D * (q*L + sign*p*I). The integer
+    coefficients are those of sign**(n-1) * X_ji(sign*lambda), X(x) = adj D(L +
+    x*I), so Horner's rule on the n of them gives H with sign**(n-1) * H ==
+    q**(n-1) * X_ji(sign*lambda), that reference's entry (j, i)."""
+    at = [(lam.numerator, lam.denominator, refs[sign * lam]) for lam in points]
+    s = sign ** (len(grid) - 1)
     ok = True
     for i, (row, over) in enumerate(zip(grid, overs)):
         for j, coeffs in enumerate(row):
             ok = ok and [c * den for c in coeffs] == [t * over for t in column[(i, j)]]
-            for p, q, x, mults, det_d in at:
+            for p, q, x in at:
                 h, qk = 0, 1
                 for c in reversed(coeffs):
                     h, qk = h * p + c * qk, qk * q
-                ok = ok and h * s * det_d == x[j][i] * mults[i] * over * (qk // q)
+                ok = ok and h * s == x[j][i]
     return CheckResult(name, ok, detail=detail)
 
 

@@ -22,6 +22,7 @@ from forestmatrix import (
     enum_diverging_trees,
     enum_paths,
     enum_rooted_forests,
+    enum_spanning_trees,
     filter_rooted,
     filter_roots,
     forest_cofactor,
@@ -34,6 +35,7 @@ from forestmatrix import (
     linalg,
     matrix_tree_check,
     merge_parallel,
+    oracle,
     path_expansion_cofactor,
     set_weight,
     signed_cofactor_poly,
@@ -549,6 +551,24 @@ class TestMatrixTreeCheck:
             assert matrix_tree_check(random_multigraph(rng, max_edges=8)).passed
             assert matrix_tree_check(random_multidigraph(rng, max_arcs=8)).passed
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_tree_totals_from_one_walk_per_root(self, directed, spy):
+        # each root's total is read from the oracle walk of the trees diverging
+        # from it, vertex 0 alone for a graph, and equals the public enumeration's
+        rng = random.Random(31)
+        g = random_multidigraph(rng, 3, 5, 8) if directed else random_multigraph(rng, 3, 5, 6)
+        walks = spy(oracle, "_choices")
+        names = ("enum_spanning_trees", "enum_diverging_trees", "set_weight", "weight_of")
+        public = [spy(oracle, name) for name in names]
+        report = matrix_tree_check(g)
+        assert [(c["graph"], c["root"]) for c in walks] == [(g, r) for r in (range(g.n) if directed else (0,))]
+        assert public == [[]] * 4
+        if directed:
+            expected = tuple(set_weight((t.arcs for t in enum_diverging_trees(g, r)), g) for r in range(g.n))
+        else:
+            expected = (set_weight(enum_spanning_trees(g), g),) * g.n
+        assert report.tree_weights == expected and report.passed
+
     def test_report_flags_identities_separately(self):
         from forestmatrix import MatrixTreeReport
 
@@ -688,9 +708,14 @@ BOOL = "index True is a bool, not an integer"
     (lambda: filter_rooted(PATH, enum_rooted_forests(PATH), True, 0), TypeError, BOOL),
     (lambda: contract(to_bidirected(PATH), [True, 0]), TypeError, BOOL),
     (lambda: weight_of([True], PATH), TypeError, BOOL),
+    # nor as the number 1 or 0
+    (lambda: Multigraph(2, ((0, 1, True),)), TypeError, "refusing bool True; pass an int, Fraction or string"),
+    (lambda: forest_det(PATH, lam=False), TypeError, "refusing bool False; pass an int, Fraction or string"),
+    (lambda: SquareMatrix(((True,),)), TypeError, "refusing bool True; pass an int, Fraction or string"),
 ], ids=["path-expansion-2", "path-expansion-minus-1", "matrix-tree-graph", "matrix-tree-digraph",
         *(f"bool-{name}" for name in ("cofactor", "cofactor-poly", "matrix-cofactor", "minor",
-                                       "diverging-trees", "paths", "filter-rooted", "contract", "weight"))])
+                                       "diverging-trees", "paths", "filter-rooted", "contract", "weight",
+                                       "edge-weight", "lambda", "matrix-entry"))])
 def test_refused_input(call, error, message):
     with pytest.raises(error) as raised:
         call()

@@ -283,8 +283,21 @@ class TestToBidirected:
     (lambda: contract(Multidigraph(3, ((0, 1, 1),)), [0, 3]), "vertex 3 out of range for n=3"),
     (lambda: contract(Multidigraph(3, ((0, 1, 1),)), [-1]), "vertex -1 out of range for n=3"),
     (lambda: Multidigraph(-1), "vertex count must be >= 0, got -1"),
-], ids=["contract-3", "contract-minus-1", "negative-vertex-count"])
+    # bool is an int subclass: True must not be read as 1 vertex
+    (lambda: Multidigraph(True), "vertex count must be an integer, got True"),
+    (lambda: Multigraph(False), "vertex count must be an integer, got False"),
+    (lambda: Multigraph(2.0, ((0, 1, 1),)), "vertex count must be an integer, got 2.0"),
+    (lambda: Multidigraph("3"), "vertex count must be an integer, got '3'"),
+], ids=["contract-3", "contract-minus-1", "negative-vertex-count", "bool-vertex-count-digraph",
+        "bool-vertex-count-graph", "float-vertex-count", "str-vertex-count"])
 def test_refused_input_is_a_validation_error(call, message):
     with pytest.raises(GraphValidationError) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_numpy_integer_vertex_count_is_an_int():
+    np = pytest.importorskip("numpy")
+    for kind in (Multigraph, Multidigraph):
+        g = kind(np.int64(3), ((0, 1, 1),))
+        assert type(g.n) is int and g == kind(3, ((0, 1, 1),))

@@ -134,11 +134,17 @@ class TestMutations:
 
     def test_signed_cofactor_poly(self, graph, monkeypatch):
         # the signed grid is L's flipped, untouched, but the adjugates it is
-        # evaluated against become those of lambda*I + L instead of lambda*I - L
+        # evaluated against become those of lambda*I + L, L's scaled rows at the
+        # shifts 1 ... n + 1, instead of those of lambda*I - L at -1 ... -(n + 1)
+        n = graph.n
+        rows, mults = verify._scaled_rows(graph)
+        plus = dict(zip(range(1, n + 2), linalg._adjugates(rows, mults, range(1, n + 2))))
         original = verify._check_polys
 
-        def perturbed(name, grid, host, sign, *rest):
-            return original(name, grid, host, 1, *rest)
+        def perturbed(name, grid, sign, overs, points, refs, *rest):
+            if sign == -1:
+                sign, refs = 1, plus
+            return original(name, grid, sign, overs, points, refs, *rest)
 
         monkeypatch.setattr(verify, "_check_polys", perturbed)
         assert failing(graph) == {"signed-cofactor-polynomials"}
@@ -149,20 +155,23 @@ class TestMutations:
         (lambda n: -2, {"cofactor-polynomials", "signed-cofactor-polynomials"}),
     ], ids=["plain", "signed", "shared"])
     def test_reference_adjugate_entry(self, graph, monkeypatch, shift, failed):
-        # entry (0, 1) of the adjugate of the scaled rows of shift*I + L, which
-        # the polynomial checks evaluate against, is off by one: shift = 1/2 is
-        # lambda = 1/2 of the plain check only; -(n + 1) is lambda = n + 1 of
-        # the signed check only; -2 is lambda = -2 of the plain check and
-        # lambda = 2 of the signed one, which share one elimination
-        rows = verify._scaled_rows(graph, shift(graph.n))
+        # entry (0, 1) of the reference at the shift x = p/q, the adjugate of
+        # the scaled rows of q*L + p*I from the run on L's scaled rows times q,
+        # is off by one: x = 1/2 is lambda = 1/2 of the plain check only;
+        # -(n + 1) is lambda = n + 1 of the signed check only; -2 is lambda = -2
+        # of the plain check and lambda = 2 of the signed one, which share it
+        x = F(shift(graph.n))
+        rows, mults = verify._scaled_rows(graph)
+        scaled = [[x.denominator * e for e in row] for row in rows]
         original, hits = verify._adjugates, []
 
-        def perturbed(*args):
-            for x in original(*args):
-                if args[:2] == rows:
-                    hits.append(args)
-                    x[0][1] += 1
-                yield x
+        def perturbed(rs, ms, shifts):
+            shifts = list(shifts)
+            for p, adj in zip(shifts, original(rs, ms, shifts)):
+                if (rs, ms) == (scaled, mults) and p == x.numerator:
+                    hits.append(p)
+                    adj[0][1] += 1
+                yield adj
 
         monkeypatch.setattr(verify, "_adjugates", perturbed)
         assert failing(graph) == failed
@@ -197,6 +206,33 @@ class TestMutations:
         perturb_walk(monkeypatch, change)
         # forest-determinant reads its total from the same table
         assert failing(graph) == TABLE_CHECKS | {"forest-determinant"}
+
+    def test_one_tree_weight(self, graph, monkeypatch):
+        # the first tree of each walk from a root over the graph under test
+        # weighs one more (one over den): matrix_tree_check's totals, read
+        # from those walks; the contracted graphs' walks are left as they are
+        def change(host, root, forests):
+            if host is not graph or root is None:
+                return forests
+            (c, r, w), *rest = forests
+            return [(c, r, w + 1), *rest]
+
+        perturb_walk(monkeypatch, change)
+        assert failing(graph) == {"matrix-tree-cofactors"}
+
+    def test_doubled_elimination_shift(self, graph, monkeypatch):
+        # every shift x of an elimination on scaled rows adds 2*x instead of
+        # x to the diagonal: the grid's nodes, the polynomial references and
+        # the forest polynomial move, and each meets the enumeration's
+        # coefficients; node 1, adj W, becomes adj(2*I + L)
+        original = linalg._forward
+
+        def doubled(rows, mults, order, symmetric, steps, shift=0):
+            return original(rows, mults, order, symmetric, steps, 2 * shift)
+
+        monkeypatch.setattr(linalg, "_forward", doubled)
+        assert failing(graph) == {"cofactor-polynomials", "signed-cofactor-polynomials",
+                                  "charpoly-forest-coefficients", "forest-cofactors", "cofactor-row-partition"}
 
     def test_one_root_of_one_forest(self, graph, monkeypatch):
         # in the forest without instances vertex 1 is reported in vertex 0's
@@ -512,22 +548,27 @@ class TestWorkCounts:
         assert len(subs) == 2**n - n - 2 == 10
 
     def test_polynomial_checks_evaluate_in_integers(self, graph, spy):
-        # one adjugate of the scaled rows per distinct shift of the two checks:
-        # lambda = -1 and -2 of the plain check are the shifts of lambda = 1
-        # and 2 of the signed one. Polynomial.evaluate serves the forest
-        # polynomial's evaluations only, and both checks get grids of integers
+        # one adjugate run on L's scaled rows times q per denominator q of the
+        # two checks' shifts: q = 1 at -1 ... -(n + 1), where lambda = -1 and -2
+        # of the plain check are the shifts of lambda = 1 and 2 of the signed
+        # one, and q = 2 at 1 and -3 (lambda = 1/2 and -3/2). verify scales no
+        # rows at a shift, Polynomial.evaluate serves the forest polynomial's
+        # evaluations only, and both checks get grids of integers
         n = graph.n
+        rows, mults = verify._scaled_rows(graph)
         adjugates, evaluated = spy(verify, "_adjugates"), spy(Polynomial, "evaluate")
-        checked = spy(verify, "_check_polys")
+        checked, scaled = spy(verify, "_check_polys"), spy(verify, "_scaled_rows")
         run_all_checks(graph)
         assert [c["name"] for c in checked] == ["cofactor-polynomials", "signed-cofactor-polynomials"]
         for call in checked:
             assert len(call["grid"]) == n and all(len(row) == n for row in call["grid"])
             assert {type(c) for row in call["grid"] for coeffs in row for c in coeffs} == {int}
-        shifts = [*verify.EVAL_POINTS, *range(-3, -n - 2, -1)]
-        assert len(shifts) == len(verify.EVAL_POINTS) + n + 1 - 2
-        references = [(c["rows"], c["mults"], tuple(c["shifts"])) for c in adjugates if len(c["rows"]) == n]
-        assert references == [(*verify._scaled_rows(graph, x), (0,)) for x in shifts]
+        references = [(c["rows"], c["mults"], list(c["shifts"])) for c in adjugates if len(c["rows"]) == n]
+        assert references == [
+            (rows, mults, list(range(-1, -n - 2, -1))),
+            ([[2 * e for e in row] for row in rows], mults, [1, -3]),
+        ]
+        assert [c["lam"] for c in scaled] == [0, 0]  # L's, and the merged graph's
         assert sorted(call["x"] for call in evaluated) == sorted((1, *verify.EVAL_POINTS))
 
     def test_determinants_and_cofactor_grids(self, graph, spy):
