@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Iterable, NamedTuple, Union
 
-from .linalg import SquareMatrix, _in_range, _Value, as_rational
+from .linalg import SquareMatrix, _in_range, _is_bool, _Value, as_rational
 
 __all__ = [
     "GraphValidationError",
@@ -67,20 +67,30 @@ class Arc(NamedTuple):
     w: Fraction
 
 
+def _integer(value) -> int | None:
+    """value as an int through operator.index, numpy integers included; None for
+    a non-integer or a bool (an int subclass, and numpy's), which as a vertex
+    count or id is always a mistake."""
+    if _is_bool(value) or not hasattr(type(value), "__index__"):
+        return None
+    return index(value)
+
+
 def _vertex_count(n) -> int:
-    """n as an int, numpy integers included; a bool (an int subclass) or a non-integer is refused."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+    count = _integer(n)
+    if count is None:
         raise GraphValidationError(f"vertex count must be an integer, got {n!r}")
-    n = index(n)
-    if n < 0:
-        raise GraphValidationError(f"vertex count must be >= 0, got {n}")
-    return n
+    if count < 0:
+        raise GraphValidationError(f"vertex count must be >= 0, got {count}")
+    return count
 
 
 def _checked(kind: str, a: int, b: int, w, n: int):
-    # bool is an int subclass, but True/False as a vertex id is always a mistake
-    if isinstance(a, bool) or isinstance(b, bool) or not (isinstance(a, int) and isinstance(b, int)):
-        raise GraphValidationError(f"{kind} endpoints must be integers, got ({a!r}, {b!r})")
+    if type(a) is not int or type(b) is not int:  # plain ints, as parsed, skip the conversion
+        ia, ib = _integer(a), _integer(b)
+        if ia is None or ib is None:
+            raise GraphValidationError(f"{kind} endpoints must be integers, got ({a!r}, {b!r})")
+        a, b = ia, ib
     if not (0 <= a < n and 0 <= b < n):
         raise GraphValidationError(f"{kind} ({a}, {b}) out of range for n={n}")
     if a == b:

@@ -6,8 +6,10 @@ matrix is scaled to integers once (each row by the lcm of its denominators)
 and reduced by one fraction-free elimination (Bareiss 1968) with diagonal
 pivots in a Markowitz order (Markowitz 1957). For a matrix equal to its
 transpose, which the kernel finds from the scaled rows whatever the graph
-kind, it updates the upper triangle only; a zero pivot restarts it on full
-rows, where a zero pivot swaps in a lower row. The kernels are functions of
+kind, it updates the upper triangle only, and where the pivot rows allow it
+takes two steps per pass (Bareiss's two-step method) with the same pivots and
+pivot rows as single steps; a zero pivot restarts it on full rows, where a
+zero pivot swaps in a lower row. The kernels are functions of
 those rows and their multipliers, so `forest` runs them on rows built
 straight from an arc list, and the SquareMatrix methods on the rows of their
 entries. Determinants and cofactors are entries of the eliminated rows; the
@@ -61,17 +63,25 @@ def _literal(text: str, integer: bool = False):
     raise ValueError(f"{text!r} is not {'an integer' if integer else 'a rational literal'}")
 
 
+def _is_bool(value) -> bool:
+    """Whether value is a bool or a numpy bool (numpy.bool_, to which numpy 1.x
+    still gives an __index__), without importing numpy."""
+    return type(value).__name__ in ("bool", "bool_")
+
+
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings in the literal grammar ("3", "1/2", "0.25").
 
     Other strings raise ValueError. Floats are refused: a binary float is
     almost never the number the caller wrote down, and silently converting
-    one would poison exact results. Bools are refused too: an int subclass,
-    but True as a weight, lambda or entry is always a mistake.
+    one would poison exact results. Bools, numpy's too, are refused: True as a
+    weight, lambda or entry is always a mistake. A numpy integer becomes a
+    Fraction of Python ints, as one of fixed width would overflow silently in
+    the kernels (a Fraction is taken as it is).
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
+    if _is_bool(value):
         raise TypeError(f"refusing bool {value!r}; pass an int, Fraction or string")
     if isinstance(value, float):
         raise TypeError(
@@ -79,7 +89,10 @@ def as_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         return _literal(value)
-    return Fraction(value)
+    value = Fraction(value)
+    if type(value.numerator) is not int:
+        value = Fraction(int(value.numerator), int(value.denominator))
+    return value
 
 
 def _integer_rows(entries) -> tuple[list[list[int]], list[int]]:
@@ -175,7 +188,13 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r, so entry
     (r, k) of a row below the pivot is rk[r] * d_r // d_k, read from the pivot
     row; for a lazy row its stored value is rk[r] * d_r * level[r] // (d_k *
-    p_(k-1)). A zero pivot there restarts the run on full rows. On full rows,
+    p_(k-1)). Where row k has a nonzero in column k + 1, k + 1 < steps and at
+    least 10 rows remain from k to the last row updated, _paired takes steps k
+    and k + 1 in one pass (three products and one division per entry, not four
+    and two), with the pivots and pivot rows of two single steps; a zero
+    p_(k+1) falls back to step k alone. On smaller runs, verify's and the
+    small polynomial shifts, a pass costs more than it saves. A zero pivot
+    restarts the run on full rows, which take single steps only. On full rows,
     a zero pivot p_k swaps in, negated, the first row r, k < r <= steps, with
     a nonzero in column k, and (k, r) joins swaps. The result then describes
     P * B, P the signed permutation of the swaps; det P = 1, so det(P * B) =
@@ -192,7 +211,8 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     pivots = [1]
     swaps = None if symmetric else []
     prev = 1
-    for k in range(steps):
+    k = 0
+    while k < steps:
         rk = b[k]
         if not rk[k]:
             if symmetric:
@@ -210,6 +230,12 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
             rk[k:] = [x * prev // t for x in rk[k:]]
         pivot = rk[k]
         if symmetric:
+            second = k + 1 < steps and end - k >= 10 and rk[k + 1] and _paired(b, d, level, k, end, prev)
+            if second:
+                pivots += (pivot, second)
+                prev = second
+                k += 2
+                continue
             dk = d[k] * prev
             for r in compress(range(k + 1, end), rk[k + 1:end]):
                 row, t = b[r], level[r]
@@ -228,7 +254,45 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
                     row[k] = f * prev // t
         pivots.append(pivot)
         prev = pivot
+        k += 1
     return b, d, pivots, level, swaps
+
+
+def _paired(b: list[list[int]], d: list[int], level: list[int], k: int, end: int, prev: int) -> int:
+    """Steps k and k + 1 of _forward's symmetric route in one pass (Bareiss's
+    two-step method), pivot row k up to date and p_(k-1) = prev. Returns
+    p_(k+1) = c0 = (a00 * a11 - a01 * a10) // prev, with a00, a01, a10, a11 the
+    leading 2-by-2 block of rows k and k + 1 (a10 read from the pivot row); if
+    c0 is 0, only row k + 1 has been brought up to date.
+
+    By Sylvester's identity a row i >= k + 2 becomes (a_ij * c0 + u * c1_j +
+    v * c2_j) // t at its level t, u and v its entries in columns k and k + 1
+    (read from the pivot rows), with the 2-by-2 minors c1_j = (a01 * a_(k+1)j
+    - a11 * a_kj) // prev and c2_j = (a10 * a_kj - a00 * a_(k+1)j) // prev.
+    Row k + 1 is left as [c0, -c2_j, ...], the pivot row step k would leave.
+    """
+    r0, r1 = b[k], b[k + 1]
+    t = level[k + 1]
+    if t != prev:
+        r1[k + 1:] = [x * prev // t for x in r1[k + 1:]]
+        level[k + 1] = prev
+    a00, a01, a11 = r0[k], r0[k + 1], r1[k + 1]
+    a10 = a01 * d[k + 1] // d[k]
+    c0 = (a00 * a11 - a01 * a10) // prev
+    if not c0:
+        return 0
+    c1 = [(a01 * y - a11 * x) // prev for x, y in zip(r0[k + 2:], r1[k + 2:])]
+    c2 = [(a10 * x - a00 * y) // prev for x, y in zip(r0[k + 2:], r1[k + 2:])]
+    d0, d1 = d[k] * prev, d[k + 1] * prev
+    for i in range(k + 2, end):
+        if r0[i] or r1[i]:
+            row, t, j = b[i], level[i], i - k - 2
+            u, v = r0[i] * d[i] * t // d0, r1[i] * d[i] * t // d1
+            row[i:] = [(a * c0 + u * x + v * y) // t for a, x, y in zip(row[i:], c1[j:], c2[j:])]
+            level[i] = c0
+    r1[k + 1:] = [c0, *(-y for y in c2)]
+    level[k + 1] = a00
+    return c0
 
 
 def _diagonal(rows: list[list[int]], mults: list[int], pair: tuple[int, int] | None = None, shifts: Iterable[int] = (0,)) -> list[int]:
@@ -383,7 +447,7 @@ def _cofactor_grid(rows: list[list[int]], mults: list[int]) -> tuple[list[list[l
 
 
 def _in_range(index: int, n: int) -> bool:
-    if isinstance(index, bool):  # an int subclass, but never an index
+    if _is_bool(index):  # an int subclass (numpy's is not), but never an index
         raise TypeError(f"index {index!r} is a bool, not an integer")
     return 0 <= index < n
 

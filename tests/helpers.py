@@ -4,10 +4,11 @@ The checkers and determinants here deliberately avoid the package's own
 algorithms (no parent-choice enumeration, no Bareiss) so that agreement
 between the two sides actually means something: scan_forests and scan_trees
 filter all 2**m instance subsets with their own union-find and in-degree
-test, and leibniz_det, leibniz_cofactor and leibniz_adjugate expand
-permutations. The exception is minor_adjugate, which takes each minor by the
-package's determinant to check the adjugate's back substitution and
-interpolation route at sizes Leibniz cannot reach.
+test, leibniz_det, leibniz_cofactor and leibniz_adjugate expand
+permutations, and det_mod and cofactor_mod eliminate over the integers mod a
+prime, which reaches the kernel's sizes. The exception is minor_adjugate,
+which takes each minor by the package's determinant to check the adjugate's
+back substitution and interpolation route at sizes Leibniz cannot reach.
 
 Test-side references for operations the package has no caller for: diag and
 matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
@@ -178,6 +179,44 @@ def leibniz_adjugate(matrix: SquareMatrix) -> SquareMatrix:
     """Transposed matrix of Leibniz cofactors (usable up to n ~ 7)."""
     n = matrix.n
     return SquareMatrix(tuple(tuple(leibniz_cofactor(matrix, j, i) for j in range(n)) for i in range(n)))
+
+
+PRIME = 2**61 - 1
+
+
+def mod_p(x) -> int:
+    """A rational's residue mod PRIME (its denominator is not a multiple of PRIME)."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+def det_mod(rows) -> int:
+    """det of a matrix of rationals (rows of entries) mod PRIME, by Gaussian
+    elimination over GF(PRIME) with a row swap at each zero pivot."""
+    p = PRIME
+    a = [[mod_p(x) for x in row] for row in rows]
+    n, det = len(a), 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            det = -det
+        pk = a[k]
+        det = det * pk[k] % p
+        inv = pow(pk[k], -1, p)
+        for row in a[k + 1:]:
+            f = row[k] * inv % p
+            if f:
+                row[k + 1:] = [(x - f * y) % p for x, y in zip(row[k + 1:], pk[k + 1:])]
+    return det % p
+
+
+def cofactor_mod(rows, i: int, j: int) -> int:
+    """(-1)**(i+j) times det_mod of the minor without row i and column j."""
+    minor = [row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i]
+    return (-1) ** (i + j) * det_mod(minor) % PRIME
 
 
 def is_inverse(matrix: SquareMatrix, q: SquareMatrix) -> bool:

@@ -19,7 +19,7 @@ from forestmatrix import (
     Multigraph,
     parse_graph,
 )
-from forestmatrix.cli import main
+from forestmatrix.cli import _tsv_lines, main
 from helpers import POSITIVE_POOL, graph_text, random_multidigraph, random_multigraph
 
 F = Fraction
@@ -722,6 +722,17 @@ class TestFloatMode:
         argv = ("accessibility", graph_file("small-directed"), "--mode", "float", "--output", "tsv")
         q = floatops.accessibility(parse_graph(GRAPH_FILES["small-directed"])).matrix
         assert run_cli(capsys, *argv) == (0, "".join("\t".join(repr(float(x)) for x in row) + "\n" for row in q))
+
+    @pytest.mark.parametrize("payload, lines", [
+        ({"mode": "float", "matrix": [[0.0, -0.0, 1e-26], [0.1, 2.5e-05, 1e16], [1.0, -1.5, 1 / 3]]},
+         ["0.0\t-0.0\t1e-26", "0.1\t2.5e-05\t1e+16", "1.0\t-1.5\t0.3333333333333333"]),
+        ({"mode": "float", "matrix": [[0.5]], "detW": 2.0}, ["0.5", "detW\t2.0"]),
+        ({"mode": "exact", "matrix": [["1/2", "-3"], ["0", "7/5"]], "detW": "-1/10"},
+         ["1/2\t-3", "0\t7/5", "detW\t-1/10"]),
+        ({"mode": "exact", "matrix": []}, []),
+    ], ids=["float", "float-1x1", "exact", "empty"])
+    def test_tsv_matrix_bytes_are_pinned(self, payload, lines):
+        assert list(_tsv_lines(payload)) == lines
 
     def test_exact_lambda_beyond_binary64(self, capsys, edge_file):
         # det [[l + 1, -1], [-1, l + 1]] = l**2 + 2l

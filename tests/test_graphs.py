@@ -13,6 +13,7 @@ from forestmatrix import (
     Multigraph,
     SquareMatrix,
     contract,
+    forest_det,
     forest_matrix,
     kirchhoff,
     laplacian,
@@ -301,3 +302,42 @@ def test_numpy_integer_vertex_count_is_an_int():
     for kind in (Multigraph, Multidigraph):
         g = kind(np.int64(3), ((0, 1, 1),))
         assert type(g.n) is int and g == kind(3, ((0, 1, 1),))
+
+
+def test_numpy_integer_endpoints_are_ints():
+    np = pytest.importorskip("numpy")
+    for kind in (Multigraph, Multidigraph):
+        g = kind(3, ((np.int64(0), np.int32(1), 1), (2, np.uint8(1), 2)))
+        assert all(type(v) is int for a in g.instances for v in a[:2])
+        assert g == kind(3, ((0, 1, 1), (2, 1, 2)))
+
+
+def test_numpy_integer_values_stay_exact():
+    # a Fraction of numpy int64s would wrap around in the kernels
+    np = pytest.importorskip("numpy")
+    big = 2**62
+    g = Multigraph(2, ((0, 1, np.int64(big)),))
+    assert type(g.edges[0].w.numerator) is int
+    assert forest_det(g) == forest_det(Multigraph(2, ((0, 1, big),))) == 2 * big + 1
+    assert forest_det(Multigraph(2, ((0, 1, 3),)), lam=np.int64(2**40)) == 2**80 + 6 * 2**40
+    assert type(SquareMatrix(((np.int32(7),),)).entries[0][0].numerator) is int
+
+
+def test_numpy_bools_are_refused():
+    np = pytest.importorskip("numpy")
+    refused = f"refusing bool {np.True_!r}; pass an int, Fraction or string"
+    for call, error, message in [
+        (lambda: Multigraph(3, ((np.True_, 2, 1),)), GraphValidationError,
+         f"edge endpoints must be integers, got ({np.True_!r}, 2)"),
+        (lambda: Multidigraph(3, ((0, np.False_, 1),)), GraphValidationError,
+         f"arc endpoints must be integers, got (0, {np.False_!r})"),
+        (lambda: Multidigraph(np.True_), GraphValidationError, f"vertex count must be an integer, got {np.True_!r}"),
+        (lambda: Multigraph(2, ((0, 1, np.True_),)), TypeError, refused),
+        (lambda: forest_matrix(laplacian(Multigraph(2)), np.True_), TypeError, refused),
+        (lambda: SquareMatrix(((np.True_,),)), TypeError, refused),
+        (lambda: SquareMatrix(((1, 0), (0, 1))).cofactor(np.True_, 0), TypeError,
+         f"index {np.True_!r} is a bool, not an integer"),
+    ]:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
