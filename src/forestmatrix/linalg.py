@@ -6,10 +6,14 @@ matrix is scaled to integers once (each row by the lcm of its denominators)
 and reduced by one fraction-free elimination (Bareiss 1968) with diagonal
 pivots in a Markowitz order (Markowitz 1957). For a matrix equal to its
 transpose, which the kernel finds from the scaled rows whatever the graph
-kind, it updates the upper triangle only, and where the pivot rows allow it
-takes two steps per pass (Bareiss's two-step method) with the same pivots and
-pivot rows as single steps; a zero pivot restarts it on full rows, where a
-zero pivot swaps in a lower row. The kernels are functions of
+kind, it updates the upper triangle only, keeps one level (the pivot at which
+a row was last current) per row, and where the pivot rows allow it takes two
+steps per pass (Bareiss's two-step method) with the same pivots and pivot
+rows as single steps; a zero pivot restarts it on full rows, where a zero
+pivot swaps in a lower row. On full rows each entry keeps its own level, so
+a step visits only the columns where the pivot row is nonzero, in the rows
+with a nonzero in the pivot column: on a directed det at n = 128 that is 19%
+of the entries a row-level rule visits. The kernels are functions of
 those rows and their multipliers, so `forest` runs them on rows built
 straight from an arc list, and the SquareMatrix methods on the rows of their
 entries. Determinants and cofactors are entries of the eliminated rows; the
@@ -22,6 +26,7 @@ shifts x = 0, 1, 2, ....
 
 from __future__ import annotations
 
+import numbers
 import re
 from fractions import Fraction
 from itertools import combinations, compress
@@ -72,23 +77,25 @@ def _is_bool(value) -> bool:
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and strings in the literal grammar ("3", "1/2", "0.25").
 
-    Other strings raise ValueError. Floats are refused: a binary float is
-    almost never the number the caller wrote down, and silently converting
-    one would poison exact results. Bools, numpy's too, are refused: True as a
-    weight, lambda or entry is always a mistake. A numpy integer becomes a
-    Fraction of Python ints, as one of fixed width would overflow silently in
-    the kernels (a Fraction is taken as it is).
+    Other strings raise ValueError. Inexact reals are refused, floats and
+    numpy's floats of every width alike (a numbers.Real that is not a
+    numbers.Rational): a binary float is almost never the number the caller
+    wrote down, and silently converting one would poison exact results. Bools,
+    numpy's too, are refused: True as a weight, lambda or entry is always a
+    mistake. A numpy integer becomes a Fraction of Python ints, as one of
+    fixed width would overflow silently in the kernels (a Fraction is taken as
+    it is).
     """
     if type(value) is Fraction:
         return value
     if _is_bool(value):
         raise TypeError(f"refusing bool {value!r}; pass an int, Fraction or string")
-    if isinstance(value, float):
+    if isinstance(value, str):
+        return _literal(value)
+    if not isinstance(value, numbers.Rational) and isinstance(value, numbers.Real):
         raise TypeError(
             f"refusing inexact float {value!r}; pass an int, Fraction or string"
         )
-    if isinstance(value, str):
-        return _literal(value)
     value = Fraction(value)
     if type(value.numerator) is not int:
         value = Fraction(int(value.numerator), int(value.denominator))
@@ -173,16 +180,27 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     k..steps, so column k of the leading (steps + 1)-block depends on columns
     0..k-1 (after a symmetric run's restart, the restarted run's k); or (b, d,
     pivots, level, swaps): b the permuted rows, eliminated in place; d the
-    permuted row scales; pivots = [1, p_0, ..., p_(steps-1)]; level[r] the pivot
-    of the step that last updated row r. Row k < steps of b holds, from column k
-    on, the pivot row U_k as it stood at step k, so U_kk = p_k. On full rows,
-    each entry below a pivot is brought up to date at its step, so column k
-    below row k holds the pivot column L_rk. Rows past `steps` are not updated.
+    permuted row scales; pivots = [1, p_0, ..., p_(steps-1)]; level[steps] the
+    pivot at which row `steps` is stored, so that from column `steps` on its
+    up-to-date value is stored * p_(steps-1) // level[steps]. Row k < steps of b
+    holds, from column k on, the pivot row U_k as it stood at step k, so U_kk =
+    p_k. On full rows, column k below row k holds the pivot column L_rk, up to
+    date. Rows past `steps` are not updated.
 
-    Lazy rows: a row with a zero in the pivot column is not touched at that
-    step, so its up-to-date value is stored * p_(k-1) // level[r]; a later
-    update divides by level[r] instead of p_(k-1), still exact by Sylvester's
-    identity, and a pivot row is brought up to date when its step comes.
+    Lazy levels: an entry whose step would only multiply it by p_k and divide
+    it by p_(k-1) is left as stored, with its level t, the pivot at which it
+    was last current. Its up-to-date value is stored * p_(k-1) // t, taken when
+    it is next used, and a later update divides by t instead of p_(k-1), still
+    exact by Sylvester's identity. A pivot row is brought up to date when its
+    step comes. On full rows (_full_rows) each entry has its own level: step k
+    visits only the columns where pivot row k is nonzero, in the rows with a
+    nonzero in column k, and a swap moves the levels with the rows. On a
+    seed-1 directed forest_det at n = 128, a level per row would visit 23,745
+    entries, 62% of them to multiply a zero by a zero pivot-row entry and 18%
+    only to rescale a nonzero; per-entry levels visit the 4,625 (19%) that
+    update. The symmetric route keeps one level per row, level[r], and skips a
+    row whose pivot-column entry is zero: there a single step updates 56% of
+    the entries it visits (seed-1 undirected det, n = 128).
 
     For a `symmetric` W only the upper triangle is updated, and swaps is None:
     every stage entry is a minor of B, and B_rk * d_k = B_kr * d_r, so entry
@@ -206,56 +224,103 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     if shift:
         for k, row in enumerate(b):
             row[k] += shift * d[k]
+    if not symmetric:
+        return _full_rows(b, d, steps)
     end = min(steps + 1, n)
     level = [1] * n
     pivots = [1]
-    swaps = None if symmetric else []
     prev = 1
     k = 0
     while k < steps:
         rk = b[k]
         if not rk[k]:
-            if symmetric:
-                # column k below the pivot is zero exactly where row k right of it is
-                return _forward(rows, mults, order, False, steps, shift) if any(rk[k + 1:end]) else k
-            r = next((r for r in range(k + 1, end) if b[r][k]), None)
-            if r is None:
-                return k
-            b[k], b[r] = [-x for x in b[r]], rk
-            rk = b[k]
-            level[k], level[r] = level[r], level[k]
-            swaps.append((k, r))
+            # column k below the pivot is zero exactly where row k right of it is
+            return _forward(rows, mults, order, False, steps, shift) if any(rk[k + 1:end]) else k
         if level[k] != prev:
             t = level[k]
             rk[k:] = [x * prev // t for x in rk[k:]]
         pivot = rk[k]
-        if symmetric:
-            second = k + 1 < steps and end - k >= 10 and rk[k + 1] and _paired(b, d, level, k, end, prev)
-            if second:
-                pivots += (pivot, second)
-                prev = second
-                k += 2
-                continue
-            dk = d[k] * prev
-            for r in compress(range(k + 1, end), rk[k + 1:end]):
-                row, t = b[r], level[r]
-                f = rk[r] * d[r] * t // dk
-                row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
-                level[r] = pivot
-        else:
-            tail = rk[k + 1:]
-            for r in range(k + 1, end):
-                row = b[r]
-                f = row[k]
-                if f:
-                    t = level[r]
-                    row[k + 1:] = [(a * pivot - f * x) // t for a, x in zip(row[k + 1:], tail)]
-                    level[r] = pivot
-                    row[k] = f * prev // t
+        second = k + 1 < steps and end - k >= 10 and rk[k + 1] and _paired(b, d, level, k, end, prev)
+        if second:
+            pivots += (pivot, second)
+            prev = second
+            k += 2
+            continue
+        dk = d[k] * prev
+        for r in compress(range(k + 1, end), rk[k + 1:end]):
+            row, t = b[r], level[r]
+            f = rk[r] * d[r] * t // dk
+            row[r:] = [(a * pivot - f * x) // t for a, x in zip(row[r:], rk[r:])]
+            level[r] = pivot
         pivots.append(pivot)
         prev = pivot
         k += 1
-    return b, d, pivots, level, swaps
+    return b, d, pivots, level, None
+
+
+def _full_rows(b: list[list[int]], d: list[int], steps: int):
+    """_forward on the full rows b, already permuted and shifted, with
+    levels[r][c] the level of b[r][c]. Step k brings pivot row k up to date
+    from column k on. In each row r with a nonzero L_rk, brought up to date in
+    column k, each column c where U_kc is nonzero becomes (a * p_k - L_rk *
+    U_kc) // p_(k-1) at level p_k, a its entry up to date. Row `steps` is
+    brought up to date at the end, so every row through `steps` is current at
+    the pivot before its step and the returned level is pivots itself. A row's
+    levels share one list of ones until its first update.
+    """
+    n = len(b)
+    end = min(steps + 1, n)
+    ones = [1] * n
+    levels = [ones] * end
+    pivots = [1]
+    swaps = []
+    prev = 1
+    for k in range(steps):
+        rk = b[k]
+        if not rk[k]:
+            for r in range(k + 1, end):
+                if b[r][k]:
+                    break
+            else:
+                return k
+            b[k], b[r] = [-x for x in b[r]], rk
+            rk = b[k]
+            levels[k], levels[r] = levels[r], levels[k]
+            swaps.append((k, r))
+        cols = [c for c, x in enumerate(rk[k:], k) if x]
+        if k:  # at step 0 every level is 1 = p_(-1)
+            lk = levels[k]
+            for c in cols:
+                # a level is the pivot object itself, so `is` finds a current
+                # entry; an equal pivot of another step rescales by 1, also exact
+                t = lk[c]
+                if t is not prev:
+                    rk[c] = rk[c] * prev // t
+        pivot = rk[k]
+        del cols[0]  # the pivot
+        for r in range(k + 1, end):
+            row = b[r]
+            f = row[k]
+            if f:
+                lr = levels[r]
+                if lr is ones:  # the row's first update
+                    lr = levels[r] = [1] * n
+                t = lr[k]
+                if t is not prev:
+                    f = row[k] = f * prev // t
+                for c in cols:
+                    t = lr[c]
+                    row[c] = ((row[c] if t is prev else row[c] * prev // t) * pivot - f * rk[c]) // prev
+                    lr[c] = pivot
+        pivots.append(pivot)
+        prev = pivot
+    if n:  # row `steps`, up to date from column `steps` on
+        row, lr = b[steps], levels[steps]
+        for c in range(steps, n):
+            t = lr[c]
+            if t is not prev:
+                row[c] = row[c] * prev // t
+    return b, d, pivots, pivots, swaps
 
 
 def _paired(b: list[list[int]], d: list[int], level: list[int], k: int, end: int, prev: int) -> int:

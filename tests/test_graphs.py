@@ -341,3 +341,17 @@ def test_numpy_bools_are_refused():
         with pytest.raises(error) as raised:
             call()
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("width", ["float16", "float32", "float64", "longdouble"])
+def test_numpy_floats_are_refused(width):
+    # float64 is a float subclass; the others are not, but each is an inexact real
+    np = pytest.importorskip("numpy")
+    x = getattr(np, width)(0.5)
+    refused = f"refusing inexact float {x!r}; pass an int, Fraction or string"
+    for call in (lambda: Multidigraph(2, ((0, 1, x),)),
+                 lambda: forest_det(Multigraph(2, ((0, 1, 1),)), lam=x),
+                 lambda: SquareMatrix(((1, x), (0, 1)))):
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == refused
