@@ -11,7 +11,7 @@ The functions of a graph run the `linalg` kernels on the integer rows of W
 that `graphs` sums from the arc list, giving the values the SquareMatrix
 methods give on forest_matrix(graph_matrix(graph), lam); only forest_minor,
 matrix_tree_check and forest_matrix_report build that matrix of Fractions,
-the last to read det W from W's entries, a second route beside forest_det.
+and the report takes its det W from forest_det.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class ForestMatrixReport(NamedTuple):
 
 def forest_matrix_report(graph: AnyGraph, lam=1) -> ForestMatrixReport:
     lam = as_rational(lam)
-    w = forest_matrix(graph_matrix(graph), lam)
-    return ForestMatrixReport(w, w.det(), lam)
+    return ForestMatrixReport(forest_matrix(graph_matrix(graph), lam), forest_det(graph, lam), lam)
 
 
 def forest_det(graph: AnyGraph, lam=1) -> Fraction:

@@ -170,7 +170,10 @@ def _scaled_rows(graph: AnyGraph, lam=0) -> tuple[list[list[int]], list[int]]:
     linalg._integer_rows makes from W's Fractions.
 
     Each row is summed as integers over the lcm of the denominators of lam and
-    of the weights into that vertex, in one pass over the arc list.
+    of the weights into that vertex, in one pass over the arc list. Its gcd is
+    taken over the columns the arc list fills, the diagonal and the tails of
+    the arcs into that vertex, not over all n entries; each row is still
+    allocated as n zeros.
     """
     lam = as_rational(lam)
     n = graph.n
@@ -179,14 +182,16 @@ def _scaled_rows(graph: AnyGraph, lam=0) -> tuple[list[list[int]], list[int]]:
     for _, head, w in arcs:
         mults[head] = lcm(mults[head], w.denominator)
     rows = [[0] * n for _ in range(n)]
+    filled = [[r] for r in range(n)]
     for tail, head, w in arcs:
         num, den = w.as_integer_ratio()
         x = num * (mults[head] // den)
         rows[head][tail] -= x
         rows[head][head] += x
+        filled[head].append(tail)
     for r, (row, mult) in enumerate(zip(rows, mults)):
         row[r] += lam.numerator * (mult // lam.denominator)
-        g = gcd(mult, *row)
+        g = gcd(mult, *map(row.__getitem__, filled[r]))
         if g > 1:
             rows[r] = [x // g for x in row]
             mults[r] = mult // g

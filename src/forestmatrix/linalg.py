@@ -31,6 +31,7 @@ import re
 from fractions import Fraction
 from itertools import combinations, compress
 from math import lcm, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -139,11 +140,21 @@ def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...])
     fill joins the neighbours into a clique; for a symmetric M the column
     patterns are the row patterns and are not kept twice. The diagonal does not
     change the order or the symmetry, so one call serves every shift M + x*I.
+
+    The row patterns are a compress over each row's n entries; the column
+    patterns are built from them in one pass over the nonzeros, and the greedy
+    pick is a min over the indices not yet ordered.
     """
     n = len(rows)
     out = [set(compress(range(n), row)) for row in rows]
     symmetric = _symmetric(rows, mults, out)
-    into = out if symmetric else [set(compress(range(n), col)) for col in zip(*rows)]
+    if symmetric:
+        into = out
+    else:
+        into = [set() for _ in range(n)]
+        for r, cols in enumerate(out):
+            for c in cols:
+                into[c].add(r)
     for r in range(n):
         out[r].discard(r)
         into[r].discard(r)
@@ -174,7 +185,9 @@ def _pivot_order(rows: list[list[int]], mults: list[int], last: tuple[int, ...])
 def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetric: bool, steps: int, shift: int = 0):
     """The first `steps` steps of Bareiss elimination with diagonal pivots on the
     scaled rows B = D * (W + shift * I) of a matrix W, D = diag(mults), rows and
-    columns permuted by `order`. `rows` is left unchanged.
+    columns permuted by `order`. `rows` is left unchanged: the permuted rows
+    and row scales are gathered by one itemgetter of the order, though the
+    copy still holds all n**2 entries.
 
     Returns the step k at which it stopped, p_k = 0 with column k zero in rows
     k..steps, so column k of the leading (steps + 1)-block depends on columns
@@ -219,8 +232,13 @@ def _forward(rows: list[list[int]], mults: list[int], order: list[int], symmetri
     det B and adj B = adj(P * B) * P.
     """
     n = len(rows)
-    b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
-    d = list(map(mults.__getitem__, order))
+    if n > 1:
+        pick = itemgetter(*order)
+        b = [list(pick(row)) for row in pick(rows)]
+        d = list(pick(mults))
+    else:  # the order is [] or [0], and itemgetter of one key returns the item
+        b = [list(row) for row in rows]
+        d = list(mults)
     if shift:
         for k, row in enumerate(b):
             row[k] += shift * d[k]

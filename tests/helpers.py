@@ -15,14 +15,17 @@ matrix_sum (matrix algebra for identities such as m @ adj(m) == det(m) * I),
 reversed_digraph (the arc flip that turns converging forests into diverging
 ones) and graph_text (the graph file that parse_graph must read back).
 min_degree_order is a reference copy of an elimination order the kernel must
-reproduce.
+reproduce. dense_scaled_rows, dense_pivot_order and dense_permuted are
+references for the kernel's set-up that read all n**2 entries: each row's gcd
+over every column, column patterns by zip(*rows), and the permuted copy by one
+__getitem__ map per row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
-from math import prod
+from math import gcd, lcm, prod
 from random import Random
 
 from forestmatrix import (
@@ -141,6 +144,64 @@ def min_degree_order(rows, last) -> list[int]:
             joined -= {u, v}
             degree[u] = len(joined)
     return order + list(last)
+
+
+def dense_scaled_rows(graph, lam=0) -> tuple[list[list[int]], list[int]]:
+    """The integer rows of W = lam*I + L and their multipliers in lowest terms:
+    each row of fraction_graph_matrix times the lcm of the denominators of lam
+    and of the weights into its vertex, divided with that lcm by its gcd over
+    all n entries."""
+    lam = Fraction(lam)
+    n = graph.n
+    arcs = graph.arcs if isinstance(graph, Multidigraph) else [
+        a for u, v, w in graph.edges for a in ((u, v, w), (v, u, w))]
+    rows, mults = [], []
+    for r, frow in enumerate(fraction_graph_matrix(graph).entries):
+        mult = lcm(lam.denominator, *(w.denominator for _, head, w in arcs if head == r))
+        row = [int((x + lam * (c == r)) * mult) for c, x in enumerate(frow)]
+        g = gcd(mult, *row)
+        rows.append([x // g for x in row])
+        mults.append(mult // g)
+    return rows, mults
+
+
+def dense_pivot_order(rows, mults, last) -> tuple[list[int], bool]:
+    """The kernel's greedy Markowitz order of the nonzero pattern of the scaled
+    rows, ending with `last`, and whether B_rc * d_c == B_cr * d_r at every
+    entry; the column patterns are compressed from zip(*rows). Each step takes,
+    of the indices not yet ordered and not in `last`, one of least cost (r - 1)
+    * (c - 1) (the lowest on a tie) and fills each row with a nonzero in its
+    column with its row's pattern, and each column with a nonzero in its row
+    with its column's."""
+    n = len(rows)
+    symmetric = all(rows[r][c] * mults[c] == rows[c][r] * mults[r] for r in range(n) for c in range(n))
+    out = [set(compress(range(n), row)) - {r} for r, row in enumerate(rows)]
+    into = [set(compress(range(n), col)) - {c} for c, col in enumerate(zip(*rows))]
+    cost = [len(a) * len(b) for a, b in zip(out, into)]
+    left = [v for v in range(n) if v not in last]
+    order = []
+    while left:
+        v = min(left, key=cost.__getitem__)
+        left.remove(v)
+        order.append(v)
+        for u in into[v]:
+            out[u] = (out[u] | out[v]) - {u, v}
+        for c in out[v]:
+            into[c] = (into[c] | into[v]) - {c, v}
+        for u in into[v] | out[v]:
+            cost[u] = len(out[u]) * len(into[u])
+    return order + list(last), symmetric
+
+
+def dense_permuted(rows, mults, order, shift=0) -> tuple[list[list[int]], list[int]]:
+    """The rows and columns of B permuted by `order`, each row by its own
+    __getitem__ map, with shift * d_k added to diagonal entry k, and the
+    permuted row scales d."""
+    b = [list(map(row.__getitem__, order)) for row in map(rows.__getitem__, order)]
+    d = list(map(mults.__getitem__, order))
+    for k, row in enumerate(b):
+        row[k] += shift * d[k]
+    return b, d
 
 
 def fraction_horner(coeffs, x: Fraction) -> Fraction:

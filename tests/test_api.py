@@ -1,7 +1,7 @@
 """The package's public surface: module exports and the float backend's mirror of `forest`."""
 
 import copy
-import importlib
+import importlib.util
 import inspect
 import os
 import pickle
@@ -90,6 +90,34 @@ def test_unused_names_are_gone():
     assert not hasattr(forestmatrix.linalg, "Rational")
     for name in ("zeros", "scaled", "trace", "__add__", "__sub__"):
         assert not hasattr(SquareMatrix, name)
+
+
+def test_the_benchmark_tracer_finds_the_names_it_patches():
+    # perfbench/tracing.py, loaded read-only, wraps functions and SquareMatrix
+    # methods by the names it lists; a rename in src/ fails here with the name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    numpy = importlib.util.find_spec("numpy") is not None
+    for short in tracing.MODULES:
+        if short != "floatops" or numpy:
+            importlib.import_module(f"forestmatrix.{short}")
+        else:
+            assert importlib.util.find_spec(f"forestmatrix.{short}"), short
+    assert [name for name in tracing.SQUARE_MATRIX_METHODS if name not in vars(SquareMatrix)] == []
+    loaded = [m for key, m in sys.modules.items() if key.split(".")[0] == "forestmatrix"]
+    before = [(owner, dict(vars(owner))) for owner in (*loaded, SquareMatrix)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        forestmatrix.forest_det(Multigraph(2, ((0, 1, 1),)))
+        SquareMatrix(((1, 2), (3, 4))).det()
+    finally:
+        tracer.uninstall()
+    assert {"forest.forest_det", "linalg.det", "linalg.SquareMatrix"} <= set(tracer.names)
+    for owner, attrs in before:
+        assert all(vars(owner)[name] is value for name, value in attrs.items()), owner
 
 
 @pytest.mark.parametrize("name", FLOAT_COMMAND_FUNCTIONS)

@@ -971,8 +971,8 @@ def test_every_command_runs(capsys, graph_file, name, argv):
 @pytest.mark.parametrize("lam", ["1", "0", "1/3", "-2"])
 @pytest.mark.parametrize("name", ["small", "directed-parallel"])
 def test_det_and_forest_matrix_agree(capsys, graph_file, name, lam):
-    # det eliminates W's integer rows summed from the arc list; forest-matrix
-    # reads det W from W's entries, a SquareMatrix of Fractions
+    # det and forest-matrix print one det W, each from forest_det on W's
+    # integer rows summed from the arc list
     (code, det), (_, report) = (run_json(capsys, command, graph_file(name), f"--lambda={lam}")
                                 for command in ("det", "forest-matrix"))
     assert code == 0 and det["detW"] == report["detW"]

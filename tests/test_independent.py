@@ -8,7 +8,9 @@ both odd and even step counts; the dense signed symmetric matrices put a zero
 pivot first in a pair, second in a pair and first of all. Directed graphs, up
 to n = 128, and dense signed matrices that differ from their transpose, with a
 zero pivot first, mid-run and at the last step, run on full rows, whose
-entries each keep their own level.
+entries each keep their own level. For positive weights the accessibility
+results are checked exactly up to n = 64: Q = W**-1 is stochastic, symmetric
+for a graph, and strictly largest on the diagonal of each column.
 """
 
 from fractions import Fraction
@@ -46,9 +48,10 @@ GRAPHS = [pytest.param(Multigraph, n, id=str(n)) for n in SIZES] + [
 ]
 
 
-def seeded_graph(n: int, kind=Multigraph):
-    """A graph (or digraph) with 3n instances of positive weights, seeded by n."""
-    rng = Random(n)
+def seeded_graph(n: int, kind=Multigraph, seed: int = 0):
+    """A graph (or digraph) with 3n instances of positive weights, seeded by n
+    and seed."""
+    rng = Random(n + 1000 * seed)
     return kind(n, tuple((*rng.sample(range(n), 2), rng.choice(POSITIVE_POOL)) for _ in range(3 * n)))
 
 
@@ -225,3 +228,21 @@ def test_pivots_are_leading_minors(source):
                 entry = b[steps][c] * pivots[-1] // level[steps]
                 assert entry % PRIME == det_mod([[*row[:steps], row[c]] for row in pb[:steps + 1]])
     assert completed >= 4
+
+
+@pytest.mark.parametrize("kind", [Multigraph, Multidigraph], ids=["undirected", "directed"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 64])
+def test_accessibility_results(kind, n):
+    # with positive weights W = I + L is a strictly row-diagonally-dominant
+    # M-matrix: Q = W**-1 is stochastic (rows sum to 1, entries >= 0), symmetric
+    # for a graph, and strictly largest on the diagonal of each column. A
+    # digraph's Q need not be largest on the diagonal of each row.
+    for seed in range(3 if n == 64 else 10):
+        g = seeded_graph(n, kind, seed)
+        q = accessibility(g).matrix.entries
+        assert all(sum(row) == 1 for row in q)
+        assert all(x >= 0 for row in q for x in row)
+        if kind is Multigraph:
+            assert all(q[i][j] == q[j][i] for i in range(n) for j in range(i))
+        for j in range(n):
+            assert all(q[j][j] > q[i][j] for i in range(n) if i != j)
